@@ -12,7 +12,7 @@
 //! controls the outcome.
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadTrialCache, ALeadUni, FleProtocol};
+use fle_core::protocols::{ALeadTrialCache, ALeadUni, FleProtocol, RingProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 

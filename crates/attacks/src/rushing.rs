@@ -13,7 +13,7 @@
 //! (the Claim D.1 crossover).
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, TrialCache};
+use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, RingProtocol, TrialCache};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 

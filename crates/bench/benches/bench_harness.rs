@@ -12,12 +12,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fle_attacks::PhaseRushingAttack;
-use fle_core::protocols::{run_ring_in, FleProtocol, PhaseAsyncLead, PhaseMsg};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
 use fle_core::Coalition;
 use fle_harness::{
     run_sweep, trial_seed, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec, SweepSpec,
 };
-use ring_sim::{Engine, Topology};
+use ring_sim::{default_step_limit, Engine, Execution, FifoScheduler, Node, Schedule, Topology};
 use std::hint::black_box;
 
 const TRIALS: u64 = 50;
@@ -52,12 +52,16 @@ fn bench(c: &mut Criterion) {
                     let p = PhaseAsyncLead::new(n)
                         .with_seed(trial_seed(1, i))
                         .with_fn_key(9);
-                    let exec = run_ring_in(
-                        &mut engine,
-                        n,
-                        |id| p.honest_node(id),
-                        Vec::new(),
+                    let mut nodes: Vec<Box<dyn Node<PhaseMsg>>> =
+                        (0..n).map(|id| p.honest_node(id)).collect();
+                    let mut exec = Execution::default();
+                    engine.run_into(
+                        &mut nodes,
                         &p.wakes(),
+                        Schedule::Oblivious(&mut FifoScheduler::new()),
+                        default_step_limit(n),
+                        None,
+                        &mut exec,
                     );
                     wins[exec.outcome.elected().expect("honest") as usize] += 1;
                 }

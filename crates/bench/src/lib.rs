@@ -1,6 +1,7 @@
 //! # fle-bench — Criterion benchmarks
 //!
-//! One bench target per reproduced table/figure (see DESIGN.md §2):
+//! One bench target per reproduced table/figure (the README's "Paper
+//! section → module table" maps them to the paper):
 //!
 //! * `bench_coalition` — Figure 1 layout algebra and rendering.
 //! * `bench_attacks` — Claim B.1, Theorem 4.2, Theorem C.1, Theorem 4.3.
@@ -14,7 +15,7 @@
 //!   serial trial loop (allocation reuse and thread fan-out).
 //!
 //! Run with `cargo bench --workspace`. The benches exercise exactly the
-//! code paths the `fle-lab` experiments use, so their throughput numbers
+//! code paths the `fle_lab` experiments use, so their throughput numbers
 //! double as a capacity plan for scaling the experiments up.
 
 /// Ring sizes used across the benches, chosen so every attack in the

@@ -80,7 +80,7 @@ impl FairConsensus {
     /// Runs the consensus with adversarial `overrides`; returns the raw
     /// execution (outputs encode `decision`, see [`FairConsensus::decode`]).
     pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<u64>>)>) -> Execution {
-        run_ring(self.n(), |id| self.honest_node(id), overrides, &[0])
+        run_ring(self.n(), |id| self.honest_node(id), overrides, &[0], None)
     }
 
     /// Runs honestly and decodes `(decision, leader)`; `None` on failure.

@@ -16,9 +16,7 @@
 //! exactly `n` messages, and the origin does not forward its `n`-th
 //! (final) receive.
 
-use super::{
-    fold_mod, node_rng, run_ring, run_ring_probed, wrap_sub, FleProtocol, TrialCache, ORIGIN_WAKES,
-};
+use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, Probe, TrialArena};
 
 /// [`TrialCache`] for `A-LEADuni`'s boxed coalition mixes.
@@ -137,48 +135,12 @@ impl ALeadUni {
 
     /// Runs with the coalition positions replaced by `overrides`.
     pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<u64>>)>) -> Execution {
-        run_ring(self.n, |id| self.honest_node(id), overrides, &self.wakes())
-    }
-
-    /// [`ALeadUni::run_with`] through a per-thread [`TrialCache`] — the
-    /// engine attack fast path (honest positions dispatch on the concrete
-    /// [`ALeadNode`]; only coalition positions run `D`). Bit-identical to
-    /// [`ALeadUni::run_with`] over equivalent overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from `n`, or an override id
-    /// is out of range or duplicated.
-    pub fn run_with_in<'c, D: Node<u64>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<u64, ALeadNode, D>,
-    ) -> &'c Execution {
-        assert_eq!(
-            cache.n(),
+        run_ring(
             self.n,
-            "cache ring size must match the protocol's ring size"
-        );
-        cache.run(
-            |id, arena| self.honest_ring_node_in(id, arena),
+            |id| self.honest_node(id),
             overrides,
-            ORIGIN_WAKES,
-        )
-    }
-
-    /// Runs an honest execution through a reusable engine (the
-    /// monomorphized batch-trial fast path; bit-identical to
-    /// [`FleProtocol::run_honest`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's ring size differs from `n`.
-    pub fn run_honest_in(&self, engine: &mut ring_sim::Engine<u64>) -> Execution {
-        super::run_ring_honest_in(
-            engine,
-            self.n,
-            |id| self.honest_ring_node(id),
             &self.wakes(),
+            None,
         )
     }
 
@@ -188,13 +150,27 @@ impl ALeadUni {
         overrides: Vec<(NodeId, Box<dyn Node<u64>>)>,
         probe: &mut dyn Probe<u64>,
     ) -> Execution {
-        run_ring_probed(
+        run_ring(
             self.n,
             |id| self.honest_node(id),
             overrides,
             &self.wakes(),
             Some(probe),
         )
+    }
+}
+
+impl RingProtocol for ALeadUni {
+    type Msg = u64;
+    type Node = ALeadNode;
+    const WAKES: Wakes = Wakes::Origin;
+
+    fn seeded(&self, seed: u64) -> Self {
+        self.clone().with_seed(seed)
+    }
+
+    fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> ALeadNode {
+        ALeadUni::honest_ring_node_in(self, id, arena)
     }
 }
 

@@ -6,7 +6,7 @@
 //! waiting for the other `n − 1` values before "choosing" its own
 //! (Claim B.1, reproduced in `fle-attacks::basic_single`).
 
-use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, TrialCache};
+use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, TrialArena};
 
 /// [`TrialCache`] for `Basic-LEAD`'s boxed coalition mixes.
@@ -114,45 +114,27 @@ impl BasicLead {
 
     /// Runs with the coalition positions replaced by `overrides`.
     pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<u64>>)>) -> Execution {
-        run_ring(self.n, |id| self.honest_node(id), overrides, &self.wakes())
-    }
-
-    /// [`BasicLead::run_with`] through a per-thread [`TrialCache`] — the
-    /// engine attack fast path (honest positions dispatch on the concrete
-    /// [`BasicNode`]; only coalition positions run `D`). Bit-identical to
-    /// [`BasicLead::run_with`] over equivalent overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from `n`, or an override id
-    /// is out of range or duplicated.
-    pub fn run_with_in<'c, D: Node<u64>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<u64, BasicNode, D>,
-    ) -> &'c Execution {
-        assert_eq!(
-            cache.n(),
+        run_ring(
             self.n,
-            "cache ring size must match the protocol's ring size"
-        );
-        cache.run_wake_all(|id, arena| self.honest_ring_node_in(id, arena), overrides)
-    }
-
-    /// Runs an honest execution through a reusable engine (the
-    /// monomorphized batch-trial fast path; bit-identical to
-    /// [`FleProtocol::run_honest`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's ring size differs from `n`.
-    pub fn run_honest_in(&self, engine: &mut ring_sim::Engine<u64>) -> Execution {
-        super::run_ring_honest_in(
-            engine,
-            self.n,
-            |id| self.honest_ring_node(id),
+            |id| self.honest_node(id),
+            overrides,
             &self.wakes(),
+            None,
         )
+    }
+}
+
+impl RingProtocol for BasicLead {
+    type Msg = u64;
+    type Node = BasicNode;
+    const WAKES: Wakes = Wakes::All;
+
+    fn seeded(&self, seed: u64) -> Self {
+        self.clone().with_seed(seed)
+    }
+
+    fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> BasicNode {
+        BasicLead::honest_ring_node_in(self, id, arena)
     }
 }
 

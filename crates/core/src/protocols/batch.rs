@@ -28,8 +28,8 @@
 //! one evaluation plus `n − 1` comparisons.
 
 use super::{
-    fold_mod, node_rng, wrap_sub, wrap_sub_usize, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead,
-    PhaseSumLead, ORIGIN_WAKES,
+    fold_mod, node_rng, wrap_sub, wrap_sub_usize, ALeadUni, BasicLead, FleProtocol,
+    LockstepProtocol, PhaseAsyncLead, PhaseSumLead, ORIGIN_WAKES,
 };
 use crate::randfn::{EvalTable, PhaseParams};
 use ring_sim::batch::{LaneCtx, LockstepEngine, LockstepNode};
@@ -38,8 +38,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Runs one lockstep group on a reusable [`LockstepEngine`]: the batch
-/// analogue of [`super::run_ring_honest_into`]. `nodes` must already be
-/// configured for the group's lanes (each protocol's
+/// analogue of [`super::run_ring_honest_pooled_into`]. `nodes` must
+/// already be configured for the group's lanes (each protocol's
 /// `run_honest_batch_into` does this).
 ///
 /// Returns `false` if the group diverged (the caller must re-run the
@@ -157,7 +157,8 @@ impl BasicLead {
     /// `self.with_seed(seeds[l])`. Returns `false` if the group diverged
     /// (re-run scalar); on `true` read per-lane results from
     /// [`BasicBatchCache::execution_into`], each bit-identical to
-    /// [`BasicLead::run_honest_in`] with that seed.
+    /// [`RingProtocol::run_honest_in`](super::RingProtocol::run_honest_in)
+    /// with that seed.
     ///
     /// # Panics
     ///
@@ -744,9 +745,37 @@ impl PhaseSumLead {
     }
 }
 
+/// Implements [`LockstepProtocol`] by delegating to the protocol's
+/// inherent batch entry and its cache's lane extraction.
+macro_rules! lockstep_protocol {
+    ($protocol:ty, $cache:ty) => {
+        impl LockstepProtocol for $protocol {
+            type BatchCache = $cache;
+
+            fn batch_cache(n: usize) -> $cache {
+                <$cache>::ring(n)
+            }
+
+            fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut $cache) -> bool {
+                <$protocol>::run_honest_batch_into(self, seeds, cache)
+            }
+
+            fn execution_into(cache: &$cache, lane: usize, out: &mut Execution) {
+                cache.execution_into(lane, out);
+            }
+        }
+    };
+}
+
+lockstep_protocol!(BasicLead, BasicBatchCache);
+lockstep_protocol!(ALeadUni, ALeadBatchCache);
+lockstep_protocol!(PhaseAsyncLead, PhaseBatchCache);
+lockstep_protocol!(PhaseSumLead, PhaseBatchCache);
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocols::RingProtocol;
     use ring_sim::{Engine, Topology};
 
     fn seeds(base: u64, k: usize) -> Vec<u64> {

@@ -12,8 +12,9 @@
 //!   resilience, delivered purely by round-synchrony on the ring.
 //!
 //! All protocols use 0-indexed processor ids `0..n` with the origin at 0
-//! and outputs in `[0, n)`; see DESIGN.md §4 for the index translation from
-//! the paper's `[1, n]`.
+//! and outputs in `[0, n)`: the paper's 1-indexed processor `i ∈ [1, n]`
+//! is id `i − 1` here (so its "processor `i` validates round `i`" becomes
+//! "id `p` validates round `p + 1`").
 
 mod a_lead_uni;
 mod basic_lead;
@@ -39,7 +40,8 @@ pub use wakeup::{WakeLead, WakeMsg, WakeNode};
 use ring_sim::rng::SplitMix64;
 use ring_sim::{
     default_step_limit, ArenaBacked, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler,
-    Node, NodeId, Probe, SimBuilder, TimedNetConfig, TimedScheduler, Topology, TrialArena,
+    Node, NodeId, Probe, Schedule, Scheduler, SimBuilder, TimedNetConfig, TimedScheduler, Topology,
+    TrialArena,
 };
 
 /// Reduces `x` into `[0, n)` without paying a hardware division in the
@@ -116,149 +118,165 @@ pub(crate) fn node_rng(seed: u64, id: NodeId) -> SplitMix64 {
     SplitMix64::new(seed).derive(id as u64)
 }
 
-/// Runs a ring protocol with some nodes replaced by adversarial behaviours.
+/// Which processors of a ring protocol wake spontaneously.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wakes {
+    /// Only the origin, processor 0 (`A-LEADuni` and the phase family).
+    Origin,
+    /// Every processor, in id order (`Basic-LEAD`, `WakeLead`).
+    All,
+}
+
+impl Wakes {
+    /// The wake list on a ring of `n` processors, in wake order.
+    pub fn ids(self, n: usize) -> Vec<NodeId> {
+        match self {
+            Wakes::Origin => ORIGIN_WAKES.to_vec(),
+            Wakes::All => (0..n).collect(),
+        }
+    }
+}
+
+/// A ring protocol a worker runs trial after trial: its message and
+/// honest-node types, a seeded copy of the instance, the arena-backed
+/// honest node builder and the wake pattern.
+///
+/// The provided methods are the protocol's cached-engine entries: an
+/// honest run through a reusable [`Engine`] and an attacked run through a
+/// per-worker [`TrialCache`].
+pub trait RingProtocol: FleProtocol + Sized {
+    /// The protocol's message type.
+    type Msg: Clone;
+    /// The honest processor as a concrete type, so honest sweeps store a
+    /// plain `Vec` and the engine dispatches statically.
+    type Node: Node<Self::Msg> + ArenaBacked;
+
+    /// The processors that wake spontaneously.
+    const WAKES: Wakes;
+
+    /// A copy of this instance whose honest randomness is drawn from
+    /// `seed`; seed-independent state (parameters, the random function)
+    /// is kept, so a worker builds it once.
+    fn seeded(&self, seed: u64) -> Self;
+
+    /// Builds the honest node for position `id`, drawing any
+    /// trial-lifetime buffers from `arena` (reclaim them with
+    /// [`ArenaBacked::reclaim`] after the trial).
+    fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> Self::Node;
+
+    /// Runs an honest execution through a reusable engine — the
+    /// monomorphized path, bit-identical to [`FleProtocol::run_honest`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine's ring size differs from `n`.
+    fn run_honest_in(&self, engine: &mut Engine<Self::Msg>) -> Execution {
+        let n = self.n();
+        let mut out = Execution::default();
+        run_ring_honest_pooled_into(
+            engine,
+            n,
+            |id, arena| self.honest_ring_node_in(id, arena),
+            &Self::WAKES.ids(n),
+            &mut Vec::new(),
+            &mut FifoScheduler::new(),
+            &mut TrialArena::new(),
+            &mut out,
+        );
+        out
+    }
+
+    /// [`run_ring`] over `overrides` through a per-worker [`TrialCache`]:
+    /// honest positions run the concrete [`RingProtocol::Node`], only
+    /// coalition positions run `D`. Bit-identical to the protocol's
+    /// `run_with` over equivalent overrides.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache's ring size differs from `n`, or an override id
+    /// is out of range or duplicated.
+    fn run_with_in<'c, D: Node<Self::Msg>>(
+        &self,
+        overrides: Vec<(NodeId, D)>,
+        cache: &'c mut TrialCache<Self::Msg, Self::Node, D>,
+    ) -> &'c Execution {
+        cache.run(self, overrides)
+    }
+}
+
+/// A [`RingProtocol`] with a lockstep batch path: `k` honest trials run
+/// at once through the structure-of-arrays engine (`ring_sim::batch`),
+/// bit-identical to `k` scalar runs.
+pub trait LockstepProtocol: RingProtocol {
+    /// The reusable per-worker lane state.
+    type BatchCache;
+
+    /// Creates the batch cache for a ring of `n` processors.
+    fn batch_cache(n: usize) -> Self::BatchCache;
+
+    /// Runs `seeds.len()` honest trials in lockstep, lane `l` simulating
+    /// `self.seeded(seeds[l])`. Returns `false` if the group diverged (the
+    /// caller re-runs its trials scalar).
+    fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut Self::BatchCache) -> bool;
+
+    /// Extracts lane `lane`'s [`Execution`] from the last successful
+    /// group.
+    fn execution_into(cache: &Self::BatchCache, lane: usize, out: &mut Execution);
+}
+
+/// Runs a ring protocol with some nodes replaced by adversarial
+/// behaviours, through the one-shot [`SimBuilder`] — the reference path
+/// the cached-engine paths are tested against.
 ///
 /// `honest` builds the protocol's honest node for an id; `overrides` maps
 /// coalition positions to their deviating strategies. `wakes` lists the
 /// spontaneously-waking nodes in wake order (for the protocols here: only
-/// the origin, except `Basic-LEAD` which wakes everyone).
+/// the origin, except `Basic-LEAD` which wakes everyone). `probe`, when
+/// given, observes every send, delivery and termination.
 ///
 /// # Panics
 ///
 /// Panics if an override id is out of range or duplicated (programming
 /// error in the attack harness).
-pub fn run_ring<M: 'static>(
+pub fn run_ring<M: Clone + 'static>(
     n: usize,
     honest: impl Fn(NodeId) -> Box<dyn Node<M>>,
     overrides: Vec<(NodeId, Box<dyn Node<M>>)>,
     wakes: &[NodeId],
+    probe: Option<&mut dyn Probe<M>>,
 ) -> Execution {
-    run_ring_probed(n, honest, overrides, wakes, None)
+    let mut nodes = Vec::with_capacity(n);
+    merge_ring_overrides(n, overrides, |id, deviant| {
+        nodes.push(deviant.unwrap_or_else(|| honest(id)))
+    });
+    let mut builder = SimBuilder::new(Topology::ring(n));
+    for (id, node) in nodes.into_iter().enumerate() {
+        builder = builder.boxed_node(id, node);
+    }
+    for &w in wakes {
+        builder = builder.wake(w);
+    }
+    if let Some(p) = probe {
+        builder = builder.probe(p);
+    }
+    builder.run()
 }
 
-/// [`run_ring`] through a reusable [`Engine`] — the batch-trial entry
-/// point used by `fle-harness`.
-///
-/// Produces bit-identical [`Execution`]s to [`run_ring`] on the same
-/// inputs, but reuses the engine's preallocated link queues and adjacency
-/// tables instead of rebuilding them per trial. The engine must simulate a
-/// unidirectional ring of `n` nodes (typically
-/// `Engine::new(Topology::ring(n))`, created once per worker thread).
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`, or if an
-/// override id is out of range or duplicated.
-pub fn run_ring_in<M: 'static>(
-    engine: &mut Engine<M>,
-    n: usize,
-    honest: impl Fn(NodeId) -> Box<dyn Node<M>>,
-    overrides: Vec<(NodeId, Box<dyn Node<M>>)>,
-    wakes: &[NodeId],
-) -> Execution {
-    assert_eq!(
-        engine.topology().len(),
-        n,
-        "engine topology size must match the protocol's ring size"
-    );
-    let mut nodes = assemble_ring_nodes(n, honest, overrides);
-    engine.run(
-        &mut nodes,
-        wakes,
-        &mut FifoScheduler::new(),
-        default_step_limit(n),
-    )
-}
-
-/// The honest-only, monomorphized variant of [`run_ring_in`]: node
-/// behaviours are a homogeneous `N` (each protocol's honest node enum), so
-/// the engine loop dispatches statically — no `Box`, no vtable. All four
-/// protocols' `run_honest_in` route through here.
-///
-/// Produces bit-identical [`Execution`]s to the boxed [`run_ring_in`] with
-/// the same behaviours.
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`.
-pub fn run_ring_honest_in<M, N: Node<M>>(
-    engine: &mut Engine<M>,
-    n: usize,
-    honest: impl FnMut(NodeId) -> N,
-    wakes: &[NodeId],
-) -> Execution {
-    let mut out = Execution::default();
-    run_ring_honest_into(
-        engine,
-        n,
-        honest,
-        wakes,
-        &mut Vec::new(),
-        &mut FifoScheduler::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`run_ring_honest_in`] with caller-owned node, scheduler and result
-/// buffers — the zero-allocation batch loop `fle-harness` sweeps run on.
-///
-/// `nodes_buf` is cleared and refilled (capacity retained), the
-/// scheduler's token storage is cleared and reused, and `out` is
-/// overwritten in place. A worker that reuses an [`Engine`], one
-/// `nodes_buf`, one [`FifoScheduler`] and one [`Execution`] across a batch
-/// performs no per-trial allocation beyond what the node behaviours
-/// themselves do.
-///
-/// The scheduler parameter is concretely FIFO: honest ring executions are
-/// defined over the fair global-send-order schedule, and pinning the type
-/// here keeps every honest entry point on the identical interleaving.
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`.
-pub fn run_ring_honest_into<M, N: Node<M>>(
-    engine: &mut Engine<M>,
-    n: usize,
-    honest: impl FnMut(NodeId) -> N,
-    wakes: &[NodeId],
-    nodes_buf: &mut Vec<N>,
-    scheduler: &mut FifoScheduler,
-    out: &mut Execution,
-) {
-    assert_eq!(
-        engine.topology().len(),
-        n,
-        "engine topology size must match the protocol's ring size"
-    );
-    nodes_buf.clear();
-    nodes_buf.extend((0..n).map(honest));
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
-}
-
-/// [`run_ring_honest_into`] with node state drawn from (and reclaimed
-/// into) a per-worker [`TrialArena`] — the fully allocation-free batch
-/// loop: with engine, node, scheduler, result *and* arena buffers reused,
-/// a steady-state trial touches the heap zero times, node construction
-/// included.
-///
-/// `honest(id, arena)` builds node `id`, drawing any trial-lifetime
-/// buffers from `arena` (e.g. [`PhaseAsyncLead::honest_ring_node_in`]);
-/// after the run every node's buffers are reclaimed via
-/// [`ArenaBacked::reclaim`]. Produces bit-identical [`Execution`]s to
-/// [`run_ring_honest_into`] over the equivalent builders.
+/// The arena-pooled run every cached ring path shares: resets `arena`,
+/// refills `nodes` through `build`, runs one trial of `schedule` and
+/// reclaims the nodes' buffers into the arena.
 ///
 /// # Panics
 ///
 /// Panics if the engine's topology size differs from `n`.
 #[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
-pub fn run_ring_honest_pooled_into<M, N: Node<M> + ArenaBacked>(
+fn run_pooled<M: Clone, N: Node<M> + ArenaBacked, S: Scheduler + ?Sized>(
     engine: &mut Engine<M>,
     n: usize,
-    mut honest: impl FnMut(NodeId, &mut TrialArena) -> N,
+    build: impl FnOnce(&mut Vec<N>, &mut TrialArena),
     wakes: &[NodeId],
-    nodes_buf: &mut Vec<N>,
-    scheduler: &mut FifoScheduler,
+    nodes: &mut Vec<N>,
+    schedule: Schedule<'_, M, S>,
     arena: &mut TrialArena,
     out: &mut Execution,
 ) {
@@ -268,12 +286,44 @@ pub fn run_ring_honest_pooled_into<M, N: Node<M> + ArenaBacked>(
         "engine topology size must match the protocol's ring size"
     );
     arena.reset();
-    nodes_buf.clear();
-    nodes_buf.extend((0..n).map(|id| honest(id, arena)));
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
-    for node in nodes_buf.iter_mut() {
+    nodes.clear();
+    build(nodes, arena);
+    engine.run_into(nodes, wakes, schedule, default_step_limit(n), None, out);
+    for node in nodes.iter_mut() {
         node.reclaim(arena);
     }
+}
+
+/// One honest trial through a reusable [`Engine`] with caller-owned node,
+/// scheduler, arena and result buffers — the fully allocation-free loop
+/// `fle-harness` sweeps run on: with every buffer reused, a steady-state
+/// trial touches the heap zero times, node construction included.
+///
+/// `honest(id, arena)` builds node `id`, drawing any trial-lifetime
+/// buffers from `arena` (e.g. [`PhaseAsyncLead::honest_ring_node_in`]);
+/// after the run every node's buffers are reclaimed via
+/// [`ArenaBacked::reclaim`]. The scheduler is concretely FIFO: honest ring
+/// executions are defined over the fair global-send-order schedule.
+///
+/// # Panics
+///
+/// Panics if the engine's topology size differs from `n`.
+#[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
+pub fn run_ring_honest_pooled_into<M: Clone, N: Node<M> + ArenaBacked>(
+    engine: &mut Engine<M>,
+    n: usize,
+    mut honest: impl FnMut(NodeId, &mut TrialArena) -> N,
+    wakes: &[NodeId],
+    nodes_buf: &mut Vec<N>,
+    scheduler: &mut FifoScheduler,
+    arena: &mut TrialArena,
+    out: &mut Execution,
+) {
+    let build = |nodes: &mut Vec<N>, arena: &mut TrialArena| {
+        nodes.extend((0..n).map(|id| honest(id, arena)));
+    };
+    let schedule = Schedule::Oblivious(scheduler);
+    run_pooled(engine, n, build, wakes, nodes_buf, schedule, arena, out);
 }
 
 /// [`run_ring_honest_pooled_into`] on the engine's virtual-clock timed
@@ -301,26 +351,17 @@ pub fn run_ring_honest_timed_into<M: Clone, N: Node<M> + ArenaBacked>(
     arena: &mut TrialArena,
     out: &mut Execution,
 ) {
-    assert_eq!(
-        engine.topology().len(),
-        n,
-        "engine topology size must match the protocol's ring size"
-    );
-    arena.reset();
-    nodes_buf.clear();
-    nodes_buf.extend((0..n).map(|id| honest(id, arena)));
-    engine.run_timed_mono_into(
-        nodes_buf,
-        wakes,
-        timed,
+    let build = |nodes: &mut Vec<N>, arena: &mut TrialArena| {
+        nodes.extend((0..n).map(|id| honest(id, arena)));
+    };
+    // The FIFO scheduler type keeps this on the same loop instantiation
+    // as the untimed entry.
+    let schedule: Schedule<'_, M, FifoScheduler> = Schedule::Timed {
+        heap: timed,
         net,
         seed,
-        default_step_limit(n),
-        out,
-    );
-    for node in nodes_buf.iter_mut() {
-        node.reclaim(arena);
-    }
+    };
+    run_pooled(engine, n, build, wakes, nodes_buf, schedule, arena, out);
 }
 
 /// One position's behaviour in a heterogeneous honest/deviant ring: the
@@ -367,167 +408,20 @@ impl<N: ArenaBacked, D> ArenaBacked for MixNode<N, D> {
     }
 }
 
-/// [`run_ring_in`] for adversarial mixes on the engine fast path: honest
-/// positions run the protocol's concrete node type `N` (branch dispatch,
-/// arena-backed state), coalition positions run `D` — boxed for runtime
-/// mixes, concrete for single-deviator attacks.
-///
-/// Produces bit-identical [`Execution`]s to [`run_ring`] /
-/// `SimBuilder::run` over equivalent behaviours. This is the convenience
-/// form that allocates its working buffers per call; batch sweeps use
-/// [`run_ring_attack_into`] (typically through a [`TrialCache`]) to reuse
-/// them.
-///
-/// # Examples
-///
-/// ```
-/// use fle_core::protocols::{run_ring_attack_in, BasicLead, FleProtocol};
-/// use ring_sim::{Engine, Node, Topology};
-///
-/// let n = 5;
-/// let p = BasicLead::new(n).with_seed(7);
-/// let mut engine = Engine::new(Topology::ring(n));
-/// // An empty coalition is the honest run, now through the cached engine:
-/// let exec = run_ring_attack_in(
-///     &mut engine,
-///     n,
-///     |id, arena| p.honest_ring_node_in(id, arena),
-///     Vec::<(usize, Box<dyn Node<u64>>)>::new(),
-///     &p.wakes(),
-/// );
-/// assert_eq!(exec, p.run_honest());
-/// ```
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`, or if an
-/// override id is out of range or duplicated.
-pub fn run_ring_attack_in<M, N: Node<M> + ArenaBacked, D: Node<M>>(
-    engine: &mut Engine<M>,
-    n: usize,
-    honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-    overrides: Vec<(NodeId, D)>,
-    wakes: &[NodeId],
-) -> Execution {
-    let mut out = Execution::default();
-    run_ring_attack_into(
-        engine,
-        n,
-        honest,
-        overrides,
-        wakes,
-        &mut Vec::new(),
-        &mut FifoScheduler::new(),
-        &mut TrialArena::new(),
-        &mut out,
-    );
-    out
-}
-
-/// [`run_ring_attack_in`] with caller-owned node, scheduler, arena and
-/// result buffers — the zero-allocation attack batch loop. Per trial, the
-/// only heap traffic left is what the attack itself builds (its deviator
-/// nodes, boxed when the mix is truly heterogeneous).
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`, or if an
-/// override id is out of range or duplicated.
-#[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
-pub fn run_ring_attack_into<M, N: Node<M> + ArenaBacked, D: Node<M>>(
-    engine: &mut Engine<M>,
-    n: usize,
-    mut honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-    overrides: Vec<(NodeId, D)>,
-    wakes: &[NodeId],
-    nodes_buf: &mut Vec<MixNode<N, D>>,
-    scheduler: &mut FifoScheduler,
-    arena: &mut TrialArena,
-    out: &mut Execution,
-) {
-    assert_eq!(
-        engine.topology().len(),
-        n,
-        "engine topology size must match the protocol's ring size"
-    );
-    arena.reset();
-    nodes_buf.clear();
-    merge_ring_overrides(n, overrides, |id, deviant| {
-        nodes_buf.push(match deviant {
-            Some(node) => MixNode::Deviant(node),
-            None => MixNode::Honest(honest(id, arena)),
-        })
-    });
-    engine.run_mono_into(nodes_buf, wakes, scheduler, default_step_limit(n), out);
-    for node in nodes_buf.iter_mut() {
-        node.reclaim(arena);
-    }
-}
-
-/// [`run_ring_attack_into`] on the engine's virtual-clock timed path —
-/// the adversarial twin of [`run_ring_honest_timed_into`]. Attack sweeps
-/// with a timed schedule route here through [`TrialCache::run`] once a
-/// network is installed via [`TrialCache::set_timed_net`].
-///
-/// # Panics
-///
-/// Panics if the engine's topology size differs from `n`, or if an
-/// override id is out of range or duplicated.
-#[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
-pub fn run_ring_attack_timed_into<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>>(
-    engine: &mut Engine<M>,
-    n: usize,
-    mut honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-    overrides: Vec<(NodeId, D)>,
-    wakes: &[NodeId],
-    nodes_buf: &mut Vec<MixNode<N, D>>,
-    timed: &mut TimedScheduler<M>,
-    net: &TimedNetConfig,
-    seed: u64,
-    arena: &mut TrialArena,
-    out: &mut Execution,
-) {
-    assert_eq!(
-        engine.topology().len(),
-        n,
-        "engine topology size must match the protocol's ring size"
-    );
-    arena.reset();
-    nodes_buf.clear();
-    merge_ring_overrides(n, overrides, |id, deviant| {
-        nodes_buf.push(match deviant {
-            Some(node) => MixNode::Deviant(node),
-            None => MixNode::Honest(honest(id, arena)),
-        })
-    });
-    engine.run_timed_mono_into(
-        nodes_buf,
-        wakes,
-        timed,
-        net,
-        seed,
-        default_step_limit(n),
-        out,
-    );
-    for node in nodes_buf.iter_mut() {
-        node.reclaim(arena);
-    }
-}
-
 /// Per-thread cached trial state for repeated attack (or honest-vs-attack)
 /// runs over one ring size: the engine with its preallocated link queues
 /// and edge tables, the mixed node vector, a pooled FIFO scheduler, the
-/// trial arena, and the reused [`Execution`].
+/// timed-path heap, the trial arena, and the reused [`Execution`].
 ///
-/// This gives `run_with`-style attack experiments the same steady-state
-/// allocation profile honest sweeps get from their per-worker state: hold
-/// one `TrialCache` per worker thread and call [`TrialCache::run`] per
-/// trial. The attacks crate's `run_in` entry points take one of these.
+/// This gives attack experiments the same steady-state allocation profile
+/// honest sweeps get from their per-worker state: hold one `TrialCache`
+/// per worker thread and call [`RingProtocol::run_with_in`] per trial.
+/// The attacks crate's `run_in` entry points take one of these.
 ///
 /// # Examples
 ///
 /// ```
-/// use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseTrialCache};
+/// use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseTrialCache, RingProtocol};
 ///
 /// let mut cache = PhaseTrialCache::ring(16);
 /// for seed in 0..4 {
@@ -543,7 +437,7 @@ pub struct TrialCache<M, N, D = Box<dyn Node<M>>> {
     arena: TrialArena,
     exec: Execution,
     /// `0..n`, precomputed for protocols that wake every node
-    /// (`Basic-LEAD`) so per-trial wake lists need no allocation.
+    /// ([`Wakes::All`]) so per-trial wake lists need no allocation.
     all_ids: Vec<NodeId>,
     /// Reusable timed-path event heap (empty and unused until a network
     /// is installed via [`TrialCache::set_timed_net`]).
@@ -609,54 +503,31 @@ impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
         self.engine.topology().len()
     }
 
-    /// Runs one trial through [`run_ring_attack_into`] over this cache's
-    /// buffers and returns the reused [`Execution`].
+    /// Runs one trial of `protocol` with `overrides` over this cache's
+    /// buffers — on the timed net and under a drawn fault plan when
+    /// installed — and returns the reused [`Execution`].
+    ///
+    /// Honest positions run the protocol's concrete node type `N` (branch
+    /// dispatch, arena-backed state), coalition positions run `D` — boxed
+    /// for runtime mixes, concrete for single-deviator attacks — so per
+    /// trial the only heap traffic left is what the attack itself builds.
+    /// Bit-identical to [`run_ring`] over equivalent behaviours.
     ///
     /// # Panics
     ///
-    /// Panics if `wakes` or an override id is out of range, or an override
-    /// is duplicated.
-    pub fn run(
+    /// Panics if the cache's ring size differs from the protocol's, or an
+    /// override id is out of range or duplicated.
+    pub fn run<P: RingProtocol<Msg = M, Node = N>>(
         &mut self,
-        honest: impl FnMut(NodeId, &mut TrialArena) -> N,
+        protocol: &P,
         overrides: Vec<(NodeId, D)>,
-        wakes: &[NodeId],
     ) -> &Execution {
         let n = self.n();
-        let Self {
-            engine,
-            nodes,
-            scheduler,
-            arena,
-            exec,
-            timed,
-            net,
-            net_seed,
-            fault_cfg,
-            fault_plan,
-            ..
-        } = self;
-        install_faults(engine, fault_cfg.as_ref(), fault_plan, n, *net_seed);
-        match net {
-            Some(net) => run_ring_attack_timed_into(
-                engine, n, honest, overrides, wakes, nodes, timed, net, *net_seed, arena, exec,
-            ),
-            None => run_ring_attack_into(
-                engine, n, honest, overrides, wakes, nodes, scheduler, arena, exec,
-            ),
-        }
-        exec
-    }
-
-    /// [`TrialCache::run`] with every node waking spontaneously in id
-    /// order (`Basic-LEAD`'s wake pattern), using the cache's precomputed
-    /// id list (borrowed in place, so a panicking run cannot corrupt it).
-    pub fn run_wake_all(
-        &mut self,
-        honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-        overrides: Vec<(NodeId, D)>,
-    ) -> &Execution {
-        let n = self.engine.topology().len();
+        assert_eq!(
+            n,
+            protocol.n(),
+            "cache ring size must match the protocol's ring size"
+        );
         let Self {
             engine,
             nodes,
@@ -670,41 +541,42 @@ impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
             fault_cfg,
             fault_plan,
         } = self;
-        install_faults(engine, fault_cfg.as_ref(), fault_plan, n, *net_seed);
-        match net {
-            Some(net) => run_ring_attack_timed_into(
-                engine, n, honest, overrides, all_ids, nodes, timed, net, *net_seed, arena, exec,
-            ),
-            None => run_ring_attack_into(
-                engine, n, honest, overrides, all_ids, nodes, scheduler, arena, exec,
-            ),
+        match fault_cfg {
+            Some(cfg) => {
+                fault_plan.draw_into(cfg, n, *net_seed);
+                engine.set_fault_plan(fault_plan);
+            }
+            // Clear any stale plan, so toggling the configuration can
+            // never leak a previous trial's plan into the next.
+            None => engine.clear_fault_plan(),
         }
+        let wakes = match P::WAKES {
+            Wakes::Origin => ORIGIN_WAKES,
+            Wakes::All => &all_ids[..],
+        };
+        let schedule = match net {
+            Some(net) => Schedule::Timed {
+                heap: timed,
+                net,
+                seed: *net_seed,
+            },
+            None => Schedule::Oblivious(scheduler),
+        };
+        let build = |nodes: &mut Vec<MixNode<N, D>>, arena: &mut TrialArena| {
+            merge_ring_overrides(n, overrides, |id, deviant| {
+                nodes.push(match deviant {
+                    Some(node) => MixNode::Deviant(node),
+                    None => MixNode::Honest(protocol.honest_ring_node_in(id, arena)),
+                })
+            });
+        };
+        run_pooled(engine, n, build, wakes, nodes, schedule, arena, exec);
         exec
     }
 
     /// The last trial's [`Execution`] (all zeros/failed before any run).
     pub fn execution(&self) -> &Execution {
         &self.exec
-    }
-}
-
-/// Applies a [`TrialCache`]'s fault configuration for one trial: draws the
-/// plan from the trial seed into the reused buffer and installs it, or
-/// clears any stale plan when faults are off (so toggling the
-/// configuration can never leak a previous trial's plan into the next).
-fn install_faults<M>(
-    engine: &mut Engine<M>,
-    cfg: Option<&FaultConfig>,
-    plan: &mut FaultPlan,
-    n: usize,
-    trial_seed: u64,
-) {
-    match cfg {
-        Some(cfg) => {
-            plan.draw_into(cfg, n, trial_seed);
-            engine.set_fault_plan(plan);
-        }
-        None => engine.clear_fault_plan(),
     }
 }
 
@@ -717,9 +589,8 @@ pub type WakeTrialCache = TrialCache<WakeMsg, WakeNode>;
 /// The one override-merge loop every ring path shares: walks positions
 /// `0..n` in order, calling `emit(id, Some(deviant))` for coalition
 /// positions and `emit(id, None)` for honest ones. Both the `SimBuilder`
-/// path ([`assemble_ring_nodes`]) and the engine attack fast path
-/// ([`run_ring_attack_into`]) funnel through here, so override semantics
-/// cannot drift between them.
+/// path ([`run_ring`]) and the engine attack path ([`TrialCache::run`])
+/// funnel through here, so override semantics cannot drift between them.
 ///
 /// # Panics
 ///
@@ -743,53 +614,6 @@ fn merge_ring_overrides<D>(
         next_override.next().is_none(),
         "override id out of range or duplicated"
     );
-}
-
-/// Merges the honest node builder with the coalition's overrides into the
-/// full `0..n` behaviour vector (the `SimBuilder` form of
-/// [`merge_ring_overrides`]).
-///
-/// # Panics
-///
-/// Panics if an override id is out of range or duplicated.
-fn assemble_ring_nodes<M>(
-    n: usize,
-    honest: impl Fn(NodeId) -> Box<dyn Node<M>>,
-    overrides: Vec<(NodeId, Box<dyn Node<M>>)>,
-) -> Vec<Box<dyn Node<M>>> {
-    let mut nodes: Vec<Box<dyn Node<M>>> = Vec::with_capacity(n);
-    merge_ring_overrides(n, overrides, |id, deviant| {
-        nodes.push(deviant.unwrap_or_else(|| honest(id)))
-    });
-    nodes
-}
-
-/// [`run_ring`] with an optional instrumentation probe.
-///
-/// # Panics
-///
-/// Same conditions as [`run_ring`].
-pub fn run_ring_probed<M: 'static>(
-    n: usize,
-    honest: impl Fn(NodeId) -> Box<dyn Node<M>>,
-    overrides: Vec<(NodeId, Box<dyn Node<M>>)>,
-    wakes: &[NodeId],
-    probe: Option<&mut dyn Probe<M>>,
-) -> Execution {
-    let mut builder = SimBuilder::new(Topology::ring(n));
-    for (id, node) in assemble_ring_nodes(n, honest, overrides)
-        .into_iter()
-        .enumerate()
-    {
-        builder = builder.boxed_node(id, node);
-    }
-    for &w in wakes {
-        builder = builder.wake(w);
-    }
-    if let Some(p) = probe {
-        builder = builder.probe(p);
-    }
-    builder.run()
 }
 
 #[cfg(test)]
@@ -832,6 +656,7 @@ mod tests {
         }
     }
 
+    /// The cached-engine run refuses an engine built for another ring size.
     #[test]
     #[should_panic(expected = "engine topology size")]
     fn run_ring_in_rejects_size_mismatch() {

@@ -27,10 +27,7 @@
 //! used by the proofs: every processor sends exactly `n` data plus `n`
 //! validation messages and receives the same.
 
-use super::{
-    fold_mod, node_rng, run_ring, run_ring_probed, wrap_sub_usize, FleProtocol, TrialCache,
-    ORIGIN_WAKES,
-};
+use super::{fold_mod, node_rng, run_ring, wrap_sub_usize, FleProtocol, RingProtocol, Wakes};
 use crate::randfn::{PhaseParams, RandomFn};
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, Probe, TrialArena};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -188,49 +185,7 @@ impl PhaseAsyncLead {
             |id| self.honest_node(id),
             overrides,
             &self.wakes(),
-        )
-    }
-
-    /// [`PhaseAsyncLead::run_with`] through a per-thread [`TrialCache`] —
-    /// the engine attack fast path: honest positions run the concrete
-    /// [`PhaseNode`] with arena-backed stores; only coalition positions
-    /// run `D`. Bit-identical to [`PhaseAsyncLead::run_with`] over
-    /// equivalent overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from `n`, or an override id
-    /// is out of range or duplicated.
-    pub fn run_with_in<'c, D: Node<PhaseMsg>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<PhaseMsg, PhaseNode, D>,
-    ) -> &'c Execution {
-        assert_eq!(
-            cache.n(),
-            self.params.n,
-            "cache ring size must match the protocol's ring size"
-        );
-        cache.run(
-            |id, arena| self.honest_ring_node_in(id, arena),
-            overrides,
-            ORIGIN_WAKES,
-        )
-    }
-
-    /// Runs an honest execution through a reusable engine (the
-    /// monomorphized batch-trial fast path; bit-identical to
-    /// [`FleProtocol::run_honest`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's ring size differs from `n`.
-    pub fn run_honest_in(&self, engine: &mut ring_sim::Engine<PhaseMsg>) -> Execution {
-        super::run_ring_honest_in(
-            engine,
-            self.params.n,
-            |id| self.honest_ring_node(id),
-            &self.wakes(),
+            None,
         )
     }
 
@@ -240,13 +195,27 @@ impl PhaseAsyncLead {
         overrides: Vec<(NodeId, Box<dyn Node<PhaseMsg>>)>,
         probe: &mut dyn Probe<PhaseMsg>,
     ) -> Execution {
-        run_ring_probed(
+        run_ring(
             self.params.n,
             |id| self.honest_node(id),
             overrides,
             &self.wakes(),
             Some(probe),
         )
+    }
+}
+
+impl RingProtocol for PhaseAsyncLead {
+    type Msg = PhaseMsg;
+    type Node = PhaseNode;
+    const WAKES: Wakes = Wakes::Origin;
+
+    fn seeded(&self, seed: u64) -> Self {
+        self.with_seed(seed)
+    }
+
+    fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
+        PhaseAsyncLead::honest_ring_node_in(self, id, arena)
     }
 }
 
@@ -346,47 +315,22 @@ impl PhaseSumLead {
             |id| self.honest_node(id),
             overrides,
             &self.wakes(),
+            None,
         )
     }
+}
 
-    /// [`PhaseSumLead::run_with`] through a per-thread [`TrialCache`] (see
-    /// [`PhaseAsyncLead::run_with_in`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from `n`, or an override id
-    /// is out of range or duplicated.
-    pub fn run_with_in<'c, D: Node<PhaseMsg>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<PhaseMsg, PhaseNode, D>,
-    ) -> &'c Execution {
-        assert_eq!(
-            cache.n(),
-            self.params.n,
-            "cache ring size must match the protocol's ring size"
-        );
-        cache.run(
-            |id, arena| self.honest_ring_node_in(id, arena),
-            overrides,
-            ORIGIN_WAKES,
-        )
+impl RingProtocol for PhaseSumLead {
+    type Msg = PhaseMsg;
+    type Node = PhaseNode;
+    const WAKES: Wakes = Wakes::Origin;
+
+    fn seeded(&self, seed: u64) -> Self {
+        self.with_seed(seed)
     }
 
-    /// Runs an honest execution through a reusable engine (the
-    /// monomorphized batch-trial fast path; bit-identical to
-    /// [`FleProtocol::run_honest`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine's ring size differs from `n`.
-    pub fn run_honest_in(&self, engine: &mut ring_sim::Engine<PhaseMsg>) -> Execution {
-        super::run_ring_honest_in(
-            engine,
-            self.params.n,
-            |id| self.honest_ring_node(id),
-            &self.wakes(),
-        )
+    fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
+        PhaseSumLead::honest_ring_node_in(self, id, arena)
     }
 }
 

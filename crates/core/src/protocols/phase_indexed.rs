@@ -124,6 +124,7 @@ impl IndexedPhaseLead {
             |pos| self.honest_node(pos),
             overrides,
             &self.wakes(),
+            None,
         )
     }
 }

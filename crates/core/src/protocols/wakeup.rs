@@ -19,7 +19,7 @@
 //! utility `u₀(x) = 1[x ∉ Ω]`). Both abuses are implemented in
 //! `fle-attacks::wakeup_mask`.
 
-use super::{node_rng, run_ring, FleProtocol, TrialCache};
+use super::{node_rng, run_ring, FleProtocol, RingProtocol, Wakes};
 use ring_sim::rng::SplitMix64;
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, TrialArena};
 
@@ -137,6 +137,7 @@ impl WakeLead {
             |pos| self.honest_node(pos),
             overrides,
             &self.wakes(),
+            None,
         )
     }
 
@@ -146,25 +147,19 @@ impl WakeLead {
     pub fn honest_ring_node_in(&self, pos: NodeId, _arena: &mut TrialArena) -> WakeNode {
         WakeNode::new(self.ids[pos], node_rng(self.seed, pos))
     }
+}
 
-    /// [`WakeLead::run_with`] through a per-worker [`TrialCache`]: reuses
-    /// the cache's engine, node vector, scheduler and result buffers
-    /// (every node wakes, via the cache's precomputed id list).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache was built for a different ring size.
-    pub fn run_with_in<'c, D: Node<WakeMsg>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<WakeMsg, WakeNode, D>,
-    ) -> &'c Execution {
-        assert_eq!(
-            cache.n(),
-            self.n,
-            "cache ring size must match the protocol's ring size"
-        );
-        cache.run_wake_all(|pos, arena| self.honest_ring_node_in(pos, arena), overrides)
+impl RingProtocol for WakeLead {
+    type Msg = WakeMsg;
+    type Node = WakeNode;
+    const WAKES: Wakes = Wakes::All;
+
+    fn seeded(&self, seed: u64) -> Self {
+        self.clone().with_seed(seed)
+    }
+
+    fn honest_ring_node_in(&self, pos: NodeId, arena: &mut TrialArena) -> WakeNode {
+        WakeLead::honest_ring_node_in(self, pos, arena)
     }
 }
 

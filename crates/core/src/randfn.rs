@@ -5,10 +5,9 @@
 //! that with exponentially high probability over the choice of `f` the
 //! protocol is `ε`-`k`-unbiased. Storing a genuinely random table of size
 //! `n^n · m^{n−l}` is impossible, so this reproduction substitutes a keyed
-//! pseudorandom function built from the SplitMix64 finalizer — see
-//! DESIGN.md §4 for why this preserves the behaviour the resilience proof
-//! relies on (the adversary can evaluate `f` but cannot invert it or
-//! predict it from partial inputs).
+//! pseudorandom function built from the SplitMix64 finalizer. That keeps
+//! the behaviour the resilience proof relies on: the adversary can
+//! evaluate `f` but cannot invert it or predict it from partial inputs.
 
 use ring_sim::rng::mix;
 

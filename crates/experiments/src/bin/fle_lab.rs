@@ -1,21 +1,20 @@
-//! `fle-lab` — run the reproduction experiments and harness sweeps.
+//! `fle_lab` — run the reproduction experiments and harness sweeps.
 //!
 //! ```text
-//! fle-lab all                      # every experiment, full sizes
-//! fle-lab t42 t61 --quick          # selected experiments, smoke sizes
-//! fle-lab --list                   # show the registry
-//! fle-lab --threads 4 all          # cap the worker pool for everything
-//! fle-lab sweep --protocol phase --n 64 --trials 10000 --seed 1 \
+//! fle_lab all                      # every experiment, full sizes
+//! fle_lab t42 t61 --quick          # selected experiments, smoke sizes
+//! fle_lab --list                   # show the registry
+//! fle_lab --threads 4 all          # cap the worker pool for everything
+//! fle_lab sweep --protocol phase --n 64 --trials 10000 --seed 1 \
 //!         --threads 8 --format json
-//! fle-lab attack-sweep --attack rushing --n 16 --trials 500 --seed 1 \
+//! fle_lab attack-sweep --attack rushing --n 16 --trials 500 --seed 1 \
 //!         --coalition spaced:4:1 --target fixed:3 --format json
-//! fle-lab attack-sweep --spec scenario.json   # any SweepSpec JSON file
-//! fle-lab sweep ... --checkpoint state.json --checkpoint-every 1000
-//! fle-lab sweep ... --shard 0/4 > part0.json  # one shard of the range
-//! fle-lab merge-reports part0.json part1.json part2.json part3.json
-//! fle-lab sweep ... --batch 8                 # lockstep-batched honest path
-//! fle-lab sweep ... --crash 2 --recover 512   # crash-fault injection
-//! fle-lab bench-baseline --out BENCH_10.json  # perf trajectory snapshot
+//! fle_lab attack-sweep --spec scenario.json   # any SweepSpec JSON file
+//! fle_lab sweep ... --checkpoint state.json --checkpoint-every 1000
+//! fle_lab sweep ... --shard 0/4 > part0.json  # one shard of the range
+//! fle_lab merge-reports part0.json part1.json part2.json part3.json
+//! fle_lab sweep ... --batch 8                 # lockstep-batched honest path
+//! fle_lab sweep ... --crash 2 --recover 512   # crash-fault injection
 //! ```
 //!
 //! The `sweep` subcommand runs one deterministic honest `fle-harness`
@@ -35,23 +34,13 @@
 //! only the I-th of K slices of the trial index space and prints the
 //! partial report instead; `merge-reports` folds such partials (any
 //! order, any K) back into the byte-identical monolithic report.
-//!
-//! The `bench-baseline` subcommand measures the honest monomorphized +
-//! arena engine path (ns/trial *and* ns/delivery — deliveries counted
-//! from a real `Execution` — for the canonical sweep workloads, single
-//! thread) plus the cached-engine attack paths (both the raw `run_in`
-//! loop and the full `run_sweep` attack grid) against their `SimBuilder`
-//! baselines, then writes a machine-readable JSON snapshot, so
-//! successive PRs accumulate a perf trajectory (`BENCH_<pr>.json`) that
-//! can be diffed.
 
 use fle_attacks::AttackKind;
 use fle_experiments::{find, EXPERIMENTS};
 use fle_harness::{
-    run_sweep, run_sweep_checkpointed, run_sweep_partial, set_default_threads, sha256_hex,
-    AttackSweep, BatchConfig, CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep,
-    LatencySpec, ProtocolKind, ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
-    DEFAULT_BATCH_WIDTH,
+    run_sweep_checkpointed, run_sweep_partial, set_default_threads, AttackSweep, BatchConfig,
+    CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec, ProtocolKind,
+    ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
 };
 
 fn print_registry() {
@@ -60,28 +49,28 @@ fn print_registry() {
         eprintln!("  {:<5} {}", e.id, e.description);
     }
     eprintln!(
-        "\nusage:\n  fle-lab <id>.. | all [--quick] [--threads N]\n\
+        "\nusage:\n  fle_lab <id>.. | all [--quick] [--threads N]\n\
          \x20       run experiments by id (see the registry above)\n\
-         \x20 fle-lab --list\n\
+         \x20 fle_lab --list\n\
          \x20       print this registry\n\
-         \x20 fle-lab sweep --protocol <basic|alead|phase|phasesum> --n <N>\n\
+         \x20 fle_lab sweep --protocol <basic|alead|phase|phasesum> --n <N>\n\
          \x20       [--trials N] [--seed N] [--threads N] [--fn-key N] [--batch K]\n\
          \x20       [--format json|csv]\n\
          \x20       [--latency <dist>] [--loss PERMILLE] [--dup PERMILLE]\n\
          \x20       [--crash COUNT[@BOUND[ns]]] [--recover DELAY]\n\
          \x20       [--checkpoint FILE [--checkpoint-every N]] [--shard I/K]\n\
          \x20       one deterministic honest batch; report on stdout\n\
-         \x20 fle-lab attack-sweep --attack <kind> --n <N> --coalition <placement>\n\
+         \x20 fle_lab attack-sweep --attack <kind> --n <N> --coalition <placement>\n\
          \x20       [--trials N] [--seed N] [--threads N] [--target <policy>]\n\
          \x20       [--fn-key N | --fn-key-xor MASK] [--seed-mode derived|raw]\n\
          \x20       [--latency <dist>] [--loss PERMILLE] [--dup PERMILLE]\n\
          \x20       [--crash COUNT[@BOUND[ns]]] [--recover DELAY]\n\
          \x20       [--checkpoint FILE [--checkpoint-every N]] [--shard I/K]\n\
          \x20       [--format json|csv]\n\
-         \x20 fle-lab attack-sweep --spec FILE.json [--threads N] [--format json|csv]\n\
+         \x20 fle_lab attack-sweep --spec FILE.json [--threads N] [--format json|csv]\n\
          \x20       one adversarial batch; the report's attack arm carries\n\
          \x20       successes, infeasible trials and the Wilson 95% CI\n\
-         \x20 fle-lab merge-reports PART.json.. [--format json|csv]\n\
+         \x20 fle_lab merge-reports PART.json.. [--format json|csv]\n\
          \x20       fold `--shard` partial reports into the monolithic report\n\
          \x20     <kind>: basic_single | rushing | cubic | random_located | phase_rushing |\n\
          \x20             phase_guess | phase_burst | phase_sum | wakeup_id_lie | wakeup_mask\n\
@@ -94,9 +83,7 @@ fn print_registry() {
          \x20             instants drawn uniformly below BOUND (deliveries, or\n\
          \x20             virtual ns with the ns suffix on timed schedules;\n\
          \x20             default 2n\u{b2} deliveries); --recover DELAY restarts each\n\
-         \x20             crashed node DELAY window-units later\n\
-         \x20 fle-lab bench-baseline [--out PATH] [--quick]\n\
-         \x20       write the per-PR perf snapshot (default BENCH_10.json)"
+         \x20             crashed node DELAY window-units later"
     );
 }
 
@@ -812,769 +799,8 @@ fn run_attack_sweep_cli(args: &[String]) {
     );
 }
 
-/// Single-threaded per-trial timings of the pre-optimization (PR 2)
-/// engine on the canonical workloads, measured on the reference container
-/// right before the zero-allocation/monomorphization refactor landed.
-/// Kept here so every `bench-baseline` snapshot records its improvement
-/// against the same origin point of the trajectory.
-const PR2_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 7_528.0),
-    ("phase_n64", 360_000.0),
-    ("alead_n64", 160_000.0),
-];
-
-/// The PR 3 snapshot (`BENCH_3.json`) — an earlier point of the
-/// trajectory, kept so snapshots stay comparable across PRs.
-const PR3_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 4_627.7),
-    ("phase_n64", 250_803.6),
-    ("alead_n64", 113_687.8),
-];
-
-/// The PR 4 snapshot (`BENCH_4.json`) — a further point of the
-/// trajectory, so each new snapshot also records intermediate
-/// improvements, not just the cumulative one against PR 2.
-const PR4_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 3_769.4),
-    ("phase_n64", 193_705.5),
-    ("alead_n64", 84_680.3),
-];
-
-/// The PR 5 snapshot (`BENCH_5.json`) — the previous point of the
-/// trajectory (fused global-FIFO engine stream), so each new snapshot
-/// records its *incremental* improvement.
-const PR5_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 3_007.0),
-    ("phase_n64", 150_569.6),
-    ("alead_n64", 65_569.4),
-];
-
-/// The PR 4 snapshot's attack-arm timings (cached `run_in` fast path),
-/// kept for trajectory comparisons.
-const PR4_ATTACK_NS_PER_TRIAL: [(&str, f64); 2] = [
-    ("basic_single_n32", 20_886.2),
-    ("phase_rushing_n16", 25_332.2),
-];
-
-/// The PR 5 snapshot's attack-arm timings, the baseline the spec-driven
-/// attack sweeps are diffed against.
-const PR5_ATTACK_NS_PER_TRIAL: [(&str, f64); 2] = [
-    ("basic_single_n32", 16_162.1),
-    ("phase_rushing_n16", 23_929.2),
-];
-
-/// The PR 6 snapshot (`BENCH_6.json`) — a further point of the
-/// trajectory (spec-driven sweep family), so each new snapshot records
-/// intermediate improvements, not just the cumulative one.
-const PR6_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 2_966.7),
-    ("phase_n64", 149_098.7),
-    ("alead_n64", 69_639.5),
-];
-
-/// The PR 6 snapshot's attack-arm timings, kept for trajectory
-/// comparisons.
-const PR6_ATTACK_NS_PER_TRIAL: [(&str, f64); 2] = [
-    ("basic_single_n32", 17_227.9),
-    ("phase_rushing_n16", 23_905.6),
-];
-
-/// The PR 7 snapshot (`BENCH_7.json`) — the previous point of the
-/// trajectory (timed network scenarios), so each new snapshot records
-/// its *incremental* improvement.
-const PR7_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 3_592.9),
-    ("phase_n64", 165_051.3),
-    ("alead_n64", 71_022.3),
-];
-
-/// The PR 7 snapshot's attack-arm timings, kept for trajectory
-/// comparisons.
-const PR7_ATTACK_NS_PER_TRIAL: [(&str, f64); 2] = [
-    ("basic_single_n32", 15_526.9),
-    ("phase_rushing_n16", 24_161.1),
-];
-
-/// The PR 8 snapshot (`BENCH_8.json`) — the previous point of the
-/// trajectory (crash-safe sweeps), so each new snapshot records its
-/// *incremental* improvement.
-const PR8_NS_PER_TRIAL: [(&str, f64); 3] = [
-    ("phase_n8", 2_720.8),
-    ("phase_n64", 156_406.9),
-    ("alead_n64", 73_016.5),
-];
-
-/// The PR 8 snapshot's attack-arm timings, kept for trajectory
-/// comparisons.
-const PR8_ATTACK_NS_PER_TRIAL: [(&str, f64); 2] = [
-    ("basic_single_n32", 15_151.1),
-    ("phase_rushing_n16", 23_738.9),
-];
-
-/// The PR 8 snapshot's scalar `phase_n64` ns/delivery — the baseline the
-/// lockstep batch arm diffs against.
-const PR8_PHASE_N64_NS_PER_DELIVERY: f64 = 19.1;
-
-/// The PR 9 snapshot's batched `phase_n64` ns/delivery (`BENCH_9.json`,
-/// `batch_sweep` arm) — the baseline the fault-*disabled* arm diffs
-/// against: with no fault plan installed the monomorphized no-fault
-/// path must stay within 2% of the pre-fault-layer engine.
-const PR9_BATCH_PHASE_N64_NS_PER_DELIVERY: f64 = 4.68;
-
-/// Overhead budget of the fault-disabled batched path against
-/// [`PR9_BATCH_PHASE_N64_NS_PER_DELIVERY`], in percent.
-const FAULT_DISABLED_OVERHEAD_BUDGET_PCT: f64 = 2.0;
-
-/// The golden sha-256 of the canonical 10k-trial PhaseAsyncLead n=64
-/// honest report (`tests/golden_outcomes.rs`), re-verified in-process on
-/// every full (non-`--quick`) snapshot so a drifted engine can never
-/// record a trajectory point.
-const GOLDEN_PHASE_N64_SHA: &str =
-    "3001849b911e21739d42048ea699659cc662da9466873125127b4673124019e4";
-
-/// How many times each measured sweep arm runs; the snapshot records the
-/// median, so one noisy run can't skew the trajectory.
-const BENCH_REPEATS: usize = 5;
-
-/// Times `trial(seed)` over `trials` harness-derived seeds and returns
-/// ns/trial, after a warmup tenth (so page faults, lazy init and cache
-/// fills don't bill the measured run).
-fn time_trials(trials: u64, mut trial: impl FnMut(u64)) -> f64 {
-    for i in 0..(trials / 10).max(1) {
-        trial(fle_harness::trial_seed(0xbe7c, i));
-    }
-    let start = std::time::Instant::now();
-    for i in 0..trials {
-        trial(fle_harness::trial_seed(1, i));
-    }
-    start.elapsed().as_secs_f64() * 1e9 / trials as f64
-}
-
-/// Measures the attack arms: each workload once through the cached-engine
-/// fast path (`run_in` over a per-thread `TrialCache`) and once through
-/// the one-shot `SimBuilder` path (`run`), single thread. Returns
-/// `(fast, simbuilder)` ns/trial keyed per workload.
-#[allow(clippy::type_complexity)] // two parallel (key, ns) tables
-fn bench_attack_arms(quick: bool) -> (Vec<(&'static str, f64)>, Vec<(&'static str, f64)>) {
-    use fle_attacks::{BasicSingleAttack, BasicSingleCache, PhaseRushingAttack, PhaseRushingCache};
-    use fle_core::protocols::{BasicLead, PhaseAsyncLead};
-    use fle_core::Coalition;
-    use ring_sim::Outcome;
-
-    let scale = if quick { 10 } else { 1 };
-    let mut fast: Vec<(&'static str, f64)> = Vec::new();
-    let mut slow: Vec<(&'static str, f64)> = Vec::new();
-
-    // Single-deviator rushing-style attack (Claim B.1) on Basic-LEAD:
-    // the fully monomorphized mix (concrete honest nodes + concrete
-    // deviator, no boxing at all on the fast path).
-    {
-        let n = 32;
-        let attack = BasicSingleAttack::new(21, 7);
-        let trials = 10_000 / scale;
-        let mut cache = BasicSingleCache::ring(n);
-        let ns = time_trials(trials, |seed| {
-            let p = BasicLead::new(n).with_seed(seed);
-            let exec = attack.run_in(&p, &mut cache).expect("feasible");
-            debug_assert_eq!(exec.outcome, Outcome::Elected(7));
-        });
-        eprintln!("  [bench-baseline basic_single_n32 (run_in): {ns:.0} ns/trial]");
-        fast.push(("basic_single_n32", ns));
-        let ns = time_trials(trials, |seed| {
-            let p = BasicLead::new(n).with_seed(seed);
-            let exec = attack.run(&p).expect("feasible");
-            debug_assert_eq!(exec.outcome, Outcome::Elected(7));
-        });
-        eprintln!("  [bench-baseline basic_single_n32 (SimBuilder): {ns:.0} ns/trial]");
-        slow.push(("basic_single_n32", ns));
-    }
-
-    // Coalition rushing on PhaseAsyncLead n=16 (k = 7 equally spaced):
-    // honest majority on the concrete enum + arena, k boxed deviators.
-    {
-        let n = 16;
-        let attack = PhaseRushingAttack::new(3);
-        let coalition = Coalition::equally_spaced(n, 7, 1).expect("valid layout");
-        let trials = 20_000 / scale;
-        let mut cache = PhaseRushingCache::ring(n);
-        let ns = time_trials(trials, |seed| {
-            let p = PhaseAsyncLead::new(n).with_seed(seed);
-            let exec = attack.run_in(&p, &coalition, &mut cache).expect("feasible");
-            debug_assert_eq!(exec.outcome, Outcome::Elected(3));
-        });
-        eprintln!("  [bench-baseline phase_rushing_n16 (run_in): {ns:.0} ns/trial]");
-        fast.push(("phase_rushing_n16", ns));
-        let ns = time_trials(trials, |seed| {
-            let p = PhaseAsyncLead::new(n).with_seed(seed);
-            let exec = attack.run(&p, &coalition).expect("feasible");
-            debug_assert_eq!(exec.outcome, Outcome::Elected(3));
-        });
-        eprintln!("  [bench-baseline phase_rushing_n16 (SimBuilder): {ns:.0} ns/trial]");
-        slow.push(("phase_rushing_n16", ns));
-    }
-
-    (fast, slow)
-}
-
-/// Measures the spec-driven attack-sweep path end to end (rushing on
-/// `A-LEADuni` n=16, k=7 equally spaced) against the pre-spec per-table
-/// loop (one `SimBuilder` execution per seed, the shape the experiment
-/// tables used before they migrated onto `run_sweep`). Returns
-/// `(sweep_ns, loop_ns)` per trial, single thread.
-fn bench_attack_sweep(quick: bool) -> (f64, f64, u64) {
-    use fle_attacks::RushingAttack;
-    use fle_core::protocols::ALeadUni;
-    use fle_core::Coalition;
-    use ring_sim::Outcome;
-
-    let scale = if quick { 10 } else { 1 };
-    let n = 16;
-    let trials = 20_000 / scale;
-    let spec = |trials| {
-        SweepSpec::Attack(AttackSweep {
-            attack: AttackKind::Rushing,
-            n,
-            fn_key: FnKeySpec::Fixed(0),
-            batch: BatchConfig {
-                trials,
-                base_seed: 1,
-                threads: 1,
-            },
-            coalition: CoalitionSpec::EquallySpaced { k: 7, offset: 1 },
-            target: TargetSpec::Fixed(3),
-            seed_mode: SeedMode::Derived,
-            schedule: ScheduleSpec::Fifo,
-            fault: None,
-        })
-    };
-    // Warmup batch, then the timed run through the cached runners.
-    let _ = run_sweep(&spec((trials / 10).max(1))).expect("valid spec");
-    let start = std::time::Instant::now();
-    let _ = run_sweep(&spec(trials)).expect("valid spec");
-    let sweep_ns = start.elapsed().as_secs_f64() * 1e9 / trials as f64;
-    eprintln!(
-        "  [bench-baseline attack_sweep rushing_alead_n16 (run_sweep): {sweep_ns:.0} ns/trial]"
-    );
-
-    let attack = RushingAttack::new(3);
-    let coalition = Coalition::equally_spaced(n, 7, 1).expect("valid layout");
-    let loop_ns = time_trials(trials, |seed| {
-        let p = ALeadUni::new(n).with_seed(seed);
-        let exec = attack.run(&p, &coalition).expect("feasible");
-        debug_assert_eq!(exec.outcome, Outcome::Elected(3));
-    });
-    eprintln!(
-        "  [bench-baseline attack_sweep rushing_alead_n16 (SimBuilder loop): {loop_ns:.0} ns/trial]"
-    );
-    (sweep_ns, loop_ns, trials)
-}
-
-/// Times one single-threaded honest sweep at the given lockstep width
-/// and returns the median ns/trial over [`BENCH_REPEATS`] runs.
-fn time_sweep(protocol: ProtocolKind, n: usize, trials: u64, batch_width: usize) -> f64 {
-    let cfg = HonestSweep {
-        protocol,
-        n,
-        fn_key: 0,
-        batch: BatchConfig {
-            trials,
-            base_seed: 1,
-            threads: 1,
-        },
-        batch_width,
-        schedule: ScheduleSpec::Fifo,
-        fault: None,
-    };
-    // One short warmup batch so page faults and lazy init don't bill the
-    // measured runs.
-    let _ = run_sweep(&SweepSpec::Honest(HonestSweep {
-        batch: BatchConfig {
-            trials: (trials / 10).max(1),
-            ..cfg.batch
-        },
-        ..cfg
-    }))
-    .expect("valid spec");
-    let mut runs: Vec<f64> = (0..BENCH_REPEATS)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            let _ = run_sweep(&SweepSpec::Honest(cfg)).expect("valid spec");
-            start.elapsed().as_secs_f64() * 1e9 / trials as f64
-        })
-        .collect();
-    runs.sort_by(f64::total_cmp);
-    runs[runs.len() / 2]
-}
-
-/// Deliveries per trial of one honest workload, counted from a real
-/// [`ring_sim::Execution`] (`stats.delivered`), so the per-delivery arm of
-/// the snapshot is derived from the measured object, not a formula.
-fn deliveries_per_trial(protocol: ProtocolKind, n: usize) -> u64 {
-    use fle_core::protocols::{ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead};
-    let exec = match protocol {
-        ProtocolKind::BasicLead => BasicLead::new(n).with_seed(1).run_honest(),
-        ProtocolKind::ALeadUni => ALeadUni::new(n).with_seed(1).run_honest(),
-        ProtocolKind::PhaseAsyncLead => PhaseAsyncLead::new(n).with_seed(1).run_honest(),
-        ProtocolKind::PhaseSumLead => PhaseSumLead::new(n).with_seed(1).run_honest(),
-    };
-    exec.stats.delivered
-}
-
-/// Measures the timed-network arm: the same `phase_n64` honest workload
-/// on the virtual-time scheduler with a constant 500 ns link latency —
-/// the harshest *fair* comparison. Constant delays preserve per-link
-/// FIFO order, so the protocol does identical work to the untimed run
-/// (same 2n² deliveries, same election) while every delivery pays the
-/// heap push/pop. Random jitter would be an unfair workload: it reorders
-/// messages within a link (non-FIFO channels, outside the paper's
-/// model), which aborts elections early and deflates deliveries/trial.
-/// Single thread. Returns `(ns_per_trial, deliveries_per_trial, trials)`.
-fn bench_timed_sweep(quick: bool) -> (f64, f64, u64) {
-    let scale = if quick { 10 } else { 1 };
-    let trials = 5_000 / scale;
-    let cfg = HonestSweep {
-        protocol: ProtocolKind::PhaseAsyncLead,
-        n: 64,
-        fn_key: 0,
-        batch: BatchConfig {
-            trials,
-            base_seed: 1,
-            threads: 1,
-        },
-        batch_width: 1,
-        schedule: ScheduleSpec::Timed {
-            latency: LatencySpec::Constant { ns: 500 },
-            loss_permille: 0,
-            dup_permille: 0,
-        },
-        fault: None,
-    };
-    let _ = run_sweep(&SweepSpec::Honest(HonestSweep {
-        batch: BatchConfig {
-            trials: (trials / 10).max(1),
-            ..cfg.batch
-        },
-        ..cfg
-    }))
-    .expect("valid spec");
-    let start = std::time::Instant::now();
-    let report = run_sweep(&SweepSpec::Honest(cfg)).expect("valid spec");
-    let ns = start.elapsed().as_secs_f64() * 1e9 / trials as f64;
-    eprintln!(
-        "  [bench-baseline timed phase_n64 (constant 500 ns links): {ns:.0} ns/trial, \
-         {:.1} deliveries/trial]",
-        report.messages.mean
-    );
-    (ns, report.messages.mean, trials)
-}
-
-/// Measures the fault-injection arm: the `phase_n64` honest workload
-/// with 2 crash-stop faults per trial drawn inside the nominal 2n²
-/// delivery window. Fault-enabled sweeps force the scalar path, so this
-/// times the per-trial plan draw + crash bookkeeping on top of the
-/// scalar engine. Returns
-/// `(ns_per_trial, deliveries_per_trial, survival_rate, crashed_trials, trials)`.
-fn bench_fault_sweep(quick: bool) -> (f64, f64, f64, u64, u64) {
-    let scale = if quick { 10 } else { 1 };
-    let trials = 5_000 / scale;
-    let cfg = HonestSweep {
-        protocol: ProtocolKind::PhaseAsyncLead,
-        n: 64,
-        fn_key: 0,
-        batch: BatchConfig {
-            trials,
-            base_seed: 1,
-            threads: 1,
-        },
-        batch_width: 1,
-        schedule: ScheduleSpec::Fifo,
-        fault: Some(FaultSpec {
-            crashes: 2,
-            window: CrashInstant::Deliveries(2 * 64 * 64),
-            recover: None,
-        }),
-    };
-    let _ = run_sweep(&SweepSpec::Honest(HonestSweep {
-        batch: BatchConfig {
-            trials: (trials / 10).max(1),
-            ..cfg.batch
-        },
-        ..cfg
-    }))
-    .expect("valid spec");
-    let start = std::time::Instant::now();
-    let report = run_sweep(&SweepSpec::Honest(cfg)).expect("valid spec");
-    let ns = start.elapsed().as_secs_f64() * 1e9 / trials as f64;
-    let fault = report.fault.expect("fault-enabled sweeps carry the arm");
-    let survival = fle_harness::FaultSummary::survival_rate(report.elected(), report.trials);
-    eprintln!(
-        "  [bench-baseline fault_sweep phase_n64 (2 crashes): {ns:.0} ns/trial, \
-         {:.1} deliveries/trial, survival {survival:.4}]",
-        report.messages.mean
-    );
-    (
-        ns,
-        report.messages.mean,
-        survival,
-        fault.crashed_trials,
-        trials,
-    )
-}
-
-fn run_bench_baseline(args: &[String]) {
-    let mut out_path = String::from("BENCH_10.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" | "-o" => {
-                out_path = parse_arg(args, i + 1, "--out");
-                i += 2;
-            }
-            "--quick" | "-q" => {
-                quick = true;
-                i += 1;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' for subcommand 'bench-baseline'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let scale = if quick { 10 } else { 1 };
-    let workloads: [(&str, ProtocolKind, usize, u64); 3] = [
-        ("phase_n8", ProtocolKind::PhaseAsyncLead, 8, 50_000 / scale),
-        ("phase_n64", ProtocolKind::PhaseAsyncLead, 64, 5_000 / scale),
-        ("alead_n64", ProtocolKind::ALeadUni, 64, 5_000 / scale),
-    ];
-    // Snapshots are named after their output file (BENCH_3.json →
-    // "BENCH_3"), so per-PR trajectory files label themselves.
-    let label = std::path::Path::new(&out_path)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("BENCH")
-        .to_string();
-    let mut measured: Vec<(&str, f64)> = Vec::new();
-    let mut deliveries: Vec<(&str, f64)> = Vec::new();
-    let mut ns_per_delivery: Vec<(&str, f64)> = Vec::new();
-    for (key, protocol, n, trials) in workloads {
-        // Width 1: the trajectory table stays scalar-vs-scalar; the
-        // lockstep engine gets its own `batch_sweep` arm below.
-        let ns = time_sweep(protocol, n, trials, 1);
-        let per_trial = deliveries_per_trial(protocol, n);
-        let per_delivery = ns / per_trial as f64;
-        eprintln!(
-            "  [bench-baseline {key}: {ns:.0} ns/trial over {trials} trials, \
-             {per_trial} deliveries/trial → {per_delivery:.2} ns/delivery]"
-        );
-        measured.push((key, ns));
-        deliveries.push((key, per_trial as f64));
-        ns_per_delivery.push((key, per_delivery));
-    }
-    // The recorded-table workload: the full 10k-trial PhaseAsyncLead n=64
-    // sweep, wall-clock plus output fingerprint (the sha proves the timed
-    // run produced the golden bytes).
-    let sweep_trials = 10_000 / scale;
-    let honest_phase_n64 = HonestSweep {
-        protocol: ProtocolKind::PhaseAsyncLead,
-        n: 64,
-        fn_key: 0,
-        batch: BatchConfig {
-            trials: sweep_trials,
-            base_seed: 1,
-            threads: 1,
-        },
-        batch_width: 1,
-        schedule: ScheduleSpec::Fifo,
-        fault: None,
-    };
-    let sweep_spec = SweepSpec::Honest(honest_phase_n64);
-    let start = std::time::Instant::now();
-    let report = run_sweep(&sweep_spec).expect("valid spec");
-    let sweep_ms = start.elapsed().as_secs_f64() * 1e3;
-    let sweep_sha = sha256_hex(report.to_json().as_bytes());
-    eprintln!("  [bench-baseline sweep_phase_n64: {sweep_ms:.0} ms for {sweep_trials} trials]");
-    // Full-size snapshots re-verify the golden pin in-process: a perf
-    // point measured on a drifted engine would poison the trajectory.
-    if !quick {
-        assert_eq!(
-            sweep_sha, GOLDEN_PHASE_N64_SHA,
-            "sweep_phase_n64 diverged from the golden pin"
-        );
-    }
-
-    // The checkpoint-overhead arm: the same sweep snapshotting its
-    // partial to disk every 1000 trials. The sha check proves the
-    // checkpointed path produced the identical golden bytes.
-    let checkpoint_every = 1_000u64;
-    let cp_path =
-        std::env::temp_dir().join(format!("fle_bench_checkpoint_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&cp_path);
-    let start = std::time::Instant::now();
-    let cp_run = run_sweep_checkpointed(&sweep_spec, &cp_path, checkpoint_every, 0, sweep_trials)
-        .expect("valid spec and writable temp dir");
-    let checkpoint_ms = start.elapsed().as_secs_f64() * 1e3;
-    let cp_report = cp_run.partial.finish().expect("full coverage");
-    assert_eq!(
-        sha256_hex(cp_report.to_json().as_bytes()),
-        sweep_sha,
-        "checkpointed sweep diverged from the plain run"
-    );
-    let _ = std::fs::remove_file(&cp_path);
-    let checkpoint_overhead_pct = (checkpoint_ms / sweep_ms - 1.0) * 100.0;
-    eprintln!(
-        "  [bench-baseline checkpoint_sweep: {checkpoint_ms:.0} ms vs {sweep_ms:.0} ms plain \
-         → {checkpoint_overhead_pct:+.2}% overhead]"
-    );
-
-    // Attack arms: the cached-engine `run_in` fast path vs the one-shot
-    // `SimBuilder` baseline, measured in the same process.
-    let (attack_fast, attack_base) = bench_attack_arms(quick);
-    // The spec-driven attack-sweep grid vs the pre-spec per-table loop.
-    let (attack_sweep_ns, attack_loop_ns, attack_sweep_trials) = bench_attack_sweep(quick);
-    // The timed-network arm: phase_n64 on the virtual-time scheduler.
-    let (timed_ns, timed_deliveries, timed_trials) = bench_timed_sweep(quick);
-    // The fault-injection arm: phase_n64 with 2 crash-stop faults/trial.
-    let (fault_ns, fault_deliveries, fault_survival, fault_crashed, fault_trials) =
-        bench_fault_sweep(quick);
-    let timed_ns_per_delivery = timed_ns / timed_deliveries;
-    let untimed_phase_n64_nd = ns_per_delivery
-        .iter()
-        .find(|(k, _)| *k == "phase_n64")
-        .map(|&(_, v)| v)
-        .expect("phase_n64 is a bench workload");
-    let timed_overhead_ratio = timed_ns_per_delivery / untimed_phase_n64_nd;
-    eprintln!(
-        "  [bench-baseline timed phase_n64: {timed_ns_per_delivery:.2} ns/delivery vs \
-         {untimed_phase_n64_nd:.2} untimed → {timed_overhead_ratio:.2}x]"
-    );
-
-    // The lockstep batch arm: the same 10k-trial phase_n64 sweep through
-    // the structure-of-arrays engine at the default width, timed like the
-    // trajectory workloads (median of repeats). The sha check proves the
-    // batched path produced the byte-identical golden report.
-    let batch_width = DEFAULT_BATCH_WIDTH;
-    let batched_ns = time_sweep(ProtocolKind::PhaseAsyncLead, 64, sweep_trials, batch_width);
-    let batched_report = run_sweep(&SweepSpec::Honest(HonestSweep {
-        batch_width,
-        ..honest_phase_n64
-    }))
-    .expect("valid spec");
-    let batched_sha = sha256_hex(batched_report.to_json().as_bytes());
-    assert_eq!(
-        batched_sha, sweep_sha,
-        "batched sweep diverged from the scalar run"
-    );
-    let phase_n64_deliveries = deliveries
-        .iter()
-        .find(|(k, _)| *k == "phase_n64")
-        .map(|&(_, v)| v)
-        .expect("phase_n64 is a bench workload");
-    let batched_nd = batched_ns / phase_n64_deliveries;
-    let batch_improvement_pct = (1.0 - batched_nd / PR8_PHASE_N64_NS_PER_DELIVERY) * 100.0;
-    eprintln!(
-        "  [bench-baseline batch_sweep phase_n64 (width {batch_width}): {batched_ns:.0} ns/trial \
-         → {batched_nd:.2} ns/delivery vs {PR8_PHASE_N64_NS_PER_DELIVERY:.1} scalar PR8 \
-         → {batch_improvement_pct:+.1}%]"
-    );
-
-    // The fault-*disabled* arm: the batched measurement above ran with
-    // the fault layer compiled in but no plan installed — exactly the
-    // path the PR 9 `batch_sweep` baseline measured before the fault
-    // layer existed. The no-fault hook is monomorphized away, so it must
-    // stay within the overhead budget.
-    let fault_disabled_overhead_pct =
-        (batched_nd / PR9_BATCH_PHASE_N64_NS_PER_DELIVERY - 1.0) * 100.0;
-    eprintln!(
-        "  [bench-baseline fault_disabled phase_n64 (width {batch_width}): {batched_nd:.2} \
-         ns/delivery vs {PR9_BATCH_PHASE_N64_NS_PER_DELIVERY:.2} PR9 batched \
-         → {fault_disabled_overhead_pct:+.2}% (budget {FAULT_DISABLED_OVERHEAD_BUDGET_PCT:.0}%)]"
-    );
-    assert!(
-        fault_disabled_overhead_pct <= FAULT_DISABLED_OVERHEAD_BUDGET_PCT,
-        "fault-disabled batched path regressed {fault_disabled_overhead_pct:+.2}% vs the PR 9 \
-         baseline ({batched_nd:.2} vs {PR9_BATCH_PHASE_N64_NS_PER_DELIVERY:.2} ns/delivery, \
-         budget {FAULT_DISABLED_OVERHEAD_BUDGET_PCT:.0}%)"
-    );
-
-    let fmt_map = |entries: &[(&str, f64)]| {
-        entries
-            .iter()
-            .map(|(k, v)| format!("\"{k}\":{v:.1}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    fn improve_against<'a>(
-        baseline: &[(&str, f64)],
-        measured: &[(&'a str, f64)],
-    ) -> Vec<(&'a str, f64)> {
-        measured
-            .iter()
-            .filter_map(|&(key, ns)| {
-                baseline
-                    .iter()
-                    .find(|(k, _)| *k == key)
-                    .map(|&(_, base)| (key, (1.0 - ns / base) * 100.0))
-            })
-            .collect()
-    }
-    let improvements = improve_against(&PR2_NS_PER_TRIAL, &measured);
-    let improvements_pr3 = improve_against(&PR3_NS_PER_TRIAL, &measured);
-    let improvements_pr4 = improve_against(&PR4_NS_PER_TRIAL, &measured);
-    let improvements_pr5 = improve_against(&PR5_NS_PER_TRIAL, &measured);
-    let improvements_pr6 = improve_against(&PR6_NS_PER_TRIAL, &measured);
-    let improvements_pr7 = improve_against(&PR7_NS_PER_TRIAL, &measured);
-    let improvements_pr8 = improve_against(&PR8_NS_PER_TRIAL, &measured);
-    let attack_improvements = improve_against(&attack_base, &attack_fast);
-    let attack_improvements_pr4 = improve_against(&PR4_ATTACK_NS_PER_TRIAL, &attack_fast);
-    let attack_improvements_pr5 = improve_against(&PR5_ATTACK_NS_PER_TRIAL, &attack_fast);
-    let attack_improvements_pr6 = improve_against(&PR6_ATTACK_NS_PER_TRIAL, &attack_fast);
-    let attack_improvements_pr7 = improve_against(&PR7_ATTACK_NS_PER_TRIAL, &attack_fast);
-    let attack_improvements_pr8 = improve_against(&PR8_ATTACK_NS_PER_TRIAL, &attack_fast);
-    let json = format!(
-        concat!(
-            "{{\"bench\":\"{}\",\"description\":\"lockstep-batched SoA honest ",
-            "fast path over the crash-safe timed + fused-stream arena/mono ",
-            "engine, single thread, median ns per trial\",",
-            "\"quick\":{},",
-            "\"repeats\":{},",
-            "\"ns_per_trial\":{{{}}},",
-            "\"deliveries_per_trial\":{{{}}},",
-            "\"ns_per_delivery\":{{{}}},",
-            "\"baseline_pr2_ns_per_trial\":{{{}}},",
-            "\"baseline_pr3_ns_per_trial\":{{{}}},",
-            "\"baseline_pr4_ns_per_trial\":{{{}}},",
-            "\"baseline_pr5_ns_per_trial\":{{{}}},",
-            "\"baseline_pr6_ns_per_trial\":{{{}}},",
-            "\"baseline_pr7_ns_per_trial\":{{{}}},",
-            "\"baseline_pr8_ns_per_trial\":{{{}}},",
-            "\"improvement_pct\":{{{}}},",
-            "\"improvement_vs_pr3_pct\":{{{}}},",
-            "\"improvement_vs_pr4_pct\":{{{}}},",
-            "\"improvement_vs_pr5_pct\":{{{}}},",
-            "\"improvement_vs_pr6_pct\":{{{}}},",
-            "\"improvement_vs_pr7_pct\":{{{}}},",
-            "\"improvement_vs_pr8_pct\":{{{}}},",
-            "\"attack_ns_per_trial\":{{{}}},",
-            "\"attack_simbuilder_ns_per_trial\":{{{}}},",
-            "\"attack_baseline_pr4_ns_per_trial\":{{{}}},",
-            "\"attack_baseline_pr5_ns_per_trial\":{{{}}},",
-            "\"attack_baseline_pr6_ns_per_trial\":{{{}}},",
-            "\"attack_baseline_pr7_ns_per_trial\":{{{}}},",
-            "\"attack_baseline_pr8_ns_per_trial\":{{{}}},",
-            "\"attack_improvement_pct\":{{{}}},",
-            "\"attack_improvement_vs_pr4_pct\":{{{}}},",
-            "\"attack_improvement_vs_pr5_pct\":{{{}}},",
-            "\"attack_improvement_vs_pr6_pct\":{{{}}},",
-            "\"attack_improvement_vs_pr7_pct\":{{{}}},",
-            "\"attack_improvement_vs_pr8_pct\":{{{}}},",
-            "\"attack_sweep\":{{\"workload\":\"rushing_alead_n16\",\"trials\":{},",
-            "\"ns_per_trial\":{:.1},\"simbuilder_loop_ns_per_trial\":{:.1},",
-            "\"improvement_vs_pr5_pct\":{:.1}}},",
-            "\"timed_sweep\":{{\"workload\":\"phase_n64_const500\",\"trials\":{},",
-            "\"ns_per_trial\":{:.1},\"deliveries_per_trial\":{:.1},",
-            "\"ns_per_delivery\":{:.2},\"untimed_ns_per_delivery\":{:.2},",
-            "\"overhead_ratio\":{:.2}}},",
-            "\"fault_sweep\":{{\"workload\":\"phase_n64_crash2\",\"trials\":{},",
-            "\"ns_per_trial\":{:.1},\"deliveries_per_trial\":{:.1},",
-            "\"survival_rate\":{:.4},\"crashed_trials\":{}}},",
-            "\"fault_disabled\":{{\"workload\":\"phase_n64\",\"batch_width\":{},",
-            "\"ns_per_delivery\":{:.2},\"pr9_ns_per_delivery\":{:.2},",
-            "\"overhead_pct\":{:.2},\"budget_pct\":{:.1}}},",
-            "\"batch_sweep\":{{\"workload\":\"phase_n64\",\"trials\":{},",
-            "\"batch_width\":{},\"ns_per_trial_batched\":{:.1},",
-            "\"ns_per_delivery_batched\":{:.2},",
-            "\"scalar_pr8_ns_per_delivery\":{:.2},",
-            "\"improvement_vs_pr8_pct\":{:.1},\"json_sha256\":\"{}\"}},",
-            "\"checkpoint_sweep\":{{\"workload\":\"phase_n64\",\"trials\":{},",
-            "\"every\":{},\"wall_ms\":{:.1},\"plain_wall_ms\":{:.1},",
-            "\"overhead_pct\":{:.2}}},",
-            "\"sweep_phase_n64\":{{\"trials\":{},\"wall_ms\":{:.1},\"json_sha256\":\"{}\"}}}}"
-        ),
-        label,
-        quick,
-        BENCH_REPEATS,
-        fmt_map(&measured),
-        fmt_map(&deliveries),
-        fmt_map(&ns_per_delivery),
-        fmt_map(&PR2_NS_PER_TRIAL),
-        fmt_map(&PR3_NS_PER_TRIAL),
-        fmt_map(&PR4_NS_PER_TRIAL),
-        fmt_map(&PR5_NS_PER_TRIAL),
-        fmt_map(&PR6_NS_PER_TRIAL),
-        fmt_map(&PR7_NS_PER_TRIAL),
-        fmt_map(&PR8_NS_PER_TRIAL),
-        fmt_map(&improvements),
-        fmt_map(&improvements_pr3),
-        fmt_map(&improvements_pr4),
-        fmt_map(&improvements_pr5),
-        fmt_map(&improvements_pr6),
-        fmt_map(&improvements_pr7),
-        fmt_map(&improvements_pr8),
-        fmt_map(&attack_fast),
-        fmt_map(&attack_base),
-        fmt_map(&PR4_ATTACK_NS_PER_TRIAL),
-        fmt_map(&PR5_ATTACK_NS_PER_TRIAL),
-        fmt_map(&PR6_ATTACK_NS_PER_TRIAL),
-        fmt_map(&PR7_ATTACK_NS_PER_TRIAL),
-        fmt_map(&PR8_ATTACK_NS_PER_TRIAL),
-        fmt_map(&attack_improvements),
-        fmt_map(&attack_improvements_pr4),
-        fmt_map(&attack_improvements_pr5),
-        fmt_map(&attack_improvements_pr6),
-        fmt_map(&attack_improvements_pr7),
-        fmt_map(&attack_improvements_pr8),
-        attack_sweep_trials,
-        attack_sweep_ns,
-        attack_loop_ns,
-        (1.0 - attack_sweep_ns / attack_loop_ns) * 100.0,
-        timed_trials,
-        timed_ns,
-        timed_deliveries,
-        timed_ns_per_delivery,
-        untimed_phase_n64_nd,
-        timed_overhead_ratio,
-        fault_trials,
-        fault_ns,
-        fault_deliveries,
-        fault_survival,
-        fault_crashed,
-        batch_width,
-        batched_nd,
-        PR9_BATCH_PHASE_N64_NS_PER_DELIVERY,
-        fault_disabled_overhead_pct,
-        FAULT_DISABLED_OVERHEAD_BUDGET_PCT,
-        sweep_trials,
-        batch_width,
-        batched_ns,
-        batched_nd,
-        PR8_PHASE_N64_NS_PER_DELIVERY,
-        batch_improvement_pct,
-        batched_sha,
-        sweep_trials,
-        checkpoint_every,
-        checkpoint_ms,
-        sweep_ms,
-        checkpoint_overhead_pct,
-        sweep_trials,
-        sweep_ms,
-        sweep_sha,
-    );
-    if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
-        eprintln!("cannot write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    println!("{json}");
-    eprintln!("  [bench-baseline written to {out_path}]");
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-
-    if args.first().map(String::as_str) == Some("bench-baseline") {
-        run_bench_baseline(&args[1..]);
-        return;
-    }
 
     if args.first().map(String::as_str) == Some("merge-reports") {
         run_merge_reports(&args[1..]);

@@ -10,9 +10,10 @@
 //! survival rate measurable and linear in `1/m`.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::PhaseGuessAttack;
 use fle_core::protocols::PhaseAsyncLead;
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -10,10 +10,11 @@
 //! allocation plus its deterministic forcing of a fabricated id.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::{WakeupIdLieAttack, WakeupMaskAttack};
 use fle_core::protocols::WakeLead;
 use fle_core::Coalition;
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -6,9 +6,10 @@
 //! the honest baseline rate for the same target.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::BasicSingleAttack;
 use fle_core::protocols::{BasicLead, FleProtocol};
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -7,10 +7,11 @@
 //! `n − k ≤ k − 1`) puts full control exactly at `k ≥ ⌈(n+1)/2⌉`.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::RushingAttack;
 use fle_core::protocols::ALeadUni;
 use fle_core::Coalition;
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -8,10 +8,11 @@
 //! honest uniformity of the ablated protocol.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::{PhaseRushingAttack, PhaseSumAttack};
 use fle_core::protocols::{PhaseAsyncLead, PhaseSumLead};
 use fle_core::Coalition;
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -28,13 +28,16 @@
 use super::fmt_rate_ci;
 use crate::Table;
 use fle_attacks::RushingAttack;
-use fle_core::protocols::{run_ring_in, ALeadUni};
+use fle_core::protocols::ALeadUni;
 use fle_core::Coalition;
 use fle_harness::{
     run_sweep, trial_seed, wilson_ci95, BatchConfig, CrashInstant, FaultSpec, HonestSweep,
     ProtocolKind, ScheduleSpec, SweepSpec,
 };
-use ring_sim::{Engine, FaultConfig, FaultPlan, Outcome, Topology};
+use ring_sim::{
+    default_step_limit, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, Node, Outcome,
+    Schedule, Topology,
+};
 
 /// Ring size shared by every table (matches the `timed` experiment).
 const N: usize = 16;
@@ -115,7 +118,7 @@ struct Outcome2 {
 }
 
 /// One rushing run against an explicit fault plan, through a reusable
-/// engine (the same `run_ring_in` path the batch harness uses).
+/// engine over the boxed honest/coalition mix.
 fn rushing_with_plan(
     engine: &mut Engine<u64>,
     seed: u64,
@@ -127,14 +130,15 @@ fn rushing_with_plan(
     let nodes = RushingAttack::new(target)
         .adversary_nodes(&protocol, coalition)
         .expect("feasible layout");
+    let mut ring: Vec<Box<dyn Node<u64>>> = (0..N).map(|id| protocol.honest_node(id)).collect();
+    for (id, node) in nodes {
+        ring[id] = node;
+    }
     engine.set_fault_plan(plan);
-    let exec = run_ring_in(
-        engine,
-        N,
-        |id| protocol.honest_node(id),
-        nodes,
-        &protocol.wakes(),
-    );
+    let mut exec = Execution::default();
+    let fifo = Schedule::Oblivious(&mut FifoScheduler::new());
+    let limit = default_step_limit(N);
+    engine.run_into(&mut ring, &protocol.wakes(), fifo, limit, None, &mut exec);
     Outcome2 {
         elected: exec.outcome == Outcome::Elected(target),
         messages: exec.stats.total_sent(),

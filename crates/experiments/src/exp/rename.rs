@@ -9,8 +9,9 @@
 
 use super::fmt_rate;
 use crate::stats::chi_square_uniform;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_core::renaming::{permutation_renaming, rotation_renaming};
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

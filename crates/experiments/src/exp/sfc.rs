@@ -12,9 +12,10 @@
 
 use super::fmt_rate;
 use crate::stats::chi_square_uniform;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::BasicSingleAttack;
 use fle_core::protocols::{BasicLead, SyncFixedValue, SyncLead, SyncWaitAndCancel};
+use fle_harness::par_seeds;
 use ring_sim::sync::SyncNode;
 
 /// Runs the experiment.

@@ -11,8 +11,9 @@
 
 use super::fmt_rate;
 use crate::stats::chi_square_uniform;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_core::protocols::FleProtocol;
+use fle_harness::par_seeds;
 use fle_secretshare::{run_fc_attack, ALeadFc};
 
 /// Runs the experiment.

@@ -11,9 +11,10 @@
 //! `Basic-LEAD`.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::BasicSingleAttack;
 use fle_core::protocols::{BasicLead, SyncRingCorruptor, SyncRingLead, SyncRingWaiter};
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -9,10 +9,11 @@
 //! essentially always.
 
 use super::fmt_rate;
-use crate::{par_seeds, Table};
+use crate::Table;
 use fle_attacks::RandomLocatedAttack;
 use fle_core::protocols::ALeadUni;
 use fle_core::Coalition;
+use fle_harness::par_seeds;
 
 /// Runs the experiment.
 pub fn run(quick: bool) -> Vec<Table> {

@@ -1,11 +1,12 @@
 //! # fle-experiments — the reproduction harness
 //!
-//! One experiment per figure/result of Yifrach & Mansour (PODC 2018); see
-//! `DESIGN.md` §2 for the full index and `EXPERIMENTS.md` for recorded
-//! paper-vs-measured outcomes. Run everything with
+//! One experiment per figure/result of Yifrach & Mansour (PODC 2018);
+//! `fle_lab --list` prints the registry, each entry naming the claim it
+//! reproduces, and the README's "Paper section → module table" maps the
+//! paper's sections to the code. Run everything with
 //!
 //! ```text
-//! cargo run --release -p fle-experiments --bin fle-lab -- all
+//! cargo run --release -p fle-experiments --bin fle_lab -- all
 //! ```
 //!
 //! or a single experiment by id (`fig1`, `b1`, `t42`, `tc1`, `t43`,
@@ -19,11 +20,9 @@
 #![warn(missing_docs)]
 
 pub mod exp;
-mod runner;
 pub mod stats;
 mod table;
 
-pub use runner::par_seeds;
 pub use table::Table;
 
 /// An experiment: id, one-line description, and runner

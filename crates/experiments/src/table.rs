@@ -1,5 +1,4 @@
-//! Plain-text result tables, aligned for terminals and easy to diff in
-//! `EXPERIMENTS.md`.
+//! Plain-text result tables, aligned for terminals and easy to diff.
 
 /// A titled table with aligned columns.
 ///

@@ -10,7 +10,7 @@ static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the process-wide default worker count (0 restores auto-detection).
 ///
-/// `fle-lab --threads N` routes through this so every experiment in the
+/// `fle_lab --threads N` routes through this so every experiment in the
 /// process, including legacy [`par_seeds`] call sites, obeys the flag.
 pub fn set_default_threads(threads: usize) {
     DEFAULT_THREADS.store(threads, Ordering::Relaxed);
@@ -98,7 +98,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// the monolithic run. A panicking trial becomes an `Err(`[`TrialFault`]`)`
 /// slot instead of aborting the batch; the worker that hit it is discarded
 /// (its cached state may be mid-trial garbage) and rebuilt via
-/// `make_worker` before the next trial.
+/// `make_worker` before the next trial. This is the width-1 case of
+/// [`run_batch_range_grouped`].
 ///
 /// # Panics
 ///
@@ -110,66 +111,8 @@ pub fn run_batch_range<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    assert!(
-        start <= end && end <= cfg.trials,
-        "trial range {start}..{end} outside batch of {} trials",
-        cfg.trials
-    );
-    let len = end - start;
-    let threads = {
-        let t = if cfg.threads == 0 {
-            default_threads()
-        } else {
-            cfg.threads
-        };
-        t.clamp(1, len.max(1) as usize)
-    };
-    let base_seed = cfg.base_seed;
-    let run_one = |worker: &mut W, index: u64| -> Result<T, TrialFault> {
-        let seed = trial_seed(base_seed, index);
-        catch_unwind(AssertUnwindSafe(|| trial(worker, index, seed))).map_err(|payload| {
-            TrialFault {
-                index,
-                seed,
-                message: panic_message(payload),
-            }
-        })
-    };
-    if threads <= 1 || len <= 1 {
-        let mut worker = make_worker();
-        let mut out = Vec::with_capacity(len as usize);
-        for index in start..end {
-            let result = run_one(&mut worker, index);
-            if result.is_err() {
-                worker = make_worker();
-            }
-            out.push(result);
-        }
-        return out;
-    }
-    let mut slots: Vec<Option<Result<T, TrialFault>>> = (0..len).map(|_| None).collect();
-    let chunk = slots.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, piece) in slots.chunks_mut(chunk).enumerate() {
-            let run_one = &run_one;
-            let make_worker = &make_worker;
-            scope.spawn(move || {
-                let mut worker = make_worker();
-                for (i, slot) in piece.iter_mut().enumerate() {
-                    let index = start + (t * chunk + i) as u64;
-                    let result = run_one(&mut worker, index);
-                    if result.is_err() {
-                        worker = make_worker();
-                    }
-                    *slot = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    let no_group = |_: &mut W, _: u64, _: &mut Vec<T>| false;
+    run_batch_range_grouped(cfg, start, end, 1, make_worker, no_group, trial)
 }
 
 /// Process-wide count of trials that completed on a lockstep batch fast
@@ -195,13 +138,14 @@ pub fn batched_trials() -> u64 {
 /// results for global trials `group_start..group_start + width` (in
 /// order) and return `true`, or return `false` leaving the batch
 /// attempt's results unused. Groups are aligned to each worker piece's
-/// start, and the pieces are the same chunks [`run_batch_range`] uses —
-/// so for a given `(threads, start, end)` the scalar path serves exactly
+/// start, and the pieces are the same chunks at every width — so for a
+/// given `(threads, start, end)` the scalar path serves exactly
 /// the same indices whether a checkpoint resume or shard split lands
 /// mid-chunk or not, and results are bit-identical to the all-scalar
 /// runner in every case.
 ///
-/// A `width` of 0 or 1 delegates to [`run_batch_range`] unchanged.
+/// At a `width` of 0 or 1 every trial runs through `trial` and `group`
+/// is never called: that is [`run_batch_range`].
 ///
 /// # Panics
 ///
@@ -215,9 +159,6 @@ pub fn run_batch_range_grouped<W, T: Send>(
     group: impl Fn(&mut W, u64, &mut Vec<T>) -> bool + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    if width <= 1 {
-        return run_batch_range(cfg, start, end, make_worker, trial);
-    }
     assert!(
         start <= end && end <= cfg.trials,
         "trial range {start}..{end} outside batch of {} trials",
@@ -251,7 +192,7 @@ pub fn run_batch_range_grouped<W, T: Send>(
         let mut i = 0usize;
         while i < piece.len() {
             let index = piece_start + i as u64;
-            if piece.len() - i >= width {
+            if width > 1 && piece.len() - i >= width {
                 buf.clear();
                 let ok = catch_unwind(AssertUnwindSafe(|| group(&mut worker, index, &mut buf)));
                 match ok {
@@ -281,7 +222,7 @@ pub fn run_batch_range_grouped<W, T: Send>(
                 }
                 i += width;
             } else {
-                // Ragged tail shorter than the batch width: scalar.
+                // Scalar width, or a ragged tail shorter than the width.
                 let result = run_one(&mut worker, index);
                 if result.is_err() {
                     worker = make_worker();

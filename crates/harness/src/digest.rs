@@ -1,9 +1,9 @@
 //! A small, dependency-free SHA-256 — the workspace's fingerprint for
 //! golden sweep outputs.
 //!
-//! Sweep regression pins (`tests/golden_outcomes.rs`) and the
-//! `fle_lab bench-baseline` trajectory file record the hash of a full
-//! serialized [`crate::TrialReport`] rather than the report itself: the
+//! Sweep regression pins (`tests/golden_outcomes.rs`) and the sweep
+//! benchmark (`perfbench/`) record the hash of a full serialized
+//! [`crate::TrialReport`] rather than the report itself: the
 //! hash is stable to store, and any engine or serialization drift flips it
 //! loudly. Implemented from FIPS 180-4; validated against the standard
 //! test vectors below. Not a performance-sensitive path — it hashes a few

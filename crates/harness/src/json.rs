@@ -5,7 +5,9 @@
 //! It supports the full JSON grammar except for one deliberate
 //! restriction: numbers are kept as their raw source tokens (the spec
 //! layer needs exact `u64` round-trips, which `f64` cannot provide), and
-//! only integer accessors are exposed.
+//! only integer accessors are exposed. Arrays and objects nest at most
+//! [`Json::MAX_DEPTH`] deep, so a hostile document is a named error
+//! rather than a stack overflow.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,16 +27,23 @@ pub enum Json {
 }
 
 impl Json {
+    /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+    /// Spec, checkpoint and partial-report files nest a handful of levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a complete JSON document; trailing non-whitespace is an
     /// error.
     ///
     /// # Errors
     ///
-    /// A human-readable message with a byte offset on malformed input.
+    /// A human-readable message with a byte offset on malformed input,
+    /// including arrays and objects nested deeper than
+    /// [`Json::MAX_DEPTH`].
     pub fn parse(src: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -118,6 +127,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -159,8 +170,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected character '{}' at byte {}",
@@ -169,6 +180,21 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses an array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == Json::MAX_DEPTH {
+            return Err(format!(
+                "JSON nesting depth limit of {} exceeded at byte {}",
+                Json::MAX_DEPTH,
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -310,6 +336,17 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let deep = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&deep(Json::MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(Json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting depth limit of 128"), "{err}");
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(200_000), "}".repeat(200_000));
+        let err = Json::parse(&objects).unwrap_err();
+        assert!(err.contains("nesting depth limit"), "{err}");
+    }
 
     #[test]
     fn parses_nested_documents() {

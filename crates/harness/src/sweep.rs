@@ -3,18 +3,16 @@
 use crate::partial::ReportPartial;
 use crate::spec::{FaultSpec, ScheduleSpec, SweepSpec};
 use crate::{
-    run_attack_partial, run_attack_sweep, run_batch_range, run_batch_range_grouped,
-    run_tree_partial, run_tree_sweep, trial_seed, BatchConfig, TrialFault, TrialOutcome,
-    TrialReport,
+    run_attack_partial, run_attack_sweep, run_batch_range_grouped, run_tree_partial,
+    run_tree_sweep, trial_seed, BatchConfig, TrialOutcome, TrialReport,
 };
 use fle_core::protocols::{
-    run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadBatchCache, ALeadNode, ALeadUni,
-    BasicBatchCache, BasicLead, BasicNode, PhaseAsyncLead, PhaseBatchCache, PhaseMsg, PhaseNode,
-    PhaseSumLead,
+    run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadUni, BasicLead, LockstepProtocol,
+    PhaseAsyncLead, PhaseSumLead,
 };
 use ring_sim::{
-    ArenaBacked, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, Node, NodeId,
-    TimedNetConfig, TimedScheduler, Topology, TrialArena,
+    Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, NodeId, TimedNetConfig,
+    TimedScheduler, Topology, TrialArena,
 };
 
 /// The ring protocols the harness can sweep.
@@ -125,91 +123,120 @@ impl HonestSweep {
     }
 }
 
-/// Per-worker state of one honest protocol sweep: a reusable [`Engine`],
-/// the monomorphized node vector, the (constant) wake list, a pooled FIFO
-/// scheduler, the per-worker [`TrialArena`] node-state pool and the reused
-/// [`Execution`] out-parameter. Once every buffer has reached its
-/// steady-state capacity — after the first trial — a trial performs *no*
-/// heap allocation at all, node construction included (phase-node stores
-/// are drawn from and reclaimed into the arena).
-struct SweepWorker<M, N> {
-    engine: Engine<M>,
-    nodes: Vec<N>,
+/// Per-worker state of one honest protocol sweep: the hoisted protocol
+/// instance, the sweep's timed net and fault configuration (each optional),
+/// a reusable [`Engine`], the monomorphized node vector, the (constant)
+/// wake list, a pooled FIFO scheduler and timed heap, the per-worker
+/// [`TrialArena`] node-state pool, the lockstep cache and its seed buffer,
+/// the fault-plan buffer and the reused [`Execution`] out-parameter. Once every buffer has reached its steady-state
+/// capacity — after the first trial — a trial performs *no* heap
+/// allocation at all, node construction included (phase-node stores are
+/// drawn from and reclaimed into the arena).
+struct HonestWorker<P: LockstepProtocol> {
+    protocol: P,
+    net: Option<TimedNetConfig>,
+    fault: Option<FaultConfig>,
+    engine: Engine<P::Msg>,
+    nodes: Vec<P::Node>,
     wakes: Vec<NodeId>,
     scheduler: FifoScheduler,
-    timed: TimedScheduler<M>,
+    timed: TimedScheduler<P::Msg>,
     arena: TrialArena,
+    batch: P::BatchCache,
+    seeds: Vec<u64>,
+    plan: FaultPlan,
     exec: Execution,
 }
 
-impl<M: Clone, N: Node<M> + ArenaBacked> SweepWorker<M, N> {
-    fn new(n: usize, wakes: Vec<NodeId>) -> Self {
+impl<P: LockstepProtocol> HonestWorker<P> {
+    fn new(protocol: P, net: Option<TimedNetConfig>, fault: Option<FaultConfig>) -> Self {
+        let n = protocol.n();
         Self {
+            protocol,
+            net,
+            fault,
             engine: Engine::new(Topology::ring(n)),
             nodes: Vec::with_capacity(n),
-            wakes,
+            wakes: P::WAKES.ids(n),
             scheduler: FifoScheduler::new(),
             timed: TimedScheduler::new(),
             arena: TrialArena::new(),
+            batch: P::batch_cache(n),
+            seeds: Vec::new(),
+            plan: FaultPlan::none(),
             exec: Execution::default(),
         }
     }
 
-    /// Runs one honest trial through the monomorphized, arena-pooled
-    /// engine fast path, reusing every worker buffer, and reduces it to
-    /// its [`TrialOutcome`].
-    fn trial(&mut self, honest: impl FnMut(NodeId, &mut TrialArena) -> N) -> TrialOutcome {
-        let n = self.engine.topology().len();
-        run_ring_honest_pooled_into(
-            &mut self.engine,
-            n,
-            honest,
-            &self.wakes,
-            &mut self.nodes,
-            &mut self.scheduler,
-            &mut self.arena,
-            &mut self.exec,
-        );
-        TrialOutcome::of(&self.exec)
+    /// Runs trials `gstart..gstart + width` as one lockstep group, with
+    /// exactly the seeds the scalar path would derive for those indices.
+    /// Returns `false` if the group diverged.
+    fn group(&mut self, base_seed: u64, gstart: u64, width: usize, out: &mut Vec<Trial>) -> bool {
+        self.seeds.clear();
+        self.seeds
+            .extend((0..width as u64).map(|j| trial_seed(base_seed, gstart + j)));
+        if !self
+            .protocol
+            .run_honest_batch_into(&self.seeds, &mut self.batch)
+        {
+            return false;
+        }
+        for lane in 0..width {
+            P::execution_into(&self.batch, lane, &mut self.exec);
+            out.push((TrialOutcome::of(&self.exec), false));
+        }
+        true
     }
 
-    /// The timed-network twin of [`SweepWorker::trial`]: same pooled
-    /// buffers, but deliveries run on the virtual-time scheduler with the
-    /// trial's network stream derived from `seed`.
-    fn trial_timed(
-        &mut self,
-        honest: impl FnMut(NodeId, &mut TrialArena) -> N,
-        net: &TimedNetConfig,
-        seed: u64,
-    ) -> TrialOutcome {
+    /// Runs one honest trial through the arena-pooled engine path: on the
+    /// timed net when one is set (its noise stream derived from `seed`),
+    /// under a crash-fault plan drawn from `seed`'s fault stream
+    /// ([`ring_sim::FAULT_STREAM_SALT`]) when faults are configured.
+    fn trial(&mut self, seed: u64) -> Trial {
         let n = self.engine.topology().len();
-        run_ring_honest_timed_into(
-            &mut self.engine,
-            n,
-            honest,
-            &self.wakes,
-            &mut self.nodes,
-            &mut self.timed,
+        if let Some(cfg) = &self.fault {
+            self.plan.draw_into(cfg, n, seed);
+            self.engine.set_fault_plan(&self.plan);
+        }
+        let p = self.protocol.seeded(seed);
+        let honest = |id, arena: &mut TrialArena| p.honest_ring_node_in(id, arena);
+        let Self {
             net,
-            seed,
-            &mut self.arena,
-            &mut self.exec,
-        );
-        TrialOutcome::of(&self.exec)
+            engine,
+            nodes,
+            wakes,
+            scheduler,
+            timed,
+            arena,
+            exec,
+            ..
+        } = self;
+        match net {
+            Some(net) => run_ring_honest_timed_into(
+                engine, n, honest, wakes, nodes, timed, net, seed, arena, exec,
+            ),
+            None => {
+                run_ring_honest_pooled_into(engine, n, honest, wakes, nodes, scheduler, arena, exec)
+            }
+        }
+        (TrialOutcome::of(exec), exec.stats.crashes > 0)
     }
 }
+
+/// One honest trial's outcome and whether a planned crash fired.
+type Trial = (TrialOutcome, bool);
 
 /// Runs `batch.trials` honest executions of the configured protocol, one
 /// deterministic seed per trial, and aggregates them into a
 /// [`TrialReport`].
 ///
 /// Each worker thread owns one sweep worker — a reusable [`Engine`] plus
-/// monomorphized node, scheduler, arena and result buffers — and one
-/// hoisted protocol instance: the seed-independent state
+/// monomorphized node, scheduler, arena, lockstep and result buffers —
+/// and a copy of the protocol instance, whose seed-independent state
 /// (`PhaseParams`, the keyed `RandomFn`, the ring size) is built *once*
-/// per worker in `make_worker`, and each trial derives its seeded copy
-/// from it, so steady-state trials allocate nothing. The report (and its
-/// JSON/CSV serializations) is byte-identical for every thread count.
+/// per sweep; each trial derives its seeded copy from it, so
+/// steady-state trials allocate nothing. The report (and its JSON/CSV
+/// serializations) is byte-identical for every thread count.
 ///
 /// # Panics
 ///
@@ -233,316 +260,57 @@ pub fn run_honest_sweep(cfg: &HonestSweep) -> TrialReport {
 /// Panics if `n` is below the protocol's minimum ring size or the range
 /// is out of bounds.
 pub fn run_honest_partial(cfg: &HonestSweep, start: u64, end: u64) -> ReportPartial {
-    if let Some(fspec) = &cfg.fault {
-        return run_honest_faulty_partial(cfg, fspec, start, end);
-    }
     let n = cfg.n;
+    match cfg.protocol {
+        ProtocolKind::BasicLead => honest_partial(cfg, start, end, BasicLead::new(n)),
+        ProtocolKind::ALeadUni => honest_partial(cfg, start, end, ALeadUni::new(n)),
+        ProtocolKind::PhaseAsyncLead => {
+            let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
+            honest_partial(cfg, start, end, p)
+        }
+        ProtocolKind::PhaseSumLead => honest_partial(cfg, start, end, PhaseSumLead::new(n)),
+    }
+}
+
+/// [`run_honest_partial`] for one protocol: lockstep groups where the
+/// sweep's width allows, scalar trials elsewhere, and a partial that
+/// carries the crash counters ([`ReportPartial::with_faults`]) when the
+/// sweep draws fault plans.
+fn honest_partial<P: LockstepProtocol + Clone + Sync>(
+    cfg: &HonestSweep,
+    start: u64,
+    end: u64,
+    protocol: P,
+) -> ReportPartial {
     let width = cfg.resolved_batch_width();
     let base_seed = cfg.batch.base_seed;
     let net = cfg.schedule.timed_net();
-    let net = net.as_ref();
-    /// Fills `seeds` with the lockstep group's per-lane trial seeds —
-    /// exactly the seeds the scalar path would derive for those indices.
-    fn group_seeds(seeds: &mut Vec<u64>, base_seed: u64, gstart: u64, width: usize) {
-        seeds.clear();
-        seeds.extend((0..width as u64).map(|j| trial_seed(base_seed, gstart + j)));
-    }
-    let outcomes = match cfg.protocol {
-        ProtocolKind::BasicLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = BasicLead::new(n);
-                let w = SweepWorker::<u64, BasicNode>::new(n, p.wakes());
-                (w, p, BasicBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::ALeadUni => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = ALeadUni::new(n);
-                let w = SweepWorker::<u64, ALeadNode>::new(n, p.wakes());
-                (w, p, ALeadBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseAsyncLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p, PhaseBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseSumLead => run_batch_range_grouped(
-            &cfg.batch,
-            start,
-            end,
-            width,
-            || {
-                let p = PhaseSumLead::new(n);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p, PhaseBatchCache::ring(n), Vec::new())
-            },
-            |(w, p, cache, seeds), gstart, out| {
-                group_seeds(seeds, base_seed, gstart, width);
-                if !p.run_honest_batch_into(seeds, cache) {
-                    return false;
-                }
-                for lane in 0..width {
-                    cache.execution_into(lane, &mut w.exec);
-                    out.push(TrialOutcome::of(&w.exec));
-                }
-                true
-            },
-            |(w, p, _, _), _i, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-    };
-    let mut partial = ReportPartial::new_honest(
-        cfg.protocol.name(),
-        n,
-        cfg.batch.base_seed,
-        cfg.batch.trials,
-    );
-    record_honest(&mut partial, start, outcomes);
-    partial
-}
-
-/// Runs the scalar trials of a fault-enabled honest sweep: each trial
-/// draws its [`FaultPlan`] from the trial seed's fault stream
-/// ([`ring_sim::FAULT_STREAM_SALT`]) and installs it on the worker's
-/// engine before running, and returns `(outcome, crashed)` where
-/// `crashed` says whether at least one planned crash fired.
-fn run_faulty_trials<M: Clone, N: Node<M> + ArenaBacked, P>(
-    batch: &BatchConfig,
-    start: u64,
-    end: u64,
-    n: usize,
-    fcfg: &FaultConfig,
-    make: impl Fn() -> (SweepWorker<M, N>, P) + Sync,
-    trial: impl Fn(&mut SweepWorker<M, N>, &P, u64) -> TrialOutcome + Sync,
-) -> Vec<Result<(TrialOutcome, bool), TrialFault>> {
-    run_batch_range(
-        batch,
+    let fault = cfg.fault.map(|f| f.config());
+    let outcomes = run_batch_range_grouped(
+        &cfg.batch,
         start,
         end,
-        || {
-            let (w, p) = make();
-            (w, p, FaultPlan::none())
-        },
-        |(w, p, plan), _i, seed| {
-            plan.draw_into(fcfg, n, seed);
-            w.engine.set_fault_plan(plan);
-            let out = trial(w, p, seed);
-            (out, w.exec.stats.crashes > 0)
-        },
-    )
-}
-
-/// The fault-enabled twin of [`run_honest_partial`]'s body: always
-/// scalar (see [`HonestSweep::resolved_batch_width`]), and the returned
-/// partial carries the crash counters
-/// ([`ReportPartial::with_faults`]).
-fn run_honest_faulty_partial(
-    cfg: &HonestSweep,
-    fspec: &FaultSpec,
-    start: u64,
-    end: u64,
-) -> ReportPartial {
-    let n = cfg.n;
-    let fcfg = fspec.config();
-    let net = cfg.schedule.timed_net();
-    let net = net.as_ref();
-    let outcomes = match cfg.protocol {
-        ProtocolKind::BasicLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = BasicLead::new(n);
-                let w = SweepWorker::<u64, BasicNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::ALeadUni => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = ALeadUni::new(n);
-                let w = SweepWorker::<u64, ALeadNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.clone().with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseAsyncLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-        ProtocolKind::PhaseSumLead => run_faulty_trials(
-            &cfg.batch,
-            start,
-            end,
-            n,
-            &fcfg,
-            || {
-                let p = PhaseSumLead::new(n);
-                let w = SweepWorker::<PhaseMsg, PhaseNode>::new(n, p.wakes());
-                (w, p)
-            },
-            |w, p, seed| {
-                let p = p.with_seed(seed);
-                match net {
-                    Some(net) => {
-                        w.trial_timed(|id, arena| p.honest_ring_node_in(id, arena), net, seed)
-                    }
-                    None => w.trial(|id, arena| p.honest_ring_node_in(id, arena)),
-                }
-            },
-        ),
-    };
-    let mut partial = ReportPartial::new_honest(
-        cfg.protocol.name(),
-        n,
-        cfg.batch.base_seed,
-        cfg.batch.trials,
-    )
-    .with_faults();
+        width,
+        || HonestWorker::new(protocol.clone(), net.clone(), fault),
+        |w, gstart, out| w.group(base_seed, gstart, width, out),
+        |w, _i, seed| w.trial(seed),
+    );
+    let mut partial =
+        ReportPartial::new_honest(cfg.protocol.name(), cfg.n, base_seed, cfg.batch.trials);
+    if fault.is_some() {
+        partial = partial.with_faults();
+    }
     for (i, slot) in outcomes.into_iter().enumerate() {
+        let index = start + i as u64;
         match slot {
-            Ok((outcome, crashed)) => partial.record_faulty(start + i as u64, outcome, crashed),
+            Ok((outcome, crashed)) if fault.is_some() => {
+                partial.record_faulty(index, outcome, crashed)
+            }
+            Ok((outcome, _)) => partial.record(index, outcome),
             Err(fault) => partial.record_fault(fault),
         }
     }
     partial
-}
-
-/// Feeds a [`run_batch_range`] result vector (whose slot `i` is global
-/// trial `start + i`) into an honest partial.
-fn record_honest(
-    partial: &mut ReportPartial,
-    start: u64,
-    outcomes: Vec<Result<TrialOutcome, TrialFault>>,
-) {
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        match slot {
-            Ok(outcome) => partial.record(start + i as u64, outcome),
-            Err(fault) => partial.record_fault(fault),
-        }
-    }
 }
 
 /// Runs any [`SweepSpec`] — honest, attack or tree-dictator — and

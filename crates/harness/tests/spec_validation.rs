@@ -3,7 +3,7 @@
 //! and every well-formed spec must round-trip and validate cleanly.
 //!
 //! These are the errors a user sees from
-//! `fle-lab attack-sweep --spec file.json`, so the messages are pinned
+//! `fle_lab attack-sweep --spec file.json`, so the messages are pinned
 //! by substring: a refactor that silently degrades them to "invalid
 //! spec" fails here.
 

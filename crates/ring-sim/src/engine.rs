@@ -167,14 +167,17 @@ impl<'p, M> SimBuilder<'p, M> {
     ///
     /// This is the one-shot path: it builds a fresh [`Engine`] per call.
     /// Batch workloads that run many trials over the same topology should
-    /// hold an [`Engine`] and call [`Engine::run`] directly to reuse its
-    /// buffers.
+    /// hold an [`Engine`] and call [`Engine::run_into`] directly to reuse
+    /// its buffers.
     ///
     /// # Panics
     ///
     /// Panics if any node id was left without a behaviour — an incomplete
     /// wiring is a programming error.
-    pub fn run(self) -> Execution {
+    pub fn run(self) -> Execution
+    where
+        M: Clone,
+    {
         let SimBuilder {
             topology,
             nodes,
@@ -191,7 +194,16 @@ impl<'p, M> SimBuilder<'p, M> {
             .collect();
         let mut engine = Engine::new(topology);
         engine.set_fault_plan(&fault);
-        engine.run_session(&mut nodes, &wakes, &mut *scheduler, step_limit, probe)
+        let mut out = Execution::default();
+        engine.run_into(
+            &mut nodes,
+            &wakes,
+            Schedule::Oblivious(&mut *scheduler),
+            step_limit,
+            probe,
+            &mut out,
+        );
+        out
     }
 }
 
@@ -201,8 +213,8 @@ impl<'p, M> SimBuilder<'p, M> {
 /// adjacency tables, per-node counters — from scratch on every call. For a
 /// Monte-Carlo sweep of many thousands of trials over the *same* topology
 /// that churn dominates the runtime, so `Engine` keeps those buffers alive
-/// across runs: [`Engine::run`] resets them in place (queue capacities are
-/// retained) and executes a fresh set of node behaviours.
+/// across runs: [`Engine::run_into`] resets them in place (queue
+/// capacities are retained) and executes a fresh set of node behaviours.
 ///
 /// An `Engine` produces bit-identical [`Execution`]s to the equivalent
 /// [`SimBuilder::run`] call — it is purely an allocation-reuse facility.
@@ -211,9 +223,10 @@ impl<'p, M> SimBuilder<'p, M> {
 /// # Examples
 ///
 /// ```
-/// use ring_sim::{Ctx, Engine, FifoScheduler, FnNode, Node, Outcome, Topology};
+/// use ring_sim::{Ctx, Engine, Execution, FifoScheduler, FnNode, Node, Outcome, Schedule, Topology};
 ///
 /// let mut engine = Engine::new(Topology::ring(2));
+/// let mut exec = Execution::default();
 /// for trial in 0..3u64 {
 ///     let mut nodes: Vec<Box<dyn Node<u64>>> = vec![
 ///         Box::new(
@@ -227,7 +240,8 @@ impl<'p, M> SimBuilder<'p, M> {
 ///             ctx.terminate(Some(m));
 ///         })),
 ///     ];
-///     let exec = engine.run(&mut nodes, &[0], &mut FifoScheduler::new(), 1000);
+///     let fifo = Schedule::Oblivious(&mut FifoScheduler::new());
+///     engine.run_into(&mut nodes, &[0], fifo, 1000, None, &mut exec);
 ///     assert_eq!(exec.outcome, Outcome::Elected(trial));
 /// }
 /// ```
@@ -274,8 +288,8 @@ pub struct Engine<M> {
 }
 
 /// The engine's two link-storage layouts. The variant is fixed at
-/// construction; every run entry dispatches on it **once**, outside the
-/// delivery loop, into a monomorphized [`drive`] instantiation.
+/// construction; a run dispatches on it **once**, outside the delivery
+/// loop, into a monomorphized [`drive`] instantiation.
 enum LinkStorage<M> {
     /// Flat slab — topologies where every node has exactly one in-link.
     Slab(LinkSlab<M>),
@@ -415,8 +429,8 @@ impl<M> Engine<M> {
 
     /// Clears all per-run state in place, keeping every allocation (link
     /// queues retain their capacity). Called automatically at the start of
-    /// each [`Engine::run`]; exposed for callers that want a cleared engine
-    /// between batches.
+    /// each [`Engine::run_into`]; exposed for callers that want a cleared
+    /// engine between batches.
     ///
     /// Link clearing is O(links *touched by the previous run*): pushes
     /// record first-touches in a dirty list, so a run that delivered
@@ -482,148 +496,71 @@ impl<M> Engine<M> {
         }
     }
 
-    /// Runs one trial with the given step limit and no probe.
+    /// Runs one trial and writes its result into `out`.
     ///
-    /// `nodes[i]` is the behaviour of node `i`; `wakes` lists the
-    /// spontaneously waking nodes in wake order. The engine is reset first
-    /// (and the scheduler cleared), so back-to-back calls are independent
-    /// trials.
+    /// `nodes[i]` is the behaviour of node `i`: a homogeneous `N` (each
+    /// protocol's honest node type, dispatched statically per activation)
+    /// or `Box<dyn Node<M>>` for protocol/attack mixes built at runtime.
+    /// `wakes` lists the spontaneously waking nodes in wake order. The
+    /// engine is reset and the schedule cleared first, so back-to-back
+    /// calls are independent trials; `out`'s buffers are cleared and
+    /// refilled in place, so a worker that reuses one `Execution` across a
+    /// batch allocates nothing per trial on this path.
     ///
-    /// This is the boxed-clone convenience path: it allocates a fresh
-    /// [`Execution`] per call. Batch aggregation should use
-    /// [`Engine::run_into`] (or [`Engine::run_mono_into`]) with a reused
-    /// out-parameter instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run(
-        &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
-        wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
-        step_limit: u64,
-    ) -> Execution {
-        let mut out = Execution::default();
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, &mut out);
-        out
-    }
-
-    /// [`Engine::run`] writing the result into a caller-owned
-    /// [`Execution`] instead of allocating a fresh one.
-    ///
-    /// `out`'s buffers are cleared and refilled in place, so a worker that
-    /// reuses one `Execution` across a batch performs zero per-trial
-    /// allocation on this path.
+    /// The run dispatches **once**, here, outside the delivery loop: on
+    /// the schedule (the fused global-FIFO stream, the split token/link
+    /// path over the ring slab or the general queues, or the timed heap),
+    /// the probe and the fault plan, into a monomorphized loop. Without a
+    /// probe the hooks compile away; no `Option` check survives on any
+    /// per-delivery path. With the all-zero [`TimedNetConfig`] a timed
+    /// run is bit-identical to a FIFO run: every event is stamped `t = 0`,
+    /// so the heap pops in send order. `M: Clone` is needed for the timed
+    /// net's duplicate deliveries.
     ///
     /// # Panics
     ///
     /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_into(
+    pub fn run_into<N: Node<M>, S: Scheduler + ?Sized>(
         &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
+        nodes: &mut [N],
         wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
-        step_limit: u64,
-        out: &mut Execution,
-    ) {
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, out);
-    }
-
-    /// [`Engine::run`] with an optional instrumentation probe.
-    ///
-    /// Probed runs go through a separate loop instantiation
-    /// (`DynProbeHook`); the probe-less entries compile with
-    /// `NoProbeHook`, whose empty inline hooks vanish entirely — no
-    /// `Option<&mut dyn Probe>` check survives on any per-delivery path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_session(
-        &mut self,
-        nodes: &mut [Box<dyn Node<M> + '_>],
-        wakes: &[NodeId],
-        scheduler: &mut dyn Scheduler,
+        schedule: Schedule<'_, M, S>,
         step_limit: u64,
         probe: Option<&mut dyn Probe<M>>,
-    ) -> Execution {
-        let mut out = Execution::default();
-        match probe {
-            Some(p) => self.session_core(
-                nodes,
-                wakes,
-                scheduler,
-                step_limit,
-                DynProbeHook(p),
-                &mut out,
-            ),
-            None => self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, &mut out),
-        }
-        out
-    }
-
-    /// The monomorphized honest fast path: like [`Engine::run`], but the
-    /// node behaviours are a homogeneous `&mut [N]` — no `Box`, no vtable
-    /// dispatch per activation, and the scheduler calls are statically
-    /// dispatched too. The protocol crates' `run_honest_in` entries route
-    /// through here; `Box<dyn Node>` remains available (via
-    /// [`Engine::run`]) for heterogeneous protocol/attack mixes.
-    ///
-    /// Produces bit-identical [`Execution`]s to [`Engine::run`] over the
-    /// equivalent boxed behaviours.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_mono<N: Node<M>, S: Scheduler + ?Sized>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        scheduler: &mut S,
-        step_limit: u64,
-    ) -> Execution {
-        let mut out = Execution::default();
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, &mut out);
-        out
-    }
-
-    /// [`Engine::run_mono`] writing into a caller-owned [`Execution`] —
-    /// the zero-allocation batch-trial entry point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_mono_into<N: Node<M>, S: Scheduler + ?Sized>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        scheduler: &mut S,
-        step_limit: u64,
         out: &mut Execution,
-    ) {
-        self.session_core(nodes, wakes, scheduler, step_limit, NoProbeHook, out);
+    ) where
+        M: Clone,
+    {
+        match probe {
+            Some(p) => self.session_core(nodes, wakes, schedule, step_limit, DynProbeHook(p), out),
+            None => self.session_core(nodes, wakes, schedule, step_limit, NoProbeHook, out),
+        }
     }
 
-    /// The engine loop's front half: resets per-run state, then dispatches
-    /// **once** on the link-storage variant and the probe hook into a fully
-    /// monomorphized [`drive`] instantiation — generic over node storage,
-    /// scheduler, link layout and probe, so the honest batch path carries
-    /// no vtable call, no storage match and no probe branch per delivery.
-    /// Every public `run*` entry funnels here, which is what keeps all the
-    /// paths bit-identical by construction.
+    /// The engine loop's front half: resets per-run state and the
+    /// schedule, then dispatches **once** on the fault plan into
+    /// [`drive_dispatch`] — generic over node storage, scheduler and probe,
+    /// so the honest batch path carries no vtable call, no storage match
+    /// and no probe branch per delivery — and writes the result.
     fn session_core<N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>>(
         &mut self,
         nodes: &mut [N],
         wakes: &[NodeId],
-        scheduler: &mut S,
+        mut schedule: Schedule<'_, M, S>,
         step_limit: u64,
         mut probe: P,
         out: &mut Execution,
-    ) {
+    ) where
+        M: Clone,
+    {
         assert_eq!(nodes.len(), self.n, "need one behaviour per node");
         self.reset();
-        scheduler.clear();
+        match &mut schedule {
+            Schedule::Oblivious(scheduler) => scheduler.clear(),
+            Schedule::Timed { heap, net, seed } => {
+                heap.begin_trial(net, self.topology.edges().len(), *seed)
+            }
+        }
 
         let Engine {
             topology,
@@ -662,7 +599,15 @@ impl<M> Engine<M> {
         // vanishes — no per-delivery fault check survives on that path.
         let (steps, delivered, hit_limit) = if fault.is_empty() {
             drive_dispatch(
-                &hot, &mut state, links, fused, nodes, wakes, scheduler, step_limit, &mut probe,
+                &hot,
+                &mut state,
+                links,
+                fused,
+                nodes,
+                wakes,
+                &mut schedule,
+                step_limit,
+                &mut probe,
                 &NoFaults,
             )
         } else {
@@ -673,11 +618,17 @@ impl<M> Engine<M> {
                 fused,
                 nodes,
                 wakes,
-                scheduler,
+                &mut schedule,
                 step_limit,
                 &mut probe,
                 &PlanFaults(fault),
             )
+        };
+        // Crash instants count deliveries on the oblivious paths and
+        // virtual nanoseconds on the timed one.
+        let clock = match &schedule {
+            Schedule::Oblivious(_) => delivered,
+            Schedule::Timed { heap, .. } => heap.now(),
         };
 
         out.outcome = outcome_of(&*state.outputs, !hit_limit);
@@ -689,148 +640,11 @@ impl<M> Engine<M> {
         out.stats.sent.extend_from_slice(&*state.sent);
         out.stats.received.clear();
         out.stats.received.extend_from_slice(&*state.received);
-        out.stats.crashes = fault.fired_count(delivered);
+        out.stats.crashes = fault.fired_count(clock);
         if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
             // Quiescence with live non-terminated nodes downstream of a
             // fired crash: the fault partitioned the election, which is a
             // different diagnosis than a protocol deadlock.
-            out.outcome = Outcome::Fail(FailReason::CrashPartition);
-        }
-        self.hwm_events = steps.max(self.hwm_events / 2);
-    }
-
-    /// Runs one trial on the virtual-clock timed path (latency, bandwidth,
-    /// loss, duplication per [`TimedNetConfig`]), allocating a fresh
-    /// [`Execution`]. The convenience form of
-    /// [`Engine::run_timed_mono_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    pub fn run_timed<N: Node<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-    ) -> Execution
-    where
-        M: Clone,
-    {
-        let mut out = Execution::default();
-        self.run_timed_mono_into(nodes, wakes, timed, net, seed, step_limit, &mut out);
-        out
-    }
-
-    /// The timed analogue of [`Engine::run_mono_into`]: executes one trial
-    /// over the virtual clock of `timed`, configured by `net` and seeded
-    /// (for latency/loss/dup draws) from `seed` through the dedicated
-    /// network stream — protocol node randomness is untouched.
-    ///
-    /// With the all-zero [`TimedNetConfig`] this is **bit-identical** to
-    /// [`Engine::run_mono_into`] under a FIFO scheduler: every event is
-    /// stamped `t = 0`, so the heap degenerates to the fused send-order
-    /// queue. `M: Clone` is required for duplicate deliveries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size.
-    #[allow(clippy::too_many_arguments)] // the worker's reusable buffers, spelled out
-    pub fn run_timed_mono_into<N: Node<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-        out: &mut Execution,
-    ) where
-        M: Clone,
-    {
-        self.timed_session_core(nodes, wakes, timed, net, seed, step_limit, NoProbeHook, out);
-    }
-
-    /// The timed twin of [`session_core`](Engine::session_core): resets
-    /// engine and timed scheduler, then drives the heap loop.
-    #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-    fn timed_session_core<N: Node<M>, P: ProbeHook<M>>(
-        &mut self,
-        nodes: &mut [N],
-        wakes: &[NodeId],
-        timed: &mut TimedScheduler<M>,
-        net: &TimedNetConfig,
-        seed: u64,
-        step_limit: u64,
-        mut probe: P,
-        out: &mut Execution,
-    ) where
-        M: Clone,
-    {
-        assert_eq!(nodes.len(), self.n, "need one behaviour per node");
-        self.reset();
-        timed.begin_trial(net, self.topology.edges().len(), seed);
-
-        let Engine {
-            topology,
-            n,
-            out_neighbors,
-            edge_of_dense,
-            out_edge_of,
-            outputs,
-            sent,
-            received,
-            sends,
-            link_dirty,
-            link_touched,
-            fault,
-            ..
-        } = self;
-        let hot = Hot {
-            n: *n,
-            edges: topology.edges(),
-            out_neighbors,
-            edge_of_dense,
-            out_edge_of,
-        };
-        let mut state = RunState {
-            outputs,
-            sent,
-            received,
-            sends,
-            link_dirty,
-            link_touched,
-        };
-        let (steps, delivered, hit_limit) = if fault.is_empty() {
-            drive_timed(
-                &hot, &mut state, timed, nodes, wakes, step_limit, &mut probe, &NoFaults,
-            )
-        } else {
-            drive_timed(
-                &hot,
-                &mut state,
-                timed,
-                nodes,
-                wakes,
-                step_limit,
-                &mut probe,
-                &PlanFaults(fault),
-            )
-        };
-
-        out.outcome = outcome_of(&*state.outputs, !hit_limit);
-        out.outputs.clear();
-        out.outputs.extend_from_slice(&*state.outputs);
-        out.stats.steps = steps;
-        out.stats.delivered = delivered;
-        out.stats.sent.clear();
-        out.stats.sent.extend_from_slice(&*state.sent);
-        out.stats.received.clear();
-        out.stats.received.extend_from_slice(&*state.received);
-        out.stats.crashes = fault.fired_count(timed.now());
-        if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
             out.outcome = Outcome::Fail(FailReason::CrashPartition);
         }
         self.hwm_events = steps.max(self.hwm_events / 2);
@@ -856,10 +670,32 @@ impl<M> Engine<M> {
     }
 }
 
-/// Per-delivery observation hooks, monomorphized so the probe-less run
-/// entries compile their calls away entirely (no `Option` check, no
-/// vtable). [`DynProbeHook`] adapts the public `&mut dyn Probe<M>` surface
-/// for [`Engine::run_session`].
+/// How [`Engine::run_into`] orders a run's events.
+///
+/// `S` is the oblivious scheduler's concrete type, which keeps its calls
+/// statically dispatched. A timed schedule leaves it unused, so a timed
+/// caller names any scheduler type; naming the [`FifoScheduler`] of the
+/// caller's FIFO runs keeps both on one loop instantiation.
+pub enum Schedule<'a, M, S: Scheduler + ?Sized> {
+    /// An oblivious scheduler, cleared at the start of the run. A global
+    /// FIFO ([`Scheduler::is_global_fifo`]) runs on the fused stream.
+    Oblivious(&'a mut S),
+    /// The virtual-clock path: latency, bandwidth, loss and duplication
+    /// per [`TimedNetConfig`], with the network noise drawn from `seed`'s
+    /// dedicated stream (protocol node randomness is untouched).
+    Timed {
+        /// The reusable event heap, re-seeded for the run.
+        heap: &'a mut TimedScheduler<M>,
+        /// The per-link network profiles.
+        net: &'a TimedNetConfig,
+        /// Seed of the run's network-noise stream.
+        seed: u64,
+    },
+}
+
+/// Per-delivery observation hooks, monomorphized so probe-less runs
+/// compile their calls away entirely (no `Option` check, no vtable).
+/// [`DynProbeHook`] adapts the public `&mut dyn Probe<M>` surface.
 trait ProbeHook<M> {
     fn on_send(&mut self, from: NodeId, to: NodeId, msg: &M, sent: &[u64]);
     fn on_deliver(&mut self, from: NodeId, to: NodeId, msg: &M, received: &[u64]);
@@ -893,10 +729,10 @@ impl<M> ProbeHook<M> for DynProbeHook<'_, M> {
     }
 }
 
-/// Per-event crash check, monomorphized like [`ProbeHook`] so the
-/// fault-free run entries compile the check away entirely. `clock` is the
-/// loop's clock: deliveries completed so far on the untimed paths, the
-/// virtual time on the timed path.
+/// Per-event crash check, monomorphized like [`ProbeHook`] so fault-free
+/// runs compile the check away entirely. `clock` is the loop's clock:
+/// deliveries completed so far on the untimed paths, the virtual time on
+/// the timed path.
 trait FaultHook {
     fn is_down(&self, node: NodeId, clock: u64) -> bool;
 }
@@ -921,33 +757,37 @@ impl FaultHook for PlanFaults<'_> {
     }
 }
 
-/// The untimed three-way loop dispatch (fused global-FIFO stream, ring
-/// slab, general queues), factored out of
+/// The four-way loop dispatch (fused global-FIFO stream, ring slab,
+/// general queues, timed heap), factored out of
 /// [`session_core`](Engine::session_core) so it instantiates once per
 /// [`FaultHook`] without spelling the arms twice at the call site.
 #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive_dispatch<M, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
+fn drive_dispatch<M: Clone, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
     hot: &Hot<'_>,
     state: &mut RunState<'_, M>,
     links: &mut LinkStorage<M>,
     fused: &mut VecDeque<FusedEvent<M>>,
     nodes: &mut [N],
     wakes: &[NodeId],
-    scheduler: &mut S,
+    schedule: &mut Schedule<'_, M, S>,
     step_limit: u64,
     probe: &mut P,
     faults: &F,
 ) -> (u64, u64, bool) {
-    if scheduler.is_global_fifo() {
-        drive_fused(hot, state, fused, nodes, wakes, step_limit, probe, faults)
-    } else {
-        match links {
+    match schedule {
+        Schedule::Oblivious(scheduler) if scheduler.is_global_fifo() => {
+            drive_fused(hot, state, fused, nodes, wakes, step_limit, probe, faults)
+        }
+        Schedule::Oblivious(scheduler) => match links {
             LinkStorage::Slab(slab) => drive(
-                hot, state, slab, nodes, wakes, scheduler, step_limit, probe, faults,
+                hot, state, slab, nodes, wakes, *scheduler, step_limit, probe, faults,
             ),
             LinkStorage::Queues(queues) => drive(
-                hot, state, queues, nodes, wakes, scheduler, step_limit, probe, faults,
+                hot, state, queues, nodes, wakes, *scheduler, step_limit, probe, faults,
             ),
+        },
+        Schedule::Timed { heap, .. } => {
+            drive_timed(hot, state, heap, nodes, wakes, step_limit, probe, faults)
         }
     }
 }
@@ -1333,8 +1173,8 @@ pub struct Execution {
 
 impl Default for Execution {
     /// A pre-run placeholder (failed outcome, empty buffers) intended as
-    /// the out-parameter of [`Engine::run_into`] /
-    /// [`Engine::run_mono_into`], which overwrite every field. Reusing one
+    /// the out-parameter of [`Engine::run_into`], which overwrites every
+    /// field. Reusing one
     /// value across a batch keeps the buffers' capacity, so per-trial
     /// result extraction allocates nothing.
     fn default() -> Self {
@@ -1378,6 +1218,36 @@ mod tests {
     use crate::outcome::FailReason;
     use crate::scheduler::{LifoScheduler, RandomScheduler};
     use crate::Topology;
+
+    /// One oblivious run through [`Engine::run_into`], without a probe.
+    fn run<N: Node<u64>, S: Scheduler + ?Sized>(
+        engine: &mut Engine<u64>,
+        nodes: &mut [N],
+        wakes: &[NodeId],
+        scheduler: &mut S,
+        step_limit: u64,
+    ) -> Execution {
+        let mut out = Execution::default();
+        let schedule = Schedule::Oblivious(scheduler);
+        engine.run_into(nodes, wakes, schedule, step_limit, None, &mut out);
+        out
+    }
+
+    /// One timed run through [`Engine::run_into`], without a probe.
+    fn run_timed<N: Node<u64>>(
+        engine: &mut Engine<u64>,
+        nodes: &mut [N],
+        wakes: &[NodeId],
+        heap: &mut TimedScheduler<u64>,
+        net: &TimedNetConfig,
+        seed: u64,
+        step_limit: u64,
+    ) -> Execution {
+        let mut out = Execution::default();
+        let schedule: Schedule<'_, u64, FifoScheduler> = Schedule::Timed { heap, net, seed };
+        engine.run_into(nodes, wakes, schedule, step_limit, None, &mut out);
+        out
+    }
 
     /// Token-ring counter: origin starts a token; each node increments and
     /// forwards; everyone terminates with the value they saw at `3n`.
@@ -1571,7 +1441,8 @@ mod tests {
         let mut engine = Engine::new(Topology::ring(n));
         for _ in 0..3 {
             let mut nodes = counter_nodes(n, target);
-            let exec = engine.run(
+            let exec = run(
+                &mut engine,
                 &mut nodes,
                 &[0],
                 &mut FifoScheduler::new(),
@@ -1586,7 +1457,8 @@ mod tests {
         let n = 4;
         let mut engine: Engine<u64> = Engine::new(Topology::ring(n));
         let mut nodes = counter_nodes(n, 3 * n as u64);
-        let _ = engine.run(
+        let _ = run(
+            &mut engine,
             &mut nodes,
             &[0],
             &mut FifoScheduler::new(),
@@ -1604,11 +1476,16 @@ mod tests {
     fn engine_rejects_wrong_node_count() {
         let mut engine: Engine<u64> = Engine::new(Topology::ring(3));
         let mut nodes = counter_nodes(2, 6);
-        let _ = engine.run(&mut nodes, &[0], &mut FifoScheduler::new(), 100);
+        let _ = run(
+            &mut engine,
+            &mut nodes,
+            &[0],
+            &mut FifoScheduler::new(),
+            100,
+        );
     }
 
-    /// A monomorphic token-ring counter node (no boxing) for the
-    /// `run_mono` paths.
+    /// A monomorphic token-ring counter node (no boxing).
     struct Counter {
         n: u64,
         target: u64,
@@ -1644,12 +1521,15 @@ mod tests {
             .collect()
     }
 
+    /// Boxed and monomorphized node vectors through the one run entry,
+    /// reusing the engine, scheduler and out-parameter across trials.
     #[test]
     fn run_into_and_run_mono_match_run() {
         let n = 5;
         let target = 3 * n as u64;
         let mut engine = Engine::new(Topology::ring(n));
-        let reference = engine.run(
+        let reference = run(
+            &mut engine,
             &mut counter_nodes(n, target),
             &[0],
             &mut FifoScheduler::new(),
@@ -1659,26 +1539,15 @@ mod tests {
         let mut reused = Execution::default();
         let mut scheduler = FifoScheduler::new();
         for _ in 0..3 {
-            engine.run_into(
-                &mut counter_nodes(n, target),
-                &[0],
-                &mut scheduler,
-                default_step_limit(n),
-                &mut reused,
-            );
+            let fifo = Schedule::Oblivious(&mut scheduler);
+            let limit = default_step_limit(n);
+            let mut boxed = counter_nodes(n, target);
+            engine.run_into(&mut boxed, &[0], fifo, limit, None, &mut reused);
             assert_eq!(reused, reference);
 
+            let fifo = Schedule::Oblivious(&mut scheduler);
             let mut mono = mono_nodes(n, target);
-            let exec = engine.run_mono(&mut mono, &[0], &mut scheduler, default_step_limit(n));
-            assert_eq!(exec, reference);
-
-            engine.run_mono_into(
-                &mut mono_nodes(n, target),
-                &[0],
-                &mut scheduler,
-                default_step_limit(n),
-                &mut reused,
-            );
+            engine.run_into(&mut mono, &[0], fifo, limit, None, &mut reused);
             assert_eq!(reused, reference);
         }
     }
@@ -1691,7 +1560,8 @@ mod tests {
         let mut engine = Engine::new(Topology::ring(n));
         let mut scheduler = FifoScheduler::new();
         scheduler.push(Token::Wake(2));
-        let exec = engine.run_mono(
+        let exec = run(
+            &mut engine,
             &mut mono_nodes(n, 3 * n as u64),
             &[0],
             &mut scheduler,
@@ -1729,13 +1599,15 @@ mod tests {
                 Engine::new(Topology::ring(n))
             };
             for _ in 0..2 {
-                let fused = engine.run_mono(
+                let fused = run(
+                    &mut engine,
                     &mut mono_nodes(n, target),
                     &[0],
                     &mut FifoScheduler::new(),
                     limit,
                 );
-                let split = engine.run_mono(
+                let split = run(
+                    &mut engine,
                     &mut mono_nodes(n, target),
                     &[0],
                     &mut crate::scheduler::reference::FifoScheduler::new(),
@@ -1764,13 +1636,15 @@ mod tests {
         let mut slab = Engine::new(Topology::ring(n));
         let mut general = Engine::new_with_general_links(Topology::ring(n));
         for _ in 0..3 {
-            let a = slab.run_mono(
+            let a = run(
+                &mut slab,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
                 default_step_limit(n),
             );
-            let b = general.run_mono(
+            let b = run(
+                &mut general,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
@@ -1804,7 +1678,13 @@ mod tests {
                 }
             })),
         ];
-        let exec = engine.run(&mut nodes, &[0], &mut FifoScheduler::new(), 1000);
+        let exec = run(
+            &mut engine,
+            &mut nodes,
+            &[0],
+            &mut FifoScheduler::new(),
+            1000,
+        );
         assert_eq!(exec.outcome, Outcome::Elected(0));
         assert_eq!(*seen.borrow(), (0..40).collect::<Vec<u64>>());
     }
@@ -1817,14 +1697,16 @@ mod tests {
         let n = 4;
         let target = 3 * n as u64;
         let mut engine: Engine<u64> = Engine::new(Topology::ring(n));
-        let exec = engine.run(
+        let exec = run(
+            &mut engine,
             &mut counter_nodes(n, target),
             &[0],
             &mut FifoScheduler::new(),
             3,
         );
         assert_eq!(exec.outcome, Outcome::Fail(FailReason::StepLimit));
-        let clean = engine.run(
+        let clean = run(
+            &mut engine,
             &mut counter_nodes(n, target),
             &[0],
             &mut FifoScheduler::new(),
@@ -1848,13 +1730,15 @@ mod tests {
         let mut timed = crate::TimedScheduler::new();
         let net = crate::TimedNetConfig::default();
         for seed in 0..3 {
-            let fused = engine.run_mono(
+            let fused = run(
+                &mut engine,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
                 default_step_limit(n),
             );
-            let timed_exec = engine.run_timed(
+            let timed_exec = run_timed(
+                &mut engine,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut timed,
@@ -1879,7 +1763,8 @@ mod tests {
             latency: crate::LatencySpec::Uniform { lo: 10, hi: 5000 },
             ..crate::LinkProfile::default()
         });
-        let exec = engine.run_timed(
+        let exec = run_timed(
+            &mut engine,
             &mut mono_nodes(n, target),
             &[0],
             &mut timed,
@@ -1908,7 +1793,8 @@ mod tests {
             gap_ns: 3,
         });
         let mut run = |seed: u64| {
-            engine.run_timed(
+            run_timed(
+                &mut engine,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut timed,
@@ -1949,13 +1835,15 @@ mod tests {
         };
         // Grow both layouts: the fused path via the global FIFO, the slab
         // via the split-path reference scheduler.
-        let _ = engine.run(
+        let _ = run(
+            &mut engine,
             &mut burst_nodes(),
             &[0],
             &mut FifoScheduler::new(),
             4 * burst,
         );
-        let _ = engine.run(
+        let _ = run(
+            &mut engine,
             &mut burst_nodes(),
             &[0],
             &mut crate::scheduler::reference::FifoScheduler::new(),
@@ -1968,7 +1856,8 @@ mod tests {
         );
         // Many small trials decay the watermark; capacity must follow.
         for _ in 0..64 {
-            let _ = engine.run(
+            let _ = run(
+                &mut engine,
                 &mut counter_nodes(n, 3 * n as u64),
                 &[0],
                 &mut FifoScheduler::new(),
@@ -1997,7 +1886,8 @@ mod tests {
         let target = 3 * n as u64;
         let mut engine: Engine<u64> = Engine::new(Topology::ring(n));
         for _ in 0..3 {
-            let _ = engine.run(
+            let _ = run(
+                &mut engine,
                 &mut counter_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
@@ -2009,7 +1899,8 @@ mod tests {
             engine.retained_link_capacity(),
         );
         for _ in 0..47 {
-            let _ = engine.run(
+            let _ = run(
+                &mut engine,
                 &mut counter_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),

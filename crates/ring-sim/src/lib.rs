@@ -84,7 +84,7 @@ mod timed;
 mod topology;
 
 pub use arena::{ArenaBacked, TrialArena};
-pub use engine::{default_step_limit, Engine, Execution, SimBuilder, Stats};
+pub use engine::{default_step_limit, Engine, Execution, Schedule, SimBuilder, Stats};
 pub use fault::{CrashFault, CrashInstant, FaultConfig, FaultPlan, FAULT_STREAM_SALT};
 pub use node::{Ctx, FnNode, Node};
 pub use outcome::{FailReason, Outcome};

@@ -108,7 +108,7 @@ where
 
 /// Boxed behaviours forward to their contents, so heterogeneous
 /// `Vec<Box<dyn Node<M>>>` mixes run through the same engine loop as
-/// monomorphized node vectors ([`crate::Engine::run_mono`]).
+/// monomorphized node vectors ([`crate::Engine::run_into`]).
 impl<M, N: Node<M> + ?Sized> Node<M> for Box<N> {
     fn on_wake(&mut self, ctx: &mut Ctx<'_, M>) {
         (**self).on_wake(ctx);

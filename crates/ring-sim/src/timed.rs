@@ -180,7 +180,7 @@ fn pack_key(time: u64, seq: u64) -> u128 {
 }
 
 /// The virtual-clock event queue driving
-/// [`Engine::run_timed`](crate::Engine::run_timed): a binary min-heap of
+/// [`Schedule::Timed`](crate::Schedule::Timed) runs: a binary min-heap of
 /// pending events keyed
 /// by `(arrival_ns, seq)` plus the per-trial network randomness stream and
 /// per-link bandwidth cursors.
@@ -215,8 +215,8 @@ impl<M> Default for TimedScheduler<M> {
 }
 
 impl<M> TimedScheduler<M> {
-    /// Creates an empty scheduler; call sites re-seed it per trial through
-    /// the engine's `run_timed*` entries.
+    /// Creates an empty scheduler; [`Engine::run_into`](crate::Engine::run_into)
+    /// re-seeds it per trial.
     pub fn new() -> Self {
         TimedScheduler {
             heap: BinaryHeap::new(),

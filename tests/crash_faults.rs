@@ -15,7 +15,9 @@
 //!    and recovery monotonically restores survival.
 
 use fle_attacks::AttackKind;
-use fle_core::protocols::{ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead};
+use fle_core::protocols::{
+    ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead, RingProtocol,
+};
 use fle_harness::{
     run_batch_range_grouped, run_sweep, sha256_hex, trial_seed, AttackSweep, BatchConfig,
     CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec, ProtocolKind,

@@ -1,10 +1,9 @@
 //! Differential tests of the engine's execution paths.
 //!
-//! The engine exposes one semantics through several entry points tuned for
-//! different callers: the one-shot `SimBuilder` (fresh working set per
-//! run), the boxed `Engine::run` / `Engine::run_into` (allocation reuse
-//! over `Box<dyn Node>`), the monomorphized `Engine::run_mono` /
-//! `run_mono_into` honest fast path (no boxing, static dispatch), the
+//! The engine runs every trial through one entry, `Engine::run_into`, but
+//! callers reach it with different node storage and buffers: the one-shot
+//! `SimBuilder` (fresh working set per run), boxed `Box<dyn Node>` mixes
+//! and monomorphized honest node vectors over a reused engine, the
 //! arena-pooled `run_ring_honest_pooled_into` batch loop, and the
 //! `run_with_in`/`TrialCache` attack fast path. Since the packed-token /
 //! link-slab engine landed, each protocol additionally runs through an
@@ -19,54 +18,76 @@ use fle_attacks::{
     PhaseSumAttack, RushingAttack, RushingCache,
 };
 use fle_core::protocols::{
-    run_ring_honest_in, run_ring_honest_pooled_into, ALeadTrialCache, ALeadUni, BasicLead,
-    BasicTrialCache, FleProtocol, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache,
+    run_ring_honest_pooled_into, ALeadTrialCache, ALeadUni, BasicLead, BasicTrialCache,
+    FleProtocol, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache, RingProtocol,
 };
 use fle_core::Coalition;
 use proptest::prelude::*;
 use ring_sim::{
-    default_step_limit, ArenaBacked, Engine, Execution, FifoScheduler, Node, Topology, TrialArena,
+    default_step_limit, ArenaBacked, Engine, Execution, FifoScheduler, Node, Schedule, Scheduler,
+    Topology, TrialArena,
 };
 
-/// Drives one protocol instance through every engine entry point against
-/// the `SimBuilder` reference execution. The engine and the `run_into`
-/// out-parameter are reused across paths, so buffer-reuse bugs surface as
-/// cross-run contamination.
-fn assert_paths_agree<M: 'static, N: Node<M> + ArenaBacked>(
+/// One probe-free run of `nodes` through `Engine::run_into` on an
+/// oblivious scheduler, into `out`.
+fn run_into<M: Clone, N: Node<M>, S: Scheduler + ?Sized>(
+    engine: &mut Engine<M>,
+    nodes: &mut [N],
+    wakes: &[usize],
+    scheduler: &mut S,
+    out: &mut Execution,
+) {
+    let limit = default_step_limit(nodes.len());
+    engine.run_into(
+        nodes,
+        wakes,
+        Schedule::Oblivious(scheduler),
+        limit,
+        None,
+        out,
+    );
+}
+
+/// [`run_into`] into a fresh `Execution`.
+fn run<M: Clone, N: Node<M>, S: Scheduler + ?Sized>(
+    engine: &mut Engine<M>,
+    nodes: &mut [N],
+    wakes: &[usize],
+    scheduler: &mut S,
+) -> Execution {
+    let mut out = Execution::default();
+    run_into(engine, nodes, wakes, scheduler, &mut out);
+    out
+}
+
+/// Drives one protocol instance through every node storage and buffer
+/// form against the `SimBuilder` reference execution. The engine and the
+/// `run_into` out-parameter are reused across paths, so buffer-reuse bugs
+/// surface as cross-run contamination.
+fn assert_paths_agree<M: Clone + 'static, N: Node<M> + ArenaBacked>(
     n: usize,
     wakes: &[usize],
     reference: &Execution,
     engine: &mut Engine<M>,
-    mut boxed: impl FnMut() -> Vec<Box<dyn Node<M>>>,
+    boxed: impl FnOnce() -> Vec<Box<dyn Node<M>>>,
     mut mono: impl FnMut(usize) -> N,
     mut pooled: impl FnMut(usize, &mut TrialArena) -> N,
 ) {
-    let limit = default_step_limit(n);
-
-    let via_run = engine.run(&mut boxed(), wakes, &mut FifoScheduler::new(), limit);
-    assert_eq!(&via_run, reference, "Engine::run vs SimBuilder");
+    let via_boxed = run(engine, &mut boxed(), wakes, &mut FifoScheduler::new());
+    assert_eq!(&via_boxed, reference, "boxed nodes vs SimBuilder");
 
     // The out-parameter starts dirty (filled by the previous path) and is
     // reused below — run_into must overwrite it completely each time.
-    let mut out = via_run;
-    engine.run_into(
-        &mut boxed(),
-        wakes,
-        &mut FifoScheduler::new(),
-        limit,
-        &mut out,
-    );
-    assert_eq!(&out, reference, "Engine::run_into vs SimBuilder");
-
-    let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
+    let mut out = via_boxed;
     let mut scheduler = FifoScheduler::new();
-    let via_mono = engine.run_mono(&mut mono_nodes, wakes, &mut scheduler, limit);
-    assert_eq!(&via_mono, reference, "Engine::run_mono vs SimBuilder");
-
-    // Reused scheduler + reused out-parameter: the zero-allocation path.
-    let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
-    engine.run_mono_into(&mut mono_nodes, wakes, &mut scheduler, limit, &mut out);
-    assert_eq!(&out, reference, "Engine::run_mono_into vs SimBuilder");
+    for pass in 0..2 {
+        let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
+        run_into(engine, &mut mono_nodes, wakes, &mut scheduler, &mut out);
+        assert_eq!(
+            &out, reference,
+            "monomorphized nodes (pass {pass}) vs SimBuilder"
+        );
+    }
 
     // The arena-pooled batch loop, twice over the same arena and node
     // buffer: the second pass runs entirely on reclaimed stores, so a
@@ -89,12 +110,6 @@ fn assert_paths_agree<M: 'static, N: Node<M> + ArenaBacked>(
             "run_ring_honest_pooled_into (pass {pass}) vs SimBuilder"
         );
     }
-
-    let via_honest_in = run_ring_honest_in(engine, n, mono, wakes);
-    assert_eq!(
-        &via_honest_in, reference,
-        "run_ring_honest_in vs SimBuilder"
-    );
 }
 
 /// Runs the same honest instance through every engine storage layout:
@@ -105,39 +120,31 @@ fn assert_paths_agree<M: 'static, N: Node<M> + ArenaBacked>(
 /// `is_global_fifo` = false) on both layouts. All four must equal the
 /// `SimBuilder` reference. Engines are reused for a second pass so a
 /// stale slab cursor or dirty-list bug surfaces as a second-run mismatch.
-fn assert_link_layouts_agree<M, N: Node<M> + ArenaBacked>(
+fn assert_link_layouts_agree<M: Clone, N: Node<M> + ArenaBacked>(
     n: usize,
     wakes: &[usize],
     reference: &Execution,
     mut mono: impl FnMut(usize) -> N,
 ) {
-    let limit = default_step_limit(n);
     let mut slab = Engine::new(Topology::ring(n));
     let mut general = Engine::new_with_general_links(Topology::ring(n));
     assert!(slab.uses_ring_slab() && !general.uses_ring_slab());
     for pass in 0..2 {
-        let via_slab = run_ring_honest_in(&mut slab, n, &mut mono, wakes);
+        let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
+        let via_slab = run(&mut slab, &mut nodes, wakes, &mut FifoScheduler::new());
         assert_eq!(&via_slab, reference, "fused on slab engine (pass {pass})");
-        let via_general = run_ring_honest_in(&mut general, n, &mut mono, wakes);
+        let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
+        let via_general = run(&mut general, &mut nodes, wakes, &mut FifoScheduler::new());
         assert_eq!(
             &via_general, reference,
             "fused on general-links engine (pass {pass})"
         );
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let split_slab = slab.run_mono(
-            &mut nodes,
-            wakes,
-            &mut ring_sim::reference::FifoScheduler::new(),
-            limit,
-        );
+        let mut split = ring_sim::reference::FifoScheduler::new();
+        let split_slab = run(&mut slab, &mut nodes, wakes, &mut split);
         assert_eq!(&split_slab, reference, "split LinkSlab path (pass {pass})");
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let split_general = general.run_mono(
-            &mut nodes,
-            wakes,
-            &mut ring_sim::reference::FifoScheduler::new(),
-            limit,
-        );
+        let split_general = run(&mut general, &mut nodes, wakes, &mut split);
         assert_eq!(
             &split_general, reference,
             "split VecDeque-links path (pass {pass})"
@@ -367,7 +374,7 @@ proptest! {
 #[test]
 #[ignore = "release-mode timing measurement; run explicitly with --nocapture"]
 fn split_path_slab_vs_vecdeque_timing() {
-    use ring_sim::{LifoScheduler, RandomScheduler, Scheduler};
+    use ring_sim::{LifoScheduler, RandomScheduler};
     use std::time::Instant;
 
     let n = 64;
@@ -387,7 +394,9 @@ fn split_path_slab_vs_vecdeque_timing() {
             for seed in 0..trials {
                 let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(7);
                 let mut nodes: Vec<_> = (0..n).map(|id| p.honest_ring_node(id)).collect();
-                let exec = engine.run_mono(&mut nodes, &p.wakes(), &mut scheduler, limit);
+                let mut exec = ring_sim::Execution::default();
+                let schedule = ring_sim::Schedule::Oblivious(&mut scheduler);
+                engine.run_into(&mut nodes, &p.wakes(), schedule, limit, None, &mut exec);
                 assert!(exec.outcome.elected().is_some(), "{label} seed {seed}");
             }
             if pass == 1 {

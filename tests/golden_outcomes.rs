@@ -12,12 +12,14 @@
 //! that is the point.
 
 use fle_attacks::{AttackKind, PhaseRushingAttack, PhaseRushingCache, RushingAttack};
-use fle_core::protocols::{ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead};
+use fle_core::protocols::{
+    ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead, RingProtocol,
+};
 use fle_core::Coalition;
 use fle_harness::{
     run_batch, run_sweep, run_sweep_partial, sha256_hex, trial_seed, AttackSweep, BatchConfig,
-    CoalitionSpec, FnKeySpec, HonestSweep, ProtocolKind, ScheduleSpec, SeedMode, SweepSpec,
-    TargetSpec, TrialOutcome, TrialReport,
+    CoalitionSpec, FaultSpec, FnKeySpec, HonestSweep, ProtocolKind, ScheduleSpec, SeedMode,
+    SweepSpec, TargetSpec, TrialOutcome, TrialReport,
 };
 use ring_sim::Execution;
 
@@ -561,5 +563,331 @@ fn engine_path_matches_pinned_values() {
             128,
             129,
         );
+    }
+}
+
+/// A small honest sweep for the per-arm path pins: 64 trials at n = 8
+/// on `schedule`, with an optional crash-fault plan, at lockstep
+/// `width` (1 = scalar) on `threads` workers.
+fn small_honest_sweep(
+    protocol: ProtocolKind,
+    schedule: ScheduleSpec,
+    fault: Option<FaultSpec>,
+    width: usize,
+    threads: usize,
+) -> SweepSpec {
+    SweepSpec::Honest(HonestSweep {
+        protocol,
+        n: 8,
+        fn_key: 9,
+        batch: BatchConfig {
+            trials: 64,
+            base_seed: 5,
+            threads,
+        },
+        batch_width: width,
+        schedule,
+        fault,
+    })
+}
+
+/// SHA-256 pins of every honest protocol arm under each delivery and
+/// fault option a sweep can select: FIFO, timed `const:500`, `--crash 1`
+/// (one crash-stop within the nominal 2n² deliveries), and a noisy timed
+/// net (`uniform:0:1000`, 5% loss) with one crash within 20 µs. Each arm
+/// must give the same bytes at lockstep widths 1 and 8, so the scalar
+/// worker and the lockstep groups are pinned together. Constant latency
+/// keeps per-link FIFO order, so the timed `const:500` arm reproduces the
+/// FIFO arm's bytes.
+#[test]
+fn honest_sweep_arms_are_pinned() {
+    let fifo = ScheduleSpec::Fifo;
+    let timed = ScheduleSpec::Timed {
+        latency: fle_harness::LatencySpec::Constant { ns: 500 },
+        loss_permille: 0,
+        dup_permille: 0,
+    };
+    let noisy = ScheduleSpec::Timed {
+        latency: fle_harness::LatencySpec::Uniform { lo: 0, hi: 1000 },
+        loss_permille: 50,
+        dup_permille: 0,
+    };
+    let crash = Some(FaultSpec {
+        crashes: 1,
+        window: fle_harness::CrashInstant::Deliveries(128),
+        recover: None,
+    });
+    let timed_crash = Some(FaultSpec {
+        crashes: 1,
+        window: fle_harness::CrashInstant::VirtualNs(20_000),
+        recover: None,
+    });
+    use ProtocolKind::{ALeadUni, BasicLead, PhaseAsyncLead, PhaseSumLead};
+    let arms: [(ProtocolKind, ScheduleSpec, Option<FaultSpec>, &str); 16] = [
+        (
+            BasicLead,
+            fifo,
+            None,
+            "68ae97d5d2cb8b7126b1e6e3b54c3df0b771a568f40ca78ded8ec406a01d1c85",
+        ),
+        (
+            BasicLead,
+            timed,
+            None,
+            "68ae97d5d2cb8b7126b1e6e3b54c3df0b771a568f40ca78ded8ec406a01d1c85",
+        ),
+        (
+            BasicLead,
+            fifo,
+            crash,
+            "a7874eb73121953eaa98077b868976349269c4d94b73fc2325feb5df30b5d85b",
+        ),
+        (
+            BasicLead,
+            noisy,
+            timed_crash,
+            "a5d8fad6beca167f0038876de4922a7f21b236379196d68d06d0b2d2dd578453",
+        ),
+        (
+            ALeadUni,
+            fifo,
+            None,
+            "b5358cdb895e14503e72b9229a0a4cb154cdf6fb3e1aa514e0dd0da4a454706b",
+        ),
+        (
+            ALeadUni,
+            timed,
+            None,
+            "b5358cdb895e14503e72b9229a0a4cb154cdf6fb3e1aa514e0dd0da4a454706b",
+        ),
+        (
+            ALeadUni,
+            fifo,
+            crash,
+            "1bf641983129f13d98b4b0c40ca053998e8dcba6ac0c9445e138a1245ce283a4",
+        ),
+        (
+            ALeadUni,
+            noisy,
+            timed_crash,
+            "43be995b185bde3b754a0ad7c110308dcb2d7ddaf54e376ae8e7d2ad24cf8eda",
+        ),
+        (
+            PhaseAsyncLead,
+            fifo,
+            None,
+            "46a1011d91cee94b54da723397c7dccc897b8b40453485010c426b51c2095a55",
+        ),
+        (
+            PhaseAsyncLead,
+            timed,
+            None,
+            "46a1011d91cee94b54da723397c7dccc897b8b40453485010c426b51c2095a55",
+        ),
+        (
+            PhaseAsyncLead,
+            fifo,
+            crash,
+            "5f039d3ea59017924b977704de0ee2e86afadd6336a05d5820632311be9a9215",
+        ),
+        (
+            PhaseAsyncLead,
+            noisy,
+            timed_crash,
+            "1e7b6f15b9da013faf2803395cf0d760c97b42ce8a535cadc8a7eabbe0b50e7e",
+        ),
+        (
+            PhaseSumLead,
+            fifo,
+            None,
+            "3f91df16d07f556e9fd8073672fad34da81a05aaa570c5b26a653d2652ea4ef2",
+        ),
+        (
+            PhaseSumLead,
+            timed,
+            None,
+            "3f91df16d07f556e9fd8073672fad34da81a05aaa570c5b26a653d2652ea4ef2",
+        ),
+        (
+            PhaseSumLead,
+            fifo,
+            crash,
+            "778b6a7dd9ef4e9dbc4e6ff2016c4fd24409fb5436724d5151f49ca2d9e58c6c",
+        ),
+        (
+            PhaseSumLead,
+            noisy,
+            timed_crash,
+            "35cb149dc9a6384f5e1f4195f70d0ad97f27052752fbe8867a47641014293db2",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (protocol, schedule, fault, pin) in arms {
+        let scalar = run_sweep(&small_honest_sweep(protocol, schedule, fault, 1, 1))
+            .expect("valid spec")
+            .to_json();
+        let lockstep = run_sweep(&small_honest_sweep(protocol, schedule, fault, 8, 2))
+            .expect("valid spec")
+            .to_json();
+        let label = format!("{protocol:?} {schedule:?} {fault:?}");
+        assert_eq!(scalar, lockstep, "{label}: width 1 vs 8");
+        got.push((label, sha256_hex(scalar.as_bytes()), pin));
+    }
+    for (label, sha, pin) in &got {
+        assert_eq!(sha, pin, "{label}");
+    }
+}
+
+/// One small attack sweep of `kind` at a coalition layout its runner
+/// accepts: 48 derived-seed trials on two workers, on `schedule` with an
+/// optional crash-fault plan.
+fn small_attack_sweep(
+    kind: AttackKind,
+    schedule: ScheduleSpec,
+    fault: Option<FaultSpec>,
+) -> SweepSpec {
+    let (n, coalition, target) = match kind {
+        AttackKind::BasicSingle => (8, CoalitionSpec::Single { position: 5 }, 2),
+        AttackKind::Rushing => (16, CoalitionSpec::EquallySpaced { k: 4, offset: 1 }, 3),
+        AttackKind::Cubic => (27, CoalitionSpec::Cubic, 4),
+        AttackKind::RandomLocated => (
+            16,
+            CoalitionSpec::RandomLocated {
+                k: 6,
+                layout_seed: 7,
+            },
+            3,
+        ),
+        AttackKind::PhaseRushing => (16, CoalitionSpec::EquallySpaced { k: 7, offset: 1 }, 3),
+        AttackKind::PhaseGuess => (8, CoalitionSpec::Single { position: 3 }, 0),
+        AttackKind::PhaseBurst => (16, CoalitionSpec::EquallySpaced { k: 4, offset: 2 }, 5),
+        AttackKind::PhaseSum => (12, CoalitionSpec::EquallySpaced { k: 4, offset: 1 }, 2),
+        AttackKind::WakeupIdLie => (10, CoalitionSpec::Single { position: 4 }, 0),
+        AttackKind::WakeupMask => (12, CoalitionSpec::EquallySpaced { k: 5, offset: 1 }, 2),
+    };
+    SweepSpec::Attack(AttackSweep {
+        attack: kind,
+        n,
+        fn_key: FnKeySpec::Fixed(9),
+        batch: BatchConfig {
+            trials: 48,
+            base_seed: 3,
+            threads: 2,
+        },
+        coalition,
+        target: TargetSpec::Fixed(target),
+        seed_mode: SeedMode::Derived,
+        schedule,
+        fault,
+    })
+}
+
+/// SHA-256 pins of one FIFO attack sweep per [`AttackKind`] (every
+/// attack runner's call into the cached trial runner, end to end through
+/// the report bytes), plus three of them on a noisy timed net with one
+/// crash per trial: an all-waking protocol under each attack family.
+#[test]
+fn attack_sweep_per_kind_is_pinned() {
+    let noisy = ScheduleSpec::Timed {
+        latency: fle_harness::LatencySpec::Uniform { lo: 0, hi: 1000 },
+        loss_permille: 0,
+        dup_permille: 0,
+    };
+    let crash = Some(FaultSpec {
+        crashes: 1,
+        window: fle_harness::CrashInstant::VirtualNs(20_000),
+        recover: Some(5_000),
+    });
+    let fifo = ScheduleSpec::Fifo;
+    let pins: [(AttackKind, ScheduleSpec, Option<FaultSpec>, &str); 13] = [
+        (
+            AttackKind::BasicSingle,
+            fifo,
+            None,
+            "c109c03b86714088e79cab45c2a2f6bc53e57215c734d9380587a43737ed2efb",
+        ),
+        (
+            AttackKind::Rushing,
+            fifo,
+            None,
+            "563304b4d1d4312331b1858478ef1aa5e91ff99815f06d6ed5c7bcc2058a4d29",
+        ),
+        (
+            AttackKind::Cubic,
+            fifo,
+            None,
+            "586b4b7614d2b6723425323ec8bc357f51714f6f9ab7e96079908b873bc0a40b",
+        ),
+        (
+            AttackKind::RandomLocated,
+            fifo,
+            None,
+            "bcc3db8820fd11fbbfcd581d32f8db28c9ac17208299df988323c2df0f5fafdc",
+        ),
+        (
+            AttackKind::PhaseRushing,
+            fifo,
+            None,
+            "250829545e6c1fc7b82111d64143e287584c47d505229cc71c83cb7fb2836815",
+        ),
+        (
+            AttackKind::PhaseGuess,
+            fifo,
+            None,
+            "5e029218fa493252c3b2a5bcb9cf2ff9c5b6863d7c0d721f0ae56c2fae1e1f4e",
+        ),
+        (
+            AttackKind::PhaseBurst,
+            fifo,
+            None,
+            "bc7d633d1520743d68c80fcf15664c2f1aff2b6782da84f41ecb01ecb95a67ce",
+        ),
+        (
+            AttackKind::PhaseSum,
+            fifo,
+            None,
+            "fba37b8bc53413e1fe18a0e82fcd5e9dec3edd8c881b1734371718f571ed90bd",
+        ),
+        (
+            AttackKind::WakeupIdLie,
+            fifo,
+            None,
+            "88403d51761c748fe20fc0c2cb2d8770e23509adf399c6b08a0703e61a2ce583",
+        ),
+        (
+            AttackKind::WakeupMask,
+            fifo,
+            None,
+            "4e45c4db57398e732b6b9f885459bcf90eb1aac6b1ce37655faf2b6cf448dd55",
+        ),
+        (
+            AttackKind::BasicSingle,
+            noisy,
+            crash,
+            "29070c1dc647169acfd02442cc12b6255522e2ebe5cf19f466f58b7b3fd3bd86",
+        ),
+        (
+            AttackKind::PhaseRushing,
+            noisy,
+            crash,
+            "3151489b3d03f3e1aeb64386467540b2384e08ae9a0b01c652625e3ec30c2ab7",
+        ),
+        (
+            AttackKind::WakeupMask,
+            noisy,
+            crash,
+            "656425f099c55c9755530b00e40b9e94975cdcd2d5953dfb196878cba691ffef",
+        ),
+    ];
+    let mut got = Vec::new();
+    for (kind, schedule, fault, pin) in pins {
+        let spec = small_attack_sweep(kind, schedule, fault);
+        spec.validate().expect("the layout suits the runner");
+        let report = run_sweep(&spec).expect("valid spec");
+        let label = format!("{kind} {schedule:?} {fault:?}");
+        got.push((label, sha256_hex(report.to_json().as_bytes()), pin));
+    }
+    for (label, sha, pin) in &got {
+        assert_eq!(sha, pin, "{label}");
     }
 }

@@ -29,7 +29,7 @@ struct SweepTally {
 /// either elects a single leader in `[0, n)` unanimously or fails closed
 /// (abort / deadlock) — no schedule ever produces disagreement or runs
 /// away into the step limit.
-fn exhaust_and_check<M: 'static>(
+fn exhaust_and_check<M: Clone + 'static>(
     n: usize,
     honest: impl Fn(usize) -> Box<dyn Node<M>>,
     wakes: &[usize],
@@ -80,7 +80,7 @@ fn exhaust_and_check<M: 'static>(
 
 /// The strong form for origin-wake protocols (the paper's Section 2
 /// observation): *every* schedule elects the same single leader.
-fn assert_all_schedules_elect<M: 'static>(
+fn assert_all_schedules_elect<M: Clone + 'static>(
     n: usize,
     honest: impl Fn(usize) -> Box<dyn Node<M>>,
     wakes: &[usize],
