@@ -8,7 +8,7 @@
 //! processor would have produced.
 
 use crate::AttackError;
-use fle_core::protocols::{BasicLead, BasicNode, RingProtocol, TrialCache};
+use fle_core::protocols::{BasicLead, BasicNode, TrialCache};
 use fle_core::{Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -67,8 +67,8 @@ impl BasicSingleAttack {
     }
 
     /// [`BasicSingleAttack::adversary_node`] as the concrete
-    /// [`WaitAndCancel`] type — the form the monomorphized single-deviator
-    /// fast path ([`BasicSingleAttack::run_in`]) stores unboxed.
+    /// [`WaitAndCancel`] type — the form a [`BasicSingleCache`] stores
+    /// unboxed.
     ///
     /// # Errors
     ///
@@ -109,37 +109,14 @@ impl BasicSingleAttack {
         let node = self.adversary_node(protocol)?;
         Ok(protocol.run_with(vec![node]))
     }
-
-    /// [`BasicSingleAttack::run`] through a per-thread [`BasicSingleCache`]
-    /// — the fully monomorphized attack fast path: cached engine, pooled
-    /// scheduler, reused [`Execution`], and *no* `Box` anywhere (the single
-    /// deviator is stored as its concrete type). Bit-identical outcomes to
-    /// [`BasicSingleAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Infeasible`] when preconditions fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &BasicLead,
-        cache: &'c mut BasicSingleCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let node = self.adversary_ring_node(protocol)?;
-        Ok(protocol.run_with_in(vec![node], cache))
-    }
 }
 
 /// The adversary: silent at wake-up; after `n − 1` receives it knows every
 /// other secret, emits `w − Σ others (mod n)` and replays the collected
 /// values in arrival order (exactly what an honest node would have sent).
 ///
-/// Public as a concrete type so [`BasicSingleAttack::run_in`]'s
-/// single-deviator mix can store it unboxed; build it with
-/// [`BasicSingleAttack::adversary_ring_node`].
+/// Public as a concrete type so a [`BasicSingleCache`] can store it
+/// unboxed; build it with [`BasicSingleAttack::adversary_ring_node`].
 pub struct WaitAndCancel {
     n: u64,
     w: u64,

@@ -10,7 +10,7 @@
 //! is `k + (k−1)k(k+1)/2 = Θ(k³)`, hence `k = Θ(∛n)` suffices.
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadTrialCache, ALeadUni, FleProtocol, RingProtocol};
+use fle_core::protocols::{ALeadUni, FleProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -214,28 +214,6 @@ impl CubicAttack {
     pub fn run(&self, protocol: &ALeadUni, plan: &CubicPlan) -> Result<Execution, AttackError> {
         let nodes = self.adversary_nodes(protocol, plan)?;
         Ok(protocol.run_with(nodes))
-    }
-
-    /// [`CubicAttack::run`] through a per-thread [`ALeadTrialCache`]:
-    /// cached engine, pooled scheduler and a reused [`Execution`], with
-    /// honest positions on the concrete `ALeadNode`. Bit-identical
-    /// outcomes to [`CubicAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CubicAttack::adversary_nodes`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &ALeadUni,
-        plan: &CubicPlan,
-        cache: &'c mut ALeadTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, plan)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

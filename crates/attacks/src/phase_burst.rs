@@ -14,7 +14,7 @@
 //! `PhaseAsyncLead` closes the cubic loophole.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseTrialCache, RingProtocol};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;
@@ -116,28 +116,6 @@ impl PhaseBurstAttack {
     ) -> Result<Execution, AttackError> {
         let nodes = self.adversary_nodes(protocol, coalition)?;
         Ok(protocol.run_with(nodes))
-    }
-
-    /// [`PhaseBurstAttack::run`] through a per-thread [`PhaseTrialCache`]:
-    /// cached engine, pooled scheduler, arena-backed honest stores and a
-    /// reused [`Execution`]. Bit-identical outcomes to
-    /// [`PhaseBurstAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhaseBurstAttack::adversary_nodes`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &PhaseAsyncLead,
-        coalition: &Coalition,
-        cache: &'c mut PhaseTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

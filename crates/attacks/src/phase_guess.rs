@@ -14,7 +14,7 @@
 //! experiment's sweep).
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseTrialCache, RingProtocol};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
 use fle_core::{DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;
@@ -92,27 +92,6 @@ impl PhaseGuessAttack {
     /// Propagates [`PhaseGuessAttack::adversary_nodes`] errors.
     pub fn run(&self, protocol: &PhaseAsyncLead) -> Result<Execution, AttackError> {
         Ok(protocol.run_with(self.adversary_nodes(protocol)?))
-    }
-
-    /// [`PhaseGuessAttack::run`] through a per-thread [`PhaseTrialCache`]
-    /// — the attack fast path with cached engine, pooled scheduler,
-    /// arena-backed honest stores and a reused [`Execution`].
-    /// Bit-identical outcomes to [`PhaseGuessAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhaseGuessAttack::adversary_nodes`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &PhaseAsyncLead,
-        cache: &'c mut PhaseTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

@@ -14,9 +14,7 @@
 //! exponentially unlikely).
 
 use crate::AttackError;
-use fle_core::protocols::{
-    FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseNode, RingProtocol, TrialCache,
-};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseNode, TrialCache};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId, RandomFn};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;
@@ -147,9 +145,9 @@ impl PhaseRushingAttack {
     }
 
     /// [`PhaseRushingAttack::adversary_nodes`] as concrete
-    /// [`PhaseRusher`]s — the form [`PhaseRushingAttack::run_in`]'s
-    /// homogeneous-coalition fast path stores unboxed (the origin is never
-    /// in the coalition here; [`PhaseRushingAttack::plan`] rejects it).
+    /// [`PhaseRusher`]s — the form a [`PhaseRushingCache`] stores unboxed
+    /// (the origin is never in the coalition here;
+    /// [`PhaseRushingAttack::plan`] rejects it).
     ///
     /// # Errors
     ///
@@ -202,30 +200,6 @@ impl PhaseRushingAttack {
         let nodes = self.adversary_nodes(protocol, coalition)?;
         Ok(protocol.run_with(nodes))
     }
-
-    /// [`PhaseRushingAttack::run`] through a per-thread
-    /// [`PhaseRushingCache`] — the fully unboxed attack fast path: cached
-    /// engine, pooled scheduler, arena-backed honest stores, a reused
-    /// [`Execution`], and the whole homogeneous coalition stored as
-    /// concrete [`PhaseRusher`]s — no `Box<dyn Node>` per trial.
-    /// Bit-identical outcomes to [`PhaseRushingAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Infeasible`] when preconditions fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &PhaseAsyncLead,
-        coalition: &Coalition,
-        cache: &'c mut PhaseRushingCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_ring_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
-    }
 }
 
 /// The per-adversary strategy. Validation handling is honest throughout;
@@ -233,8 +207,8 @@ impl PhaseRushingAttack {
 /// `[free slots…, segment secrets…]` suffix computed by a preimage search
 /// on `f`.
 ///
-/// Public as a concrete type so [`PhaseRushingAttack::run_in`]'s
-/// homogeneous coalition can store it unboxed; build instances with
+/// Public as a concrete type so a [`PhaseRushingCache`] can store the
+/// homogeneous coalition unboxed; build instances with
 /// [`PhaseRushingAttack::adversary_ring_nodes`].
 pub struct PhaseRusher {
     pos: NodeId,

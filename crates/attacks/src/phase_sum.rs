@@ -24,7 +24,7 @@
 //! function are not.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseMsg, PhaseSumLead, PhaseTrialCache, RingProtocol};
+use fle_core::protocols::{FleProtocol, PhaseMsg, PhaseSumLead};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;
@@ -187,28 +187,6 @@ impl PhaseSumAttack {
     ) -> Result<Execution, AttackError> {
         let nodes = self.adversary_nodes(protocol, coalition)?;
         Ok(protocol.run_with(nodes))
-    }
-
-    /// [`PhaseSumAttack::run`] through a per-thread [`PhaseTrialCache`]:
-    /// cached engine, pooled scheduler, arena-backed honest stores and a
-    /// reused [`Execution`]. Bit-identical outcomes to
-    /// [`PhaseSumAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Infeasible`] when preconditions fail.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &PhaseSumLead,
-        coalition: &Coalition,
-        cache: &'c mut PhaseTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

@@ -12,7 +12,7 @@
 //! controls the outcome.
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadTrialCache, ALeadUni, FleProtocol, RingProtocol};
+use fle_core::protocols::{ALeadUni, FleProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -155,28 +155,6 @@ impl RandomLocatedAttack {
     ) -> Result<Execution, AttackError> {
         let nodes = self.adversary_nodes(protocol, coalition)?;
         Ok(protocol.run_with(nodes))
-    }
-
-    /// [`RandomLocatedAttack::run`] through a per-thread
-    /// [`ALeadTrialCache`]: cached engine, pooled scheduler and a reused
-    /// [`Execution`]. Bit-identical outcomes to
-    /// [`RandomLocatedAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RandomLocatedAttack::adversary_nodes`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &ALeadUni,
-        coalition: &Coalition,
-        cache: &'c mut ALeadTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

@@ -1,24 +1,26 @@
 //! Uniform cached dispatch over every implemented attack.
 //!
-//! Each attack crate module exposes a `run_in` fast path taking its own
-//! concrete protocol and [`TrialCache`](fle_core::protocols::TrialCache)
-//! flavour; this module erases those differences behind one
-//! [`AttackRunner`] trait so a harness can sweep any attack without
-//! per-attack special cases. [`build_runner`] resolves an [`AttackKind`]
-//! plus a coalition layout into a boxed runner owning its caches — built
-//! once per worker thread, then allocation-free per trial in steady
-//! state.
+//! Each attack builds its deviating nodes for one seeded protocol
+//! instance and target (`adversary_nodes`, or the unboxed
+//! `adversary_ring_nodes` where the coalition is homogeneous); its `run`
+//! plays them on the `SimBuilder` reference path. This module drives
+//! every attack through one generic [`AttackRunner`] instead: a private
+//! per-attack trait names the victim protocol, the deviant node type and
+//! the success predicate, and a single runner owns the victim's
+//! [`TrialCache`]. [`build_runner`] resolves an [`AttackKind`] plus a
+//! coalition layout into that boxed runner — built once per worker
+//! thread, then allocation-free per trial in steady state.
 
 use crate::{
-    cubic_distances, AttackError, BasicSingleAttack, BasicSingleCache, CubicAttack, CubicPlan,
-    PhaseBurstAttack, PhaseGuessAttack, PhaseRushingAttack, PhaseRushingCache, PhaseSumAttack,
-    RandomLocatedAttack, RushingAttack, RushingCache, WakeupIdLieAttack, WakeupMaskAttack,
+    cubic_distances, AttackError, BasicSingleAttack, CubicAttack, CubicPlan, PhaseBurstAttack,
+    PhaseGuessAttack, PhaseRusher, PhaseRushingAttack, PhaseSumAttack, RandomLocatedAttack, Rusher,
+    RushingAttack, WaitAndCancel, WakeupIdLieAttack, WakeupMaskAttack,
 };
 use fle_core::protocols::{
-    ALeadTrialCache, ALeadUni, BasicLead, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache, WakeLead,
-    WakeTrialCache,
+    ALeadUni, BasicLead, PhaseAsyncLead, PhaseMsg, PhaseSumLead, RingProtocol, TrialCache,
+    WakeLead, WakeMsg,
 };
-use fle_core::{Coalition, Execution, NodeId};
+use fle_core::{Coalition, Execution, Node, NodeId};
 use std::str::FromStr;
 
 /// The circularity-detection window `C` used by [`AttackKind::RandomLocated`]
@@ -190,8 +192,8 @@ pub trait AttackRunner {
 ///
 /// # Panics
 ///
-/// Panics if `n` is below the victim protocol's minimum ring size
-/// (e.g. `PhaseAsyncLead` needs `n >= 4`).
+/// The runner's first trial panics if `n` is below the victim protocol's
+/// minimum ring size (e.g. `PhaseAsyncLead` needs `n >= 4`).
 pub fn build_runner(
     kind: AttackKind,
     n: usize,
@@ -203,17 +205,10 @@ pub fn build_runner(
             coalition.n()
         )));
     }
+    let layout = || coalition.clone();
     Ok(match kind {
-        AttackKind::BasicSingle => Box::new(BasicSingleRunner {
-            base: BasicLead::new(n),
-            pos: single_position(kind, coalition)?,
-            cache: BasicSingleCache::ring(n),
-        }),
-        AttackKind::Rushing => Box::new(RushingRunner {
-            base: ALeadUni::new(n),
-            coalition: coalition.clone(),
-            cache: RushingCache::ring(n),
-        }),
+        AttackKind::BasicSingle => runner(BasicSingle(single_position(kind, coalition)?), n),
+        AttackKind::Rushing => runner(Rushing(layout()), n),
         AttackKind::Cubic => {
             let plan = cubic_distances(n)?;
             if plan.positions() != coalition.positions() {
@@ -223,47 +218,15 @@ pub fn build_runner(
                     plan.positions()
                 )));
             }
-            Box::new(CubicRunner {
-                base: ALeadUni::new(n),
-                plan,
-                cache: ALeadTrialCache::ring(n),
-            })
+            runner(Cubic(plan), n)
         }
-        AttackKind::RandomLocated => Box::new(RandomLocatedRunner {
-            base: ALeadUni::new(n),
-            coalition: coalition.clone(),
-            cache: ALeadTrialCache::ring(n),
-        }),
-        AttackKind::PhaseRushing => Box::new(PhaseRushingRunner {
-            base: PhaseBase::new(n),
-            coalition: coalition.clone(),
-            cache: PhaseRushingCache::ring(n),
-        }),
-        AttackKind::PhaseGuess => Box::new(PhaseGuessRunner {
-            base: PhaseBase::new(n),
-            pos: single_position(kind, coalition)?,
-            cache: PhaseTrialCache::ring(n),
-        }),
-        AttackKind::PhaseBurst => Box::new(PhaseBurstRunner {
-            base: PhaseBase::new(n),
-            coalition: coalition.clone(),
-            cache: PhaseTrialCache::ring(n),
-        }),
-        AttackKind::PhaseSum => Box::new(PhaseSumRunner {
-            base: PhaseSumLead::new(n),
-            coalition: coalition.clone(),
-            cache: PhaseTrialCache::ring(n),
-        }),
-        AttackKind::WakeupIdLie => Box::new(WakeupIdLieRunner {
-            base: WakeLead::new(n),
-            coalition: coalition.clone(),
-            cache: WakeTrialCache::ring(n),
-        }),
-        AttackKind::WakeupMask => Box::new(WakeupMaskRunner {
-            base: WakeLead::new(n),
-            coalition: coalition.clone(),
-            cache: WakeTrialCache::ring(n),
-        }),
+        AttackKind::RandomLocated => runner(RandomLocated(layout()), n),
+        AttackKind::PhaseRushing => runner(PhaseRushing(layout()), n),
+        AttackKind::PhaseGuess => runner(PhaseGuess(single_position(kind, coalition)?), n),
+        AttackKind::PhaseBurst => runner(PhaseBurst(layout()), n),
+        AttackKind::PhaseSum => runner(PhaseSum(layout()), n),
+        AttackKind::WakeupIdLie => runner(WakeupIdLie(layout()), n),
+        AttackKind::WakeupMask => runner(WakeupMask(layout()), n),
     })
 }
 
@@ -278,46 +241,74 @@ fn single_position(kind: AttackKind, coalition: &Coalition) -> Result<NodeId, At
     Ok(coalition.positions()[0])
 }
 
-/// Memoizes one `PhaseAsyncLead` base per `fn_key` so a fixed-key sweep
-/// builds the random function once per worker, while key-per-seed sweeps
-/// still work (one rebuild per trial).
-struct PhaseBase {
-    n: usize,
-    cached: Option<(u64, PhaseAsyncLead)>,
+/// One attack as [`Runner`] drives it: the victim protocol, the node type
+/// the coalition runs, how to build those nodes for one seeded instance,
+/// and when a trial counts as a success.
+trait Deviation {
+    /// The attack this is.
+    const KIND: AttackKind;
+    /// The victim protocol.
+    type Protocol: RingProtocol;
+    /// The coalition's node type: concrete for homogeneous coalitions, so
+    /// the trial cache stores them unboxed, else a boxed mix.
+    type Deviant: Node<<Self::Protocol as RingProtocol>::Msg>;
+
+    /// The victim on a ring of `n` with random-function key `fn_key`
+    /// (ignored by protocols without one).
+    fn base(n: usize, fn_key: u64) -> Self::Protocol;
+
+    /// The coalition's nodes against `protocol`, aiming at `target`.
+    fn deviants(&self, protocol: &Self::Protocol, target: u64) -> Deviants<Self>;
+
+    /// Whether the trial met the attack's goal; by default, electing
+    /// `target`.
+    fn success(&self, _protocol: &Self::Protocol, target: u64, exec: &Execution) -> bool {
+        exec.outcome.elected() == Some(target)
+    }
 }
 
-impl PhaseBase {
-    fn new(n: usize) -> Self {
-        Self { n, cached: None }
-    }
+type Deviants<A> = Result<Vec<(NodeId, <A as Deviation>::Deviant)>, AttackError>;
 
-    fn instance(&mut self, fn_key: u64, seed: u64) -> PhaseAsyncLead {
-        let hit = matches!(&self.cached, Some((k, _)) if *k == fn_key);
-        if !hit {
-            self.cached = Some((fn_key, PhaseAsyncLead::new(self.n).with_fn_key(fn_key)));
+type Cache<A> = TrialCache<
+    <<A as Deviation>::Protocol as RingProtocol>::Msg,
+    <<A as Deviation>::Protocol as RingProtocol>::Node,
+    <A as Deviation>::Deviant,
+>;
+
+/// The one [`AttackRunner`]: the attack's layout, its victim's base
+/// instance (memoized by `fn_key` for the kinds that use one, built once
+/// for the rest) and the trial cache.
+struct Runner<A: Deviation> {
+    attack: A,
+    base: Option<(u64, A::Protocol)>,
+    cache: Cache<A>,
+}
+
+fn runner<A: Deviation + 'static>(attack: A, n: usize) -> Box<dyn AttackRunner> {
+    Box::new(Runner {
+        attack,
+        base: None,
+        cache: TrialCache::ring(n),
+    })
+}
+
+impl<A: Deviation> AttackRunner for Runner<A> {
+    fn run_trial(
+        &mut self,
+        seed: u64,
+        fn_key: u64,
+        target: u64,
+    ) -> Result<AttackTrialResult<'_>, AttackError> {
+        let key = if A::KIND.uses_fn_key() { fn_key } else { 0 };
+        if !matches!(&self.base, Some((k, _)) if *k == key) {
+            self.base = Some((key, A::base(self.cache.n(), key)));
         }
-        let (_, base) = self.cached.as_ref().expect("cached base was just set");
-        (*base).with_seed(seed)
-    }
-}
-
-struct BasicSingleRunner {
-    base: BasicLead,
-    pos: NodeId,
-    cache: BasicSingleCache,
-}
-
-impl AttackRunner for BasicSingleRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
+        let (_, base) = self.base.as_ref().expect("base was just set");
+        let protocol = base.seeded(seed);
+        let deviants = self.attack.deviants(&protocol, target)?;
         self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        let exec = BasicSingleAttack::new(self.pos, target).run_in(&p, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
+        let exec = protocol.run_with_in(deviants, &mut self.cache);
+        let success = self.attack.success(&protocol, target, exec);
         Ok(AttackTrialResult { exec, success })
     }
 
@@ -330,275 +321,191 @@ impl AttackRunner for BasicSingleRunner {
     }
 }
 
-struct RushingRunner {
-    base: ALeadUni,
-    coalition: Coalition,
-    cache: RushingCache,
+fn phase_base(n: usize, fn_key: u64) -> PhaseAsyncLead {
+    PhaseAsyncLead::new(n).with_fn_key(fn_key)
 }
 
-impl AttackRunner for RushingRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        let exec = RushingAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+struct BasicSingle(NodeId);
+
+impl Deviation for BasicSingle {
+    const KIND: AttackKind = AttackKind::BasicSingle;
+    type Protocol = BasicLead;
+    type Deviant = WaitAndCancel;
+
+    fn base(n: usize, _: u64) -> BasicLead {
+        BasicLead::new(n)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &BasicLead, target: u64) -> Deviants<Self> {
+        Ok(vec![
+            BasicSingleAttack::new(self.0, target).adversary_ring_node(protocol)?
+        ])
     }
 }
 
-struct CubicRunner {
-    base: ALeadUni,
-    plan: CubicPlan,
-    cache: ALeadTrialCache,
-}
+struct Rushing(Coalition);
 
-impl AttackRunner for CubicRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        let exec = CubicAttack::new(target).run_in(&p, &self.plan, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for Rushing {
+    const KIND: AttackKind = AttackKind::Rushing;
+    type Protocol = ALeadUni;
+    type Deviant = Rusher;
+
+    fn base(n: usize, _: u64) -> ALeadUni {
+        ALeadUni::new(n)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
+        RushingAttack::new(target).adversary_ring_nodes(protocol, &self.0)
     }
 }
 
-struct RandomLocatedRunner {
-    base: ALeadUni,
-    coalition: Coalition,
-    cache: ALeadTrialCache,
-}
+struct Cubic(CubicPlan);
 
-impl AttackRunner for RandomLocatedRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        let attack = RandomLocatedAttack::new(target, RANDOM_LOCATED_WINDOW);
-        let exec = attack.run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for Cubic {
+    const KIND: AttackKind = AttackKind::Cubic;
+    type Protocol = ALeadUni;
+    type Deviant = Box<dyn Node<u64>>;
+
+    fn base(n: usize, _: u64) -> ALeadUni {
+        ALeadUni::new(n)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
+        CubicAttack::new(target).adversary_nodes(protocol, &self.0)
     }
 }
 
-struct PhaseRushingRunner {
-    base: PhaseBase,
-    coalition: Coalition,
-    cache: PhaseRushingCache,
-}
+struct RandomLocated(Coalition);
 
-impl AttackRunner for PhaseRushingRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.instance(fn_key, seed);
-        let exec = PhaseRushingAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for RandomLocated {
+    const KIND: AttackKind = AttackKind::RandomLocated;
+    type Protocol = ALeadUni;
+    type Deviant = Box<dyn Node<u64>>;
+
+    fn base(n: usize, _: u64) -> ALeadUni {
+        ALeadUni::new(n)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
+        RandomLocatedAttack::new(target, RANDOM_LOCATED_WINDOW).adversary_nodes(protocol, &self.0)
     }
 }
 
-struct PhaseGuessRunner {
-    base: PhaseBase,
-    pos: NodeId,
-    cache: PhaseTrialCache,
-}
+struct PhaseRushing(Coalition);
 
-impl AttackRunner for PhaseGuessRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        fn_key: u64,
-        _target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.instance(fn_key, seed);
-        let exec = PhaseGuessAttack::new(self.pos).run_in(&p, &mut self.cache)?;
-        // The guessing adversary "wins" by surviving validation at all
-        // (probability exactly 1/m) — any elected leader counts.
-        let success = exec.outcome.elected().is_some();
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for PhaseRushing {
+    const KIND: AttackKind = AttackKind::PhaseRushing;
+    type Protocol = PhaseAsyncLead;
+    type Deviant = PhaseRusher;
+
+    fn base(n: usize, fn_key: u64) -> PhaseAsyncLead {
+        phase_base(n, fn_key)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &PhaseAsyncLead, target: u64) -> Deviants<Self> {
+        PhaseRushingAttack::new(target).adversary_ring_nodes(protocol, &self.0)
     }
 }
 
-struct PhaseBurstRunner {
-    base: PhaseBase,
-    coalition: Coalition,
-    cache: PhaseTrialCache,
-}
+struct PhaseGuess(NodeId);
 
-impl AttackRunner for PhaseBurstRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.instance(fn_key, seed);
-        let exec = PhaseBurstAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for PhaseGuess {
+    const KIND: AttackKind = AttackKind::PhaseGuess;
+    type Protocol = PhaseAsyncLead;
+    type Deviant = Box<dyn Node<PhaseMsg>>;
+
+    fn base(n: usize, fn_key: u64) -> PhaseAsyncLead {
+        phase_base(n, fn_key)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
+    fn deviants(&self, protocol: &PhaseAsyncLead, _: u64) -> Deviants<Self> {
+        PhaseGuessAttack::new(self.0).adversary_nodes(protocol)
     }
 
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    /// The guess "wins" by surviving validation at all (probability
+    /// exactly `1/m`): any elected leader counts.
+    fn success(&self, _: &PhaseAsyncLead, _: u64, exec: &Execution) -> bool {
+        exec.outcome.elected().is_some()
     }
 }
 
-struct PhaseSumRunner {
-    base: PhaseSumLead,
-    coalition: Coalition,
-    cache: PhaseTrialCache,
-}
+struct PhaseBurst(Coalition);
 
-impl AttackRunner for PhaseSumRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.with_seed(seed);
-        let exec = PhaseSumAttack::new(target).run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for PhaseBurst {
+    const KIND: AttackKind = AttackKind::PhaseBurst;
+    type Protocol = PhaseAsyncLead;
+    type Deviant = Box<dyn Node<PhaseMsg>>;
+
+    fn base(n: usize, fn_key: u64) -> PhaseAsyncLead {
+        phase_base(n, fn_key)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    fn deviants(&self, protocol: &PhaseAsyncLead, target: u64) -> Deviants<Self> {
+        PhaseBurstAttack::new(target).adversary_nodes(protocol, &self.0)
     }
 }
 
-struct WakeupIdLieRunner {
-    base: WakeLead,
-    coalition: Coalition,
-    cache: WakeTrialCache,
+struct PhaseSum(Coalition);
+
+impl Deviation for PhaseSum {
+    const KIND: AttackKind = AttackKind::PhaseSum;
+    type Protocol = PhaseSumLead;
+    type Deviant = Box<dyn Node<PhaseMsg>>;
+
+    fn base(n: usize, _: u64) -> PhaseSumLead {
+        PhaseSumLead::new(n)
+    }
+
+    fn deviants(&self, protocol: &PhaseSumLead, target: u64) -> Deviants<Self> {
+        PhaseSumAttack::new(target).adversary_nodes(protocol, &self.0)
+    }
 }
 
-impl AttackRunner for WakeupIdLieRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        _target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        let exec = WakeupIdLieAttack::new().run_in(&p, &self.coalition, &mut self.cache)?;
-        // Success: a fabricated (ghost) id won the election.
-        let success = exec
-            .outcome
+struct WakeupIdLie(Coalition);
+
+impl Deviation for WakeupIdLie {
+    const KIND: AttackKind = AttackKind::WakeupIdLie;
+    type Protocol = WakeLead;
+    type Deviant = Box<dyn Node<WakeMsg>>;
+
+    fn base(n: usize, _: u64) -> WakeLead {
+        WakeLead::new(n)
+    }
+
+    fn deviants(&self, protocol: &WakeLead, _: u64) -> Deviants<Self> {
+        WakeupIdLieAttack::new().adversary_nodes(protocol, &self.0)
+    }
+
+    /// Success: a fabricated (ghost) id won the election.
+    fn success(&self, _: &WakeLead, _: u64, exec: &Execution) -> bool {
+        exec.outcome
             .elected()
-            .is_some_and(WakeupIdLieAttack::is_ghost);
-        Ok(AttackTrialResult { exec, success })
-    }
-
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
-    }
-
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+            .is_some_and(WakeupIdLieAttack::is_ghost)
     }
 }
 
-struct WakeupMaskRunner {
-    base: WakeLead,
-    coalition: Coalition,
-    cache: WakeTrialCache,
-}
+/// `target` is the coalition member index.
+struct WakeupMask(Coalition);
 
-impl AttackRunner for WakeupMaskRunner {
-    fn run_trial(
-        &mut self,
-        seed: u64,
-        _fn_key: u64,
-        target: u64,
-    ) -> Result<AttackTrialResult<'_>, AttackError> {
-        self.cache.set_trial_seed(seed);
-        let p = self.base.clone().with_seed(seed);
-        // `target` is the coalition member index; success is electing that
-        // member's fabricated id, which depends on the per-seed id draw.
-        let attack = WakeupMaskAttack::new(target as usize);
-        let target_id = attack.plan(&p, &self.coalition)?.target_id;
-        let exec = attack.run_in(&p, &self.coalition, &mut self.cache)?;
-        let success = exec.outcome.elected() == Some(target_id);
-        Ok(AttackTrialResult { exec, success })
+impl Deviation for WakeupMask {
+    const KIND: AttackKind = AttackKind::WakeupMask;
+    type Protocol = WakeLead;
+    type Deviant = Box<dyn Node<WakeMsg>>;
+
+    fn base(n: usize, _: u64) -> WakeLead {
+        WakeLead::new(n)
     }
 
-    fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
-        self.cache.set_timed_net(net);
+    fn deviants(&self, protocol: &WakeLead, target: u64) -> Deviants<Self> {
+        WakeupMaskAttack::new(target as usize).adversary_nodes(protocol, &self.0)
     }
 
-    fn set_faults(&mut self, cfg: Option<&ring_sim::FaultConfig>) {
-        self.cache.set_faults(cfg);
+    /// Success: the member's fabricated id, which depends on the
+    /// per-seed id draw, won. The trial ran, so the plan is feasible.
+    fn success(&self, protocol: &WakeLead, target: u64, exec: &Execution) -> bool {
+        WakeupMaskAttack::new(target as usize)
+            .plan(protocol, &self.0)
+            .is_ok_and(|plan| exec.outcome.elected() == Some(plan.target_id))
     }
 }
 
@@ -689,5 +596,148 @@ mod tests {
         assert_eq!(r.success, r.exec.outcome.elected() == Some(plan.target_id));
         // Out-of-range member index is an infeasibility, not a panic.
         assert!(mask.run_trial(5, 0, 99).is_err());
+    }
+
+    /// Every kind's cached runner against its `SimBuilder` reference path
+    /// (the attack's own `run`): the same [`Execution`] and the same
+    /// success verdict on 16 seeds at a layout the runner accepts, with
+    /// `fn_key` changes for the phase kinds (memo hits and misses), and
+    /// one refused target or layout per kind that can refuse one.
+    #[test]
+    fn every_kind_matches_its_reference_path() {
+        use crate::{
+            build_runner, cubic_distances, AttackError, AttackKind, BasicSingleAttack, CubicAttack,
+            PhaseBurstAttack, PhaseGuessAttack, PhaseRushingAttack, PhaseSumAttack,
+            RandomLocatedAttack, RushingAttack, WakeupIdLieAttack, WakeupMaskAttack,
+            RANDOM_LOCATED_WINDOW,
+        };
+        use fle_core::protocols::{ALeadUni, BasicLead, PhaseAsyncLead, PhaseSumLead, WakeLead};
+        use fle_core::{Coalition, Execution};
+
+        /// The reference execution of one trial and its success verdict.
+        fn reference(
+            kind: AttackKind,
+            coalition: &Coalition,
+            seed: u64,
+            fn_key: u64,
+            target: u64,
+        ) -> Result<(Execution, bool), AttackError> {
+            let n = coalition.n();
+            let pos = coalition.positions()[0];
+            let alead = ALeadUni::new(n).with_seed(seed);
+            let phase = || PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(fn_key);
+            let wake = WakeLead::new(n).with_seed(seed);
+            let exec = match kind {
+                AttackKind::BasicSingle => {
+                    BasicSingleAttack::new(pos, target).run(&BasicLead::new(n).with_seed(seed))?
+                }
+                AttackKind::Rushing => RushingAttack::new(target).run(&alead, coalition)?,
+                AttackKind::Cubic => CubicAttack::new(target).run(&alead, &cubic_distances(n)?)?,
+                AttackKind::RandomLocated => {
+                    RandomLocatedAttack::new(target, RANDOM_LOCATED_WINDOW)
+                        .run(&alead, coalition)?
+                }
+                AttackKind::PhaseRushing => {
+                    PhaseRushingAttack::new(target).run(&phase(), coalition)?
+                }
+                AttackKind::PhaseGuess => PhaseGuessAttack::new(pos).run(&phase())?,
+                AttackKind::PhaseBurst => PhaseBurstAttack::new(target).run(&phase(), coalition)?,
+                AttackKind::PhaseSum => PhaseSumAttack::new(target)
+                    .run(&PhaseSumLead::new(n).with_seed(seed), coalition)?,
+                AttackKind::WakeupIdLie => WakeupIdLieAttack::new().run(&wake, coalition)?,
+                AttackKind::WakeupMask => {
+                    WakeupMaskAttack::new(target as usize).run(&wake, coalition)?
+                }
+            };
+            let elected = exec.outcome.elected();
+            let success = match kind {
+                AttackKind::PhaseGuess => elected.is_some(),
+                AttackKind::WakeupIdLie => elected.is_some_and(WakeupIdLieAttack::is_ghost),
+                AttackKind::WakeupMask => {
+                    let plan = WakeupMaskAttack::new(target as usize).plan(&wake, coalition)?;
+                    elected == Some(plan.target_id)
+                }
+                _ => elected == Some(target),
+            };
+            Ok((exec, success))
+        }
+
+        let spaced = |n, k, offset| Coalition::equally_spaced(n, k, offset).unwrap();
+        let single = |n, pos| Coalition::new(n, vec![pos]).unwrap();
+        // (kind, accepted layout, target range) per kind.
+        let accepted = [
+            (AttackKind::BasicSingle, single(8, 5), 8),
+            (AttackKind::Rushing, spaced(16, 7, 1), 16),
+            (
+                AttackKind::Cubic,
+                cubic_distances(27).unwrap().coalition(),
+                27,
+            ),
+            (AttackKind::RandomLocated, spaced(49, 12, 1), 49),
+            (AttackKind::PhaseRushing, spaced(16, 7, 1), 16),
+            (AttackKind::PhaseGuess, single(8, 3), 8),
+            (AttackKind::PhaseBurst, spaced(16, 4, 2), 16),
+            (AttackKind::PhaseSum, spaced(32, 4, 1), 32),
+            (AttackKind::WakeupIdLie, spaced(10, 4, 1), 1),
+            (AttackKind::WakeupMask, spaced(12, 5, 1), 5),
+        ];
+        for (kind, coalition, targets) in accepted {
+            let mut runner = build_runner(kind, coalition.n(), &coalition).unwrap();
+            let mut successes = 0;
+            for seed in 0..16u64 {
+                // Phase kinds see each key twice in a row, then a new one.
+                let fn_key = if kind.uses_fn_key() { seed / 2 } else { 0 };
+                let target = (seed * 7 + 1) % targets;
+                let (exec, success) = reference(kind, &coalition, seed, fn_key, target)
+                    .unwrap_or_else(|e| panic!("{kind} seed {seed}: {e}"));
+                let cached = runner.run_trial(seed, fn_key, target).unwrap();
+                assert_eq!(cached.exec, &exec, "{kind} seed {seed}");
+                assert_eq!(cached.success, success, "{kind} seed {seed}");
+                successes += u32::from(success);
+            }
+            // The layouts are ones where the attack mostly works (the
+            // guess and the doomed burst aside), so the verdicts are not
+            // all trivially false.
+            if !matches!(kind, AttackKind::PhaseGuess | AttackKind::PhaseBurst) {
+                assert!(successes > 0, "{kind}: no trial succeeded");
+            }
+        }
+
+        // Targets or layouts the runner accepts at build time but a trial
+        // refuses, exactly as the reference path refuses them.
+        let refused_trials = [
+            (AttackKind::BasicSingle, single(8, 5), 8),
+            (
+                AttackKind::Rushing,
+                Coalition::new(16, vec![5, 11]).unwrap(),
+                1,
+            ),
+            (
+                AttackKind::Cubic,
+                cubic_distances(27).unwrap().coalition(),
+                27,
+            ),
+            (AttackKind::RandomLocated, spaced(49, 12, 1), 49),
+            (AttackKind::PhaseRushing, spaced(16, 7, 0), 3),
+            (AttackKind::PhaseGuess, single(8, 0), 0),
+            (AttackKind::PhaseBurst, spaced(16, 4, 2), 16),
+            (AttackKind::PhaseSum, spaced(32, 3, 1), 2),
+            (AttackKind::WakeupMask, spaced(12, 5, 1), 5),
+        ];
+        for (kind, coalition, target) in refused_trials {
+            let refusal = reference(kind, &coalition, 1, 0, target).err();
+            assert!(refusal.is_some(), "{kind}: the reference must refuse");
+            let mut runner = build_runner(kind, coalition.n(), &coalition).unwrap();
+            assert_eq!(runner.run_trial(1, 0, target).err(), refusal, "{kind}");
+        }
+        // Layouts refused when the runner is built.
+        let pair = Coalition::new(16, vec![3, 9]).unwrap();
+        for kind in [AttackKind::BasicSingle, AttackKind::PhaseGuess] {
+            assert!(build_runner(kind, 16, &pair).is_err(), "{kind}");
+        }
+        assert!(build_runner(AttackKind::Cubic, 27, &spaced(27, 5, 1)).is_err());
+        for kind in AttackKind::ALL {
+            assert!(build_runner(kind, 12, &spaced(16, 4, 1)).is_err(), "{kind}");
+        }
     }
 }

@@ -13,7 +13,7 @@
 //! (the Claim D.1 crossover).
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, RingProtocol, TrialCache};
+use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, TrialCache};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -132,8 +132,7 @@ impl RushingAttack {
     }
 
     /// [`RushingAttack::adversary_nodes`] as concrete [`Rusher`]s — the
-    /// form [`RushingAttack::run_in`]'s homogeneous-coalition fast path
-    /// stores unboxed. A corrupted origin behaves honestly, so it is
+    /// form a [`RushingCache`] stores unboxed. A corrupted origin behaves honestly, so it is
     /// simply *omitted* here: the cache's honest builder supplies the
     /// identical [`ALeadNode`] for position 0 (bit-identical executions
     /// either way).
@@ -185,31 +184,6 @@ impl RushingAttack {
         let nodes = self.adversary_nodes(protocol, coalition)?;
         Ok(protocol.run_with(nodes))
     }
-
-    /// [`RushingAttack::run`] through a per-thread [`RushingCache`] — the
-    /// fully unboxed attack fast path: cached engine, pooled scheduler, a
-    /// reused [`Execution`], honest positions on the concrete
-    /// [`ALeadNode`] and the whole homogeneous coalition on the concrete
-    /// [`Rusher`] — no `Box<dyn Node>` anywhere. Bit-identical outcomes to
-    /// [`RushingAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Infeasible`] when the layout precondition
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &ALeadUni,
-        coalition: &Coalition,
-        cache: &'c mut RushingCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_ring_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
-    }
 }
 
 /// The rushing adversary: pipes the first `n − k` messages (learning every
@@ -217,8 +191,8 @@ impl RushingAttack {
 /// `[M, 0 × (k−1−l), secrets of its segment]`, making its outgoing sum `w`
 /// while satisfying every condition of Lemma 3.3.
 ///
-/// Public as a concrete type so [`RushingAttack::run_in`]'s homogeneous
-/// coalition can store it unboxed; build instances with
+/// Public as a concrete type so a [`RushingCache`] can store the
+/// homogeneous coalition unboxed; build instances with
 /// [`RushingAttack::adversary_ring_nodes`].
 pub struct Rusher {
     n: u64,

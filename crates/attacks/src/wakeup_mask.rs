@@ -27,7 +27,7 @@
 //! model open; these attacks are the constructive half of Appendix H.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, RingProtocol, WakeLead, WakeMsg, WakeTrialCache};
+use fle_core::protocols::{FleProtocol, WakeLead, WakeMsg};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -119,27 +119,6 @@ impl WakeupIdLieAttack {
         coalition: &Coalition,
     ) -> Result<Execution, AttackError> {
         Ok(protocol.run_with(self.adversary_nodes(protocol, coalition)?))
-    }
-
-    /// [`WakeupIdLieAttack::run`] through a per-thread [`WakeTrialCache`]:
-    /// cached engine, pooled scheduler and a reused [`Execution`].
-    /// Bit-identical outcomes to [`WakeupIdLieAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WakeupIdLieAttack::adversary_nodes`] errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &WakeLead,
-        coalition: &Coalition,
-        cache: &'c mut WakeTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 
@@ -296,28 +275,6 @@ impl WakeupMaskAttack {
         coalition: &Coalition,
     ) -> Result<Execution, AttackError> {
         Ok(protocol.run_with(self.adversary_nodes(protocol, coalition)?))
-    }
-
-    /// [`WakeupMaskAttack::run`] through a per-thread [`WakeTrialCache`]:
-    /// cached engine, pooled scheduler and a reused [`Execution`].
-    /// Bit-identical outcomes to [`WakeupMaskAttack::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AttackError::Infeasible`] when the layout precondition
-    /// fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from the protocol's.
-    pub fn run_in<'c>(
-        &self,
-        protocol: &WakeLead,
-        coalition: &Coalition,
-        cache: &'c mut WakeTrialCache,
-    ) -> Result<&'c Execution, AttackError> {
-        let nodes = self.adversary_nodes(protocol, coalition)?;
-        Ok(protocol.run_with_in(nodes, cache))
     }
 }
 

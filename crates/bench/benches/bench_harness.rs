@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fle_attacks::PhaseRushingAttack;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, RingProtocol};
 use fle_core::Coalition;
 use fle_harness::{
     run_sweep, trial_seed, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec, SweepSpec,
@@ -122,7 +122,10 @@ fn bench(c: &mut Criterion) {
             let mut elected = 0u64;
             for i in 0..TRIALS {
                 let p = PhaseAsyncLead::new(n).with_seed(trial_seed(1, i));
-                let exec = attack.run_in(&p, &coalition, &mut cache).expect("feasible");
+                let nodes = attack
+                    .adversary_ring_nodes(&p, &coalition)
+                    .expect("feasible");
+                let exec = p.run_with_in(nodes, &mut cache);
                 elected += u64::from(exec.outcome.elected().is_some());
             }
             black_box(elected)

@@ -416,7 +416,8 @@ impl<N: ArenaBacked, D> ArenaBacked for MixNode<N, D> {
 /// This gives attack experiments the same steady-state allocation profile
 /// honest sweeps get from their per-worker state: hold one `TrialCache`
 /// per worker thread and call [`RingProtocol::run_with_in`] per trial.
-/// The attacks crate's `run_in` entry points take one of these.
+/// The attacks crate's cached runner (`fle_attacks::build_runner`) owns
+/// one of these.
 ///
 /// # Examples
 ///

@@ -3,7 +3,7 @@
 //! ```text
 //! fle_lab all                      # every experiment, full sizes
 //! fle_lab t42 t61 --quick          # selected experiments, smoke sizes
-//! fle_lab --list                   # show the registry
+//! fle_lab --list                   # show the registry and every flag
 //! fle_lab --threads 4 all          # cap the worker pool for everything
 //! fle_lab sweep --protocol phase --n 64 --trials 10000 --seed 1 \
 //!         --threads 8 --format json
@@ -20,11 +20,16 @@
 //! The `sweep` subcommand runs one deterministic honest `fle-harness`
 //! batch and prints the aggregated [`fle_harness::TrialReport`] as JSON
 //! (default) or CSV on stdout. The `attack-sweep` subcommand does the
-//! same for adversarial (and tree-dictator) grids: configure the attack
-//! with flags or load any serialized [`fle_harness::SweepSpec`] with
-//! `--spec`; reports carry an `attack` arm (successes, infeasible
-//! trials, success rate with Wilson 95% CI). Output is byte-identical
-//! for every `--threads` value.
+//! same for adversarial grids; reports carry an `attack` arm (successes,
+//! infeasible trials, success rate with Wilson 95% CI). Output is
+//! byte-identical for every `--threads` value.
+//!
+//! Both subcommands read one flag table, [`FLAGS`]: each flag either sets
+//! a field of the [`fle_harness::SweepSpec`] the flags build (the
+//! subcommand picks its kind and the default trial count) or changes only
+//! how the sweep runs. `--spec FILE` runs any serialized spec under either
+//! name instead; run flags still apply, and a spec-field flag beside it
+//! is an error, as is a flag of the other sweep kind.
 //!
 //! Both sweep subcommands are crash-safe: `--checkpoint FILE` snapshots
 //! the accumulated [`fle_harness::ReportPartial`] atomically every
@@ -42,6 +47,7 @@ use fle_harness::{
     CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec, ProtocolKind,
     ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
 };
+use std::str::FromStr;
 
 fn print_registry() {
     eprintln!("experiments:");
@@ -53,37 +59,34 @@ fn print_registry() {
          \x20       run experiments by id (see the registry above)\n\
          \x20 fle_lab --list\n\
          \x20       print this registry\n\
-         \x20 fle_lab sweep --protocol <basic|alead|phase|phasesum> --n <N>\n\
-         \x20       [--trials N] [--seed N] [--threads N] [--fn-key N] [--batch K]\n\
-         \x20       [--format json|csv]\n\
-         \x20       [--latency <dist>] [--loss PERMILLE] [--dup PERMILLE]\n\
-         \x20       [--crash COUNT[@BOUND[ns]]] [--recover DELAY]\n\
-         \x20       [--checkpoint FILE [--checkpoint-every N]] [--shard I/K]\n\
+         \x20 fle_lab sweep FLAG VALUE..\n\
          \x20       one deterministic honest batch; report on stdout\n\
-         \x20 fle_lab attack-sweep --attack <kind> --n <N> --coalition <placement>\n\
-         \x20       [--trials N] [--seed N] [--threads N] [--target <policy>]\n\
-         \x20       [--fn-key N | --fn-key-xor MASK] [--seed-mode derived|raw]\n\
-         \x20       [--latency <dist>] [--loss PERMILLE] [--dup PERMILLE]\n\
-         \x20       [--crash COUNT[@BOUND[ns]]] [--recover DELAY]\n\
-         \x20       [--checkpoint FILE [--checkpoint-every N]] [--shard I/K]\n\
-         \x20       [--format json|csv]\n\
-         \x20 fle_lab attack-sweep --spec FILE.json [--threads N] [--format json|csv]\n\
+         \x20 fle_lab attack-sweep FLAG VALUE..\n\
          \x20       one adversarial batch; the report's attack arm carries\n\
          \x20       successes, infeasible trials and the Wilson 95% CI\n\
          \x20 fle_lab merge-reports PART.json.. [--format json|csv]\n\
          \x20       fold `--shard` partial reports into the monolithic report\n\
-         \x20     <kind>: basic_single | rushing | cubic | random_located | phase_rushing |\n\
-         \x20             phase_guess | phase_burst | phase_sum | wakeup_id_lie | wakeup_mask\n\
-         \x20     <placement>: spaced:K[:OFFSET] | consecutive:K[:START] | explicit:P1,P2,..\n\
+         \nsweep flags, one table for both subcommands. SETS is `run` for flags that\n\
+         change how the sweep runs (never the report), else the subcommand(s) whose\n\
+         spec has the field; next to --spec FILE only run flags are allowed:\n\
+         \x20 {:<42} {:<12} DEFAULT",
+        "FLAG VALUE", "SETS"
+    );
+    for flag in FLAGS {
+        let spelled = format!("{} {}", flag.names.join(", "), flag.value);
+        eprintln!("  {spelled:<42} {:<12} {}", flag.class.name(), flag.default);
+    }
+    eprintln!(
+        "  <kind>: basic_single | rushing | cubic | random_located | phase_rushing |\n\
+         \x20         phase_guess | phase_burst | phase_sum | wakeup_id_lie | wakeup_mask\n\
+         \x20 <placement>: spaced:K[:OFFSET] | consecutive:K[:START] | explicit:P1,P2,..\n\
          \x20             | random:K:SEED | cubic | single:POS\n\
-         \x20     <policy>: fixed:V | seedprod:M   (target leader per trial)\n\
-         \x20     <dist>: const:NS | uniform:LO:HI | twopoint:LO:HI:PERMILLE   (ns draws;\n\
-         \x20             any of --latency/--loss/--dup selects the timed scheduler)\n\
-         \x20     --crash COUNT[@BOUND[ns]]: COUNT nodes crash-stop per trial at\n\
-         \x20             instants drawn uniformly below BOUND (deliveries, or\n\
-         \x20             virtual ns with the ns suffix on timed schedules;\n\
-         \x20             default 2n\u{b2} deliveries); --recover DELAY restarts each\n\
-         \x20             crashed node DELAY window-units later"
+         \x20 <dist>: const:NS | uniform:LO:HI | twopoint:LO:HI:PERMILLE   (ns draws;\n\
+         \x20         any of --latency/--loss/--dup selects the timed scheduler)\n\
+         \x20 --crash COUNT[@BOUND[ns]]: COUNT nodes crash-stop per trial at instants\n\
+         \x20         drawn uniformly below BOUND (deliveries, or virtual ns with the\n\
+         \x20         ns suffix on timed schedules; default 2n\u{b2} deliveries);\n\
+         \x20         --recover DELAY restarts each crashed node DELAY window-units later"
     );
 }
 
@@ -105,10 +108,10 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
 
 /// Validates an output format up front — a typo must not cost a full
 /// multi-minute sweep.
-fn check_format(format: &str) {
-    if format != "json" && format != "csv" {
-        eprintln!("unknown format '{format}' (expected json | csv)");
-        std::process::exit(2);
+fn check_format(format: &str) -> Result<(), String> {
+    match format {
+        "json" | "csv" => Ok(()),
+        _ => Err(format!("unknown format '{format}' (expected json | csv)")),
     }
 }
 
@@ -121,25 +124,335 @@ fn emit_report(report: &fle_harness::TrialReport, format: &str) {
     }
 }
 
-/// Crash-safety flags shared by `sweep` and `attack-sweep`.
-struct ResilienceOpts {
-    /// `--checkpoint FILE`: snapshot progress atomically and resume from
-    /// the file if it already exists.
-    checkpoint: Option<String>,
-    /// `--checkpoint-every N` trials between snapshots.
-    checkpoint_every: u64,
-    /// `--shard I/K`: run only slice `I` of `K` and print the partial.
-    shard: Option<(u64, u64)>,
+/// What a sweep flag sets.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// How the sweep runs; never the report bytes.
+    Run,
+    /// A field every spec the flags build has.
+    Field,
+    /// A field of honest (`sweep`) specs only.
+    Honest,
+    /// A field of attack (`attack-sweep`) specs only.
+    Attack,
 }
 
-impl Default for ResilienceOpts {
-    fn default() -> Self {
-        Self {
-            checkpoint: None,
-            checkpoint_every: 1_000,
-            shard: None,
+impl Class {
+    /// Who the flag is for, as the usage shows it: `run`, `both`, or the
+    /// one subcommand whose spec has the field.
+    fn name(self) -> &'static str {
+        match self {
+            Class::Run => "run",
+            Class::Field => "both",
+            Class::Honest => "sweep",
+            Class::Attack => "attack-sweep",
         }
     }
+}
+
+/// One flag of `sweep` and `attack-sweep`.
+struct Flag {
+    /// The long name, then its short alias, if any.
+    names: &'static [&'static str],
+    /// The value grammar.
+    value: &'static str,
+    /// What leaving the flag out means.
+    default: &'static str,
+    class: Class,
+    /// Parses the value into the flags' state.
+    set: fn(&mut SweepArgs, Value<'_>) -> Result<(), String>,
+}
+
+/// Every flag of `sweep` and `attack-sweep`, in usage order.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { names: &["--spec"], value: "FILE", default: "build the spec from flags",
+           class: Class::Run, set: |a, v| v.parse().map(|x| a.spec = Some(x)) },
+    Flag { names: &["--threads", "-j"], value: "N", default: "0 (one per core)",
+           class: Class::Run, set: |a, v| v.parse().map(|x| a.threads = Some(x)) },
+    Flag { names: &["--format", "-f"], value: "json|csv", default: "json",
+           class: Class::Run, set: |a, v| v.parse().map(|x| a.format = Some(x)) },
+    Flag { names: &["--checkpoint"], value: "FILE", default: "none",
+           class: Class::Run, set: |a, v| v.parse().map(|x| a.checkpoint = Some(x)) },
+    Flag { names: &["--checkpoint-every"], value: "N", default: "1000",
+           class: Class::Run, set: |a, v| v.parse().map(|x| a.checkpoint_every = Some(x)) },
+    Flag { names: &["--shard"], value: "I/K", default: "the whole range",
+           class: Class::Run, set: |a, v| parse_shard(v.raw).map(|x| a.shard = Some(x)) },
+    Flag { names: &["--n", "-n"], value: "N", default: "required",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.n = x) },
+    Flag { names: &["--trials", "-t"], value: "N", default: "10000 (sweep), 1000 (attack-sweep)",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.trials = Some(x)) },
+    Flag { names: &["--seed", "-s"], value: "N", default: "0",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.seed = x) },
+    Flag { names: &["--fn-key"], value: "N", default: "0",
+           class: Class::Field,
+           set: |a, v| v.parse().map(|x| a.fn_key = Some(FnKeySpec::Fixed(x))) },
+    Flag { names: &["--latency"], value: "<dist>", default: "FIFO links",
+           class: Class::Field, set: |a, v| parse_latency(v.raw).map(|x| a.latency = Some(x)) },
+    Flag { names: &["--loss"], value: "PERMILLE", default: "0",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.loss = Some(x)) },
+    Flag { names: &["--dup"], value: "PERMILLE", default: "0",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.dup = Some(x)) },
+    Flag { names: &["--crash"], value: "COUNT[@BOUND[ns]]", default: "no crashes",
+           class: Class::Field, set: |a, v| parse_crash(v.raw).map(|x| a.crash = Some(x)) },
+    Flag { names: &["--recover"], value: "DELAY", default: "crash-stop",
+           class: Class::Field, set: |a, v| v.parse().map(|x| a.recover = Some(x)) },
+    Flag { names: &["--protocol", "-p"], value: "basic|alead|phase|phasesum", default: "required",
+           class: Class::Honest, set: |a, v| v.raw.parse().map(|x| a.protocol = Some(x)) },
+    Flag { names: &["--batch", "-b"], value: "K", default: "0 (8 lanes; 1 = scalar)",
+           class: Class::Honest, set: |a, v| v.parse().map(|x| a.batch_width = x) },
+    Flag { names: &["--attack", "-a"], value: "<kind>", default: "required",
+           class: Class::Attack, set: |a, v| v.raw.parse().map(|x| a.attack = Some(x)) },
+    Flag { names: &["--coalition", "-c"], value: "<placement>", default: "required",
+           class: Class::Attack,
+           set: |a, v| parse_coalition(v.raw).map(|x| a.coalition = Some(x)) },
+    Flag { names: &["--target", "-w"], value: "fixed:V|seedprod:M", default: "fixed:0",
+           class: Class::Attack, set: |a, v| parse_target(v.raw).map(|x| a.target = Some(x)) },
+    Flag { names: &["--fn-key-xor"], value: "MASK", default: "off (one key, --fn-key)",
+           class: Class::Attack,
+           set: |a, v| v.parse().map(|x| a.fn_key = Some(FnKeySpec::SeedXor(x))) },
+    Flag { names: &["--seed-mode"], value: "derived|raw", default: "derived",
+           class: Class::Attack, set: |a, v| parse_seed_mode(v.raw).map(|x| a.seed_mode = x) },
+];
+
+/// One flag's value, with the flag's long name for error messages.
+#[derive(Clone, Copy)]
+struct Value<'a> {
+    flag: &'static str,
+    raw: &'a str,
+}
+
+impl Value<'_> {
+    /// The value as a `T`, or an error naming the flag.
+    fn parse<T: FromStr>(self) -> Result<T, String> {
+        self.raw
+            .parse()
+            .map_err(|_| format!("invalid value '{}' for {}", self.raw, self.flag))
+    }
+}
+
+/// The state the sweep flags fill; [`SweepArgs::spec`] turns it into a
+/// [`SweepSpec`].
+#[derive(Default)]
+struct SweepArgs {
+    spec: Option<String>,
+    threads: Option<usize>,
+    format: Option<String>,
+    checkpoint: Option<String>,
+    checkpoint_every: Option<u64>,
+    shard: Option<(u64, u64)>,
+    n: usize,
+    trials: Option<u64>,
+    seed: u64,
+    fn_key: Option<FnKeySpec>,
+    latency: Option<LatencySpec>,
+    loss: Option<u32>,
+    dup: Option<u32>,
+    crash: Option<(u64, Option<CrashInstant>)>,
+    recover: Option<u64>,
+    protocol: Option<ProtocolKind>,
+    batch_width: usize,
+    attack: Option<AttackKind>,
+    coalition: Option<CoalitionSpec>,
+    target: Option<TargetSpec>,
+    seed_mode: SeedMode,
+    /// The first spec-field flag given, as spelled.
+    field_flag: Option<String>,
+}
+
+impl SweepArgs {
+    /// Reads the flags of subcommand `sub` (`sweep` or `attack-sweep`).
+    fn parse(sub: &str, args: &[String]) -> Result<Self, String> {
+        let mut state = Self::default();
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            let flag = FLAGS
+                .iter()
+                .find(|f| f.names.contains(&arg.as_str()))
+                .ok_or_else(|| format!("unknown flag '{arg}' for subcommand '{sub}'"))?;
+            let owner = flag.class.name();
+            if matches!(flag.class, Class::Honest | Class::Attack) && owner != sub {
+                return Err(format!(
+                    "{arg} is a flag of subcommand '{owner}', not '{sub}'"
+                ));
+            }
+            let name = flag.names[0];
+            let raw = args.next().ok_or_else(|| format!("{name} needs a value"))?;
+            (flag.set)(&mut state, Value { flag: name, raw })?;
+            if flag.class != Class::Run {
+                state.field_flag.get_or_insert_with(|| arg.clone());
+            }
+        }
+        Ok(state)
+    }
+
+    /// The spec to run: the `--spec` file (with `--threads` applied), or
+    /// the `sub` kind of spec built from the flags.
+    fn spec(&self, sub: &str) -> Result<SweepSpec, String> {
+        if let Some(path) = &self.spec {
+            if let Some(flag) = &self.field_flag {
+                return Err(format!(
+                    "{flag} sets a spec field, so it cannot be combined with --spec; \
+                     set it in {path} instead"
+                ));
+            }
+            let src =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let mut spec = SweepSpec::parse_json(&src).map_err(|e| format!("{path}: {e}"))?;
+            if let Some(t) = self.threads {
+                match &mut spec {
+                    SweepSpec::Honest(h) => h.batch.threads = t,
+                    SweepSpec::Attack(a) => a.batch.threads = t,
+                    SweepSpec::TreeDictator(d) => d.batch.threads = t,
+                }
+            }
+            return Ok(spec);
+        }
+        Ok(if sub == "sweep" {
+            let protocol = self.protocol.ok_or("sweep needs --protocol")?;
+            let (n, batch, schedule, fault) = self.shared_fields(sub, 10_000)?;
+            SweepSpec::Honest(HonestSweep {
+                protocol,
+                n,
+                fn_key: match self.fn_key {
+                    None => 0,
+                    Some(FnKeySpec::Fixed(k)) => k,
+                    Some(FnKeySpec::SeedXor(_)) => unreachable!("--fn-key-xor is attack-only"),
+                },
+                batch,
+                batch_width: self.batch_width,
+                schedule,
+                fault,
+            })
+        } else {
+            let attack = self
+                .attack
+                .ok_or("attack-sweep needs --attack (or --spec FILE.json)")?;
+            let (n, batch, schedule, fault) = self.shared_fields(sub, 1_000)?;
+            SweepSpec::Attack(AttackSweep {
+                attack,
+                n,
+                fn_key: self.fn_key.unwrap_or(FnKeySpec::Fixed(0)),
+                batch,
+                coalition: self
+                    .coalition
+                    .clone()
+                    .ok_or("attack-sweep needs --coalition")?,
+                target: self.target.unwrap_or(TargetSpec::Fixed(0)),
+                seed_mode: self.seed_mode,
+                schedule,
+                fault,
+            })
+        })
+    }
+
+    /// The fields both spec kinds have: ring size, batch, schedule and
+    /// fault plan.
+    fn shared_fields(
+        &self,
+        sub: &str,
+        default_trials: u64,
+    ) -> Result<(usize, BatchConfig, ScheduleSpec, Option<FaultSpec>), String> {
+        let n = self.n;
+        if n == 0 {
+            return Err(format!("{sub} needs --n"));
+        }
+        let batch = BatchConfig {
+            trials: self.trials.unwrap_or(default_trials),
+            base_seed: self.seed,
+            threads: self.threads.unwrap_or(0),
+        };
+        // Any timed-network flag selects the timed scheduler, with zero
+        // defaults for the rest.
+        let schedule = if self.latency.is_none() && self.loss.is_none() && self.dup.is_none() {
+            ScheduleSpec::Fifo
+        } else {
+            ScheduleSpec::Timed {
+                latency: self.latency.unwrap_or(LatencySpec::ZERO),
+                loss_permille: self.loss.unwrap_or(0),
+                dup_permille: self.dup.unwrap_or(0),
+            }
+        };
+        let fault = match self.crash {
+            None if self.recover.is_some() => return Err("--recover needs --crash".into()),
+            None => None,
+            Some((crashes, window)) => Some(FaultSpec {
+                crashes,
+                window: match window {
+                    Some(w) => w,
+                    // Timed schedules have no delivery clock.
+                    None if schedule != ScheduleSpec::Fifo => {
+                        return Err("--crash on a timed schedule needs an explicit \
+                                    virtual-time window (--crash COUNT@BOUNDns)"
+                            .into())
+                    }
+                    // The honest workload's nominal length, 2n² deliveries.
+                    None => {
+                        CrashInstant::Deliveries((n as u64).saturating_pow(2).saturating_mul(2))
+                    }
+                },
+                recover: self.recover,
+            }),
+        };
+        Ok((n, batch, schedule, fault))
+    }
+}
+
+/// `sweep` / `attack-sweep`: reads the flags, builds and validates the
+/// spec, runs it and prints the result — the aggregated report normally,
+/// the shard's mergeable [`ReportPartial`] under `--shard`. A completed
+/// run deletes its checkpoint file (the output it protected has been
+/// emitted).
+fn run_sweep_subcommand(sub: &str, args: &[String]) -> Result<(), String> {
+    let flags = SweepArgs::parse(sub, args)?;
+    let format = flags.format.as_deref().unwrap_or("json");
+    check_format(format)?;
+    let spec = flags.spec(sub)?;
+    spec.validate()
+        .map_err(|e| format!("invalid sweep spec: {e}"))?;
+    if flags.shard.is_some() && format != "json" {
+        return Err(
+            "--shard prints a mergeable partial report, which is JSON-only (drop --format csv)"
+                .into(),
+        );
+    }
+    let start = std::time::Instant::now();
+    let (lo, hi) = shard_range(flags.shard, spec.batch().trials);
+    let partial = match &flags.checkpoint {
+        Some(raw) => {
+            let every = flags.checkpoint_every.unwrap_or(1_000);
+            let run = run_sweep_checkpointed(&spec, std::path::Path::new(raw), every, lo, hi)?;
+            if let Some(at) = run.resumed_from {
+                eprintln!("  [sweep resumed from trial {at}]");
+            }
+            run.partial
+        }
+        None => run_sweep_partial(&spec, lo, hi)?,
+    };
+    if flags.shard.is_some() {
+        println!("{}", partial.to_json());
+    } else {
+        let report = partial
+            .finish()
+            .expect("full-range partial always finishes");
+        emit_report(&report, format);
+    }
+    if let Some(raw) = &flags.checkpoint {
+        // The protected output has been emitted; the snapshot is spent.
+        // A `.tmp` sibling from an interrupted atomic write is stale the
+        // same moment, so it goes too.
+        let _ = std::fs::remove_file(raw);
+        let _ = std::fs::remove_file(format!("{raw}.tmp"));
+    }
+    eprintln!(
+        "  [{sub} {} n={} trials={} threads={}: {:.1?}]",
+        partial.protocol(),
+        partial.n(),
+        partial.covered(),
+        spec.batch().resolved_threads(),
+        start.elapsed()
+    );
+    Ok(())
 }
 
 /// Parses a `--shard I/K` slice selector.
@@ -171,60 +484,6 @@ fn shard_range(shard: Option<(u64, u64)>, trials: u64) -> (u64, u64) {
     }
 }
 
-/// Runs a validated spec honouring the crash-safety flags and prints the
-/// result: the aggregated report normally, the shard's mergeable
-/// [`ReportPartial`] under `--shard`. A completed run deletes its
-/// checkpoint file (the output it protected has been emitted). Returns
-/// `(protocol label, n, trials run)` for the caller's status line.
-fn execute_sweep(spec: &SweepSpec, format: &str, opts: &ResilienceOpts) -> (String, usize, u64) {
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    if opts.shard.is_some() && format != "json" {
-        fail(
-            "--shard prints a mergeable partial report, which is JSON-only (drop --format csv)"
-                .to_string(),
-        );
-    }
-    let (lo, hi) = shard_range(opts.shard, spec.batch().trials);
-    let partial = match &opts.checkpoint {
-        Some(raw) => {
-            let run = run_sweep_checkpointed(
-                spec,
-                std::path::Path::new(raw),
-                opts.checkpoint_every,
-                lo,
-                hi,
-            )
-            .unwrap_or_else(|e| fail(e));
-            if let Some(at) = run.resumed_from {
-                eprintln!("  [sweep resumed from trial {at}]");
-            }
-            run.partial
-        }
-        None => run_sweep_partial(spec, lo, hi).unwrap_or_else(|e| fail(e)),
-    };
-    let label = partial.protocol().to_string();
-    let (n, ran) = (partial.n(), partial.covered());
-    if opts.shard.is_some() {
-        println!("{}", partial.to_json());
-    } else {
-        let report = partial
-            .finish()
-            .expect("full-range partial always finishes");
-        emit_report(&report, format);
-    }
-    if let Some(raw) = &opts.checkpoint {
-        // The protected output has been emitted; the snapshot is spent.
-        // A `.tmp` sibling from an interrupted atomic write is stale the
-        // same moment, so it goes too.
-        let _ = std::fs::remove_file(raw);
-        let _ = std::fs::remove_file(format!("{raw}.tmp"));
-    }
-    (label, n, ran)
-}
-
 /// `merge-reports PART.json.. [--format json|csv]`: folds `--shard`
 /// partial-report files into the byte-identical monolithic report.
 fn run_merge_reports(args: &[String]) {
@@ -250,7 +509,7 @@ fn run_merge_reports(args: &[String]) {
             }
         }
     }
-    check_format(&format);
+    check_format(&format).unwrap_or_else(|e| fail(e));
     if files.is_empty() {
         fail("merge-reports needs at least one partial-report file".to_string());
     }
@@ -276,156 +535,6 @@ fn run_merge_reports(args: &[String]) {
         report.n,
         report.trials,
         files.len()
-    );
-}
-
-fn run_sweep_cli(args: &[String]) {
-    let mut protocol: Option<ProtocolKind> = None;
-    let mut n: usize = 0;
-    let mut batch = BatchConfig {
-        trials: 10_000,
-        base_seed: 0,
-        threads: 0,
-    };
-    let mut fn_key = 0u64;
-    let mut batch_width = 0usize;
-    let mut format = String::from("json");
-    let mut latency: Option<LatencySpec> = None;
-    let mut loss: Option<u32> = None;
-    let mut dup: Option<u32> = None;
-    let mut crash: Option<(u64, Option<CrashInstant>)> = None;
-    let mut recover: Option<u64> = None;
-    let mut opts = ResilienceOpts::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint" => {
-                opts.checkpoint = Some(parse_arg(args, i + 1, "--checkpoint"));
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                opts.checkpoint_every = parse_arg(args, i + 1, "--checkpoint-every");
-                i += 2;
-            }
-            "--shard" => {
-                let raw: String = parse_arg(args, i + 1, "--shard");
-                opts.shard = Some(parse_shard(&raw).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--latency" => {
-                let raw: String = parse_arg(args, i + 1, "--latency");
-                latency = Some(parse_latency(&raw).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--loss" => {
-                loss = Some(parse_arg(args, i + 1, "--loss"));
-                i += 2;
-            }
-            "--dup" => {
-                dup = Some(parse_arg(args, i + 1, "--dup"));
-                i += 2;
-            }
-            "--crash" => {
-                let raw: String = parse_arg(args, i + 1, "--crash");
-                crash = Some(parse_crash(&raw).unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
-            "--recover" => {
-                recover = Some(parse_arg(args, i + 1, "--recover"));
-                i += 2;
-            }
-            "--protocol" | "-p" => {
-                let spec: String = parse_arg(args, i + 1, "--protocol");
-                match spec.parse() {
-                    Ok(p) => protocol = Some(p),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 2;
-            }
-            "--n" | "-n" => {
-                n = parse_arg(args, i + 1, "--n");
-                i += 2;
-            }
-            "--trials" | "-t" => {
-                batch.trials = parse_arg(args, i + 1, "--trials");
-                i += 2;
-            }
-            "--seed" | "-s" => {
-                batch.base_seed = parse_arg(args, i + 1, "--seed");
-                i += 2;
-            }
-            "--threads" | "-j" => {
-                batch.threads = parse_arg(args, i + 1, "--threads");
-                i += 2;
-            }
-            "--fn-key" => {
-                fn_key = parse_arg(args, i + 1, "--fn-key");
-                i += 2;
-            }
-            "--batch" | "-b" => {
-                batch_width = parse_arg(args, i + 1, "--batch");
-                i += 2;
-            }
-            "--format" | "-f" => {
-                format = parse_arg(args, i + 1, "--format");
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' for subcommand 'sweep'");
-                std::process::exit(2);
-            }
-        }
-    }
-    let Some(protocol) = protocol else {
-        eprintln!("sweep needs --protocol");
-        std::process::exit(2);
-    };
-    if n == 0 {
-        eprintln!("sweep needs --n");
-        std::process::exit(2);
-    }
-    check_format(&format);
-    let schedule = schedule_from_flags(latency, loss, dup);
-    let fault = fault_from_flags(
-        crash,
-        recover,
-        n,
-        matches!(schedule, ScheduleSpec::Timed { .. }),
-    );
-    let spec = SweepSpec::Honest(HonestSweep {
-        protocol,
-        n,
-        fn_key,
-        batch,
-        batch_width,
-        schedule,
-        fault,
-    });
-    if let Err(e) = spec.validate() {
-        eprintln!("invalid sweep spec: {e}");
-        std::process::exit(2);
-    }
-    let start = std::time::Instant::now();
-    let (label, n, ran) = execute_sweep(&spec, &format, &opts);
-    eprintln!(
-        "  [sweep {} n={} trials={} threads={}: {:.1?}]",
-        label,
-        n,
-        ran,
-        batch.resolved_threads(),
-        start.elapsed()
     );
 }
 
@@ -493,6 +602,17 @@ fn parse_target(raw: &str) -> Result<TargetSpec, String> {
     }
 }
 
+/// Parses an `attack-sweep --seed-mode`: `derived` or `raw`.
+fn parse_seed_mode(raw: &str) -> Result<SeedMode, String> {
+    match raw {
+        "derived" => Ok(SeedMode::Derived),
+        "raw" => Ok(SeedMode::RawIndex),
+        _ => Err(format!(
+            "unknown seed mode '{raw}' (expected derived | raw)"
+        )),
+    }
+}
+
 /// Parses a `--latency` distribution: `const:NS`, `uniform:LO:HI` or
 /// `twopoint:LO:HI:PERMILLE` (all values in nanoseconds of virtual time,
 /// the permille being the probability of the `hi` draw).
@@ -553,252 +673,6 @@ fn parse_crash(raw: &str) -> Result<(u64, Option<CrashInstant>), String> {
     Ok((crashes, window))
 }
 
-/// Folds the `--crash`/`--recover` flags into a [`FaultSpec`], filling
-/// in the default fifo window (2n² deliveries, the nominal honest
-/// workload length) when `--crash` gave no explicit `@BOUND`. Timed
-/// schedules have no delivery clock, so they require the explicit
-/// `@BOUNDns` form.
-fn fault_from_flags(
-    crash: Option<(u64, Option<CrashInstant>)>,
-    recover: Option<u64>,
-    n: usize,
-    timed: bool,
-) -> Option<FaultSpec> {
-    let Some((crashes, window)) = crash else {
-        if recover.is_some() {
-            eprintln!("--recover needs --crash");
-            std::process::exit(2);
-        }
-        return None;
-    };
-    let window = window.unwrap_or_else(|| {
-        if timed {
-            eprintln!(
-                "--crash on a timed schedule needs an explicit virtual-time window \
-                 (--crash COUNT@BOUNDns)"
-            );
-            std::process::exit(2);
-        }
-        CrashInstant::Deliveries(2 * (n as u64) * (n as u64))
-    });
-    Some(FaultSpec {
-        crashes,
-        window,
-        recover,
-    })
-}
-
-/// Folds the three timed-network flags into a [`ScheduleSpec`]: all
-/// absent → the FIFO fast path; any present → the timed scheduler with
-/// zero defaults for the rest.
-fn schedule_from_flags(
-    latency: Option<LatencySpec>,
-    loss: Option<u32>,
-    dup: Option<u32>,
-) -> ScheduleSpec {
-    if latency.is_none() && loss.is_none() && dup.is_none() {
-        ScheduleSpec::Fifo
-    } else {
-        ScheduleSpec::Timed {
-            latency: latency.unwrap_or(LatencySpec::ZERO),
-            loss_permille: loss.unwrap_or(0),
-            dup_permille: dup.unwrap_or(0),
-        }
-    }
-}
-
-fn run_attack_sweep_cli(args: &[String]) {
-    let mut spec_path: Option<String> = None;
-    let mut attack: Option<AttackKind> = None;
-    let mut n: usize = 0;
-    let mut batch = BatchConfig {
-        trials: 1_000,
-        base_seed: 0,
-        threads: 0,
-    };
-    let mut threads_override: Option<usize> = None;
-    let mut fn_key = FnKeySpec::Fixed(0);
-    let mut coalition: Option<CoalitionSpec> = None;
-    let mut target = TargetSpec::Fixed(0);
-    let mut seed_mode = SeedMode::Derived;
-    let mut format = String::from("json");
-    let mut latency: Option<LatencySpec> = None;
-    let mut loss: Option<u32> = None;
-    let mut dup: Option<u32> = None;
-    let mut crash: Option<(u64, Option<CrashInstant>)> = None;
-    let mut recover: Option<u64> = None;
-    let mut opts = ResilienceOpts::default();
-    let fail = |e: String| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--checkpoint" => {
-                opts.checkpoint = Some(parse_arg(args, i + 1, "--checkpoint"));
-                i += 2;
-            }
-            "--checkpoint-every" => {
-                opts.checkpoint_every = parse_arg(args, i + 1, "--checkpoint-every");
-                i += 2;
-            }
-            "--shard" => {
-                let raw: String = parse_arg(args, i + 1, "--shard");
-                opts.shard = Some(parse_shard(&raw).unwrap_or_else(|e| fail(e)));
-                i += 2;
-            }
-            "--latency" => {
-                let raw: String = parse_arg(args, i + 1, "--latency");
-                latency = Some(parse_latency(&raw).unwrap_or_else(|e| fail(e)));
-                i += 2;
-            }
-            "--loss" => {
-                loss = Some(parse_arg(args, i + 1, "--loss"));
-                i += 2;
-            }
-            "--dup" => {
-                dup = Some(parse_arg(args, i + 1, "--dup"));
-                i += 2;
-            }
-            "--crash" => {
-                let raw: String = parse_arg(args, i + 1, "--crash");
-                crash = Some(parse_crash(&raw).unwrap_or_else(|e| fail(e)));
-                i += 2;
-            }
-            "--recover" => {
-                recover = Some(parse_arg(args, i + 1, "--recover"));
-                i += 2;
-            }
-            "--spec" => {
-                spec_path = Some(parse_arg(args, i + 1, "--spec"));
-                i += 2;
-            }
-            "--attack" | "-a" => {
-                let raw: String = parse_arg(args, i + 1, "--attack");
-                attack = Some(raw.parse().unwrap_or_else(|e| fail(e)));
-                i += 2;
-            }
-            "--n" | "-n" => {
-                n = parse_arg(args, i + 1, "--n");
-                i += 2;
-            }
-            "--trials" | "-t" => {
-                batch.trials = parse_arg(args, i + 1, "--trials");
-                i += 2;
-            }
-            "--seed" | "-s" => {
-                batch.base_seed = parse_arg(args, i + 1, "--seed");
-                i += 2;
-            }
-            "--threads" | "-j" => {
-                let t: usize = parse_arg(args, i + 1, "--threads");
-                batch.threads = t;
-                threads_override = Some(t);
-                i += 2;
-            }
-            "--fn-key" => {
-                fn_key = FnKeySpec::Fixed(parse_arg(args, i + 1, "--fn-key"));
-                i += 2;
-            }
-            "--fn-key-xor" => {
-                fn_key = FnKeySpec::SeedXor(parse_arg(args, i + 1, "--fn-key-xor"));
-                i += 2;
-            }
-            "--coalition" | "-c" => {
-                let raw: String = parse_arg(args, i + 1, "--coalition");
-                coalition = Some(parse_coalition(&raw).unwrap_or_else(|e| fail(e)));
-                i += 2;
-            }
-            "--target" | "-w" => {
-                let raw: String = parse_arg(args, i + 1, "--target");
-                target = parse_target(&raw).unwrap_or_else(|e| fail(e));
-                i += 2;
-            }
-            "--seed-mode" => {
-                let raw: String = parse_arg(args, i + 1, "--seed-mode");
-                seed_mode = match raw.as_str() {
-                    "derived" => SeedMode::Derived,
-                    "raw" => SeedMode::RawIndex,
-                    _ => fail(format!(
-                        "unknown seed mode '{raw}' (expected derived | raw)"
-                    )),
-                };
-                i += 2;
-            }
-            "--format" | "-f" => {
-                format = parse_arg(args, i + 1, "--format");
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown flag '{other}' for subcommand 'attack-sweep'");
-                std::process::exit(2);
-            }
-        }
-    }
-    check_format(&format);
-    let spec = if let Some(path) = spec_path {
-        if crash.is_some() || recover.is_some() {
-            fail("--crash/--recover apply to flag-built sweeps; put a \"fault\" key in the spec file instead".to_string());
-        }
-        let src = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        let mut spec = SweepSpec::parse_json(&src).unwrap_or_else(|e| fail(format!("{path}: {e}")));
-        // CLI-level overrides apply on top of the file.
-        if let Some(t) = threads_override {
-            match &mut spec {
-                SweepSpec::Honest(h) => h.batch.threads = t,
-                SweepSpec::Attack(a) => a.batch.threads = t,
-                SweepSpec::TreeDictator(d) => d.batch.threads = t,
-            }
-        }
-        spec
-    } else {
-        let Some(attack) = attack else {
-            eprintln!("attack-sweep needs --attack (or --spec FILE.json)");
-            std::process::exit(2);
-        };
-        if n == 0 {
-            eprintln!("attack-sweep needs --n");
-            std::process::exit(2);
-        }
-        let Some(coalition) = coalition else {
-            eprintln!("attack-sweep needs --coalition");
-            std::process::exit(2);
-        };
-        let schedule = schedule_from_flags(latency, loss, dup);
-        let fault = fault_from_flags(
-            crash,
-            recover,
-            n,
-            matches!(schedule, ScheduleSpec::Timed { .. }),
-        );
-        SweepSpec::Attack(AttackSweep {
-            attack,
-            n,
-            fn_key,
-            batch,
-            coalition,
-            target,
-            seed_mode,
-            schedule,
-            fault,
-        })
-    };
-    if let Err(e) = spec.validate() {
-        eprintln!("invalid sweep spec: {e}");
-        std::process::exit(2);
-    }
-    let start = std::time::Instant::now();
-    let (label, n, ran) = execute_sweep(&spec, &format, &opts);
-    eprintln!(
-        "  [attack-sweep {label} n={n} trials={ran}: {:.1?}]",
-        start.elapsed()
-    );
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
 
@@ -819,10 +693,9 @@ fn main() {
             let threads: usize = parse_arg(&args, 1, "--threads");
             set_default_threads(threads);
         }
-        if args[pos] == "sweep" {
-            run_sweep_cli(&args[pos + 1..]);
-        } else {
-            run_attack_sweep_cli(&args[pos + 1..]);
+        if let Err(e) = run_sweep_subcommand(&args[pos], &args[pos + 1..]) {
+            eprintln!("{e}");
+            std::process::exit(2);
         }
         return;
     }

@@ -26,9 +26,8 @@ use super::fmt_rate_ci;
 use crate::Table;
 use fle_attacks::AttackKind;
 use fle_harness::{
-    run_attack_sweep, run_attack_sweep_with_net, AttackSweep, BatchConfig, CoalitionSpec,
-    FnKeySpec, LatencySpec, LinkProfile, ScheduleSpec, SeedMode, TargetSpec, TimedNetConfig,
-    TrialReport,
+    run_attack_sweep_with_net, run_sweep, AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec,
+    LatencySpec, LinkProfile, ScheduleSpec, SeedMode, TargetSpec, TimedNetConfig, TrialReport,
 };
 
 /// Ring size: small enough for dense trial counts, large enough that a
@@ -105,14 +104,17 @@ pub fn run(quick: bool) -> Vec<Table> {
         &["scenario (FIFO links)", "Pr[w] ± ci", "msgs mean"],
     );
     for (label, report) in [
-        ("untimed fifo", run_attack_sweep(&fifo).expect("valid spec")),
+        (
+            "untimed fifo",
+            run_sweep(&fifo.clone().into()).expect("valid spec"),
+        ),
         (
             "timed, zero latency",
-            run_attack_sweep(&spec(trials, timed(LatencySpec::ZERO, 0))).expect("valid spec"),
+            run_sweep(&spec(trials, timed(LatencySpec::ZERO, 0)).into()).expect("valid spec"),
         ),
         (
             "const 100ns everywhere",
-            run_attack_sweep(&spec(trials, timed(LatencySpec::Constant { ns: 100 }, 0)))
+            run_sweep(&spec(trials, timed(LatencySpec::Constant { ns: 100 }, 0)).into())
                 .expect("valid spec"),
         ),
         (
@@ -133,23 +135,27 @@ pub fn run(quick: bool) -> Vec<Table> {
         "timed-b: the same attack outside the FIFO reliable-link model",
         &["scenario", "Pr[w] ± ci", "msgs mean", "(1-p)^M"],
     );
-    let base_msgs = run_attack_sweep(&fifo).expect("valid spec").messages.mean;
-    let jitter = run_attack_sweep(&spec(
-        trials,
-        timed(LatencySpec::Uniform { lo: 0, hi: 1000 }, 0),
-    ))
-    .expect("valid spec");
-    let stalls = run_attack_sweep(&spec(
-        trials,
-        timed(
-            LatencySpec::TwoPoint {
-                lo: 10,
-                hi: 1000,
-                hi_permille: 50,
-            },
-            0,
-        ),
-    ))
+    let base_msgs = run_sweep(&fifo.clone().into())
+        .expect("valid spec")
+        .messages
+        .mean;
+    let jitter =
+        run_sweep(&spec(trials, timed(LatencySpec::Uniform { lo: 0, hi: 1000 }, 0)).into())
+            .expect("valid spec");
+    let stalls = run_sweep(
+        &spec(
+            trials,
+            timed(
+                LatencySpec::TwoPoint {
+                    lo: 10,
+                    hi: 1000,
+                    hi_permille: 50,
+                },
+                0,
+            ),
+        )
+        .into(),
+    )
     .expect("valid spec");
     for (label, report) in [("jitter U(0,1000)ns", jitter), ("5% stalls x100", stalls)] {
         let mut cells = rate_cells(label, &report);
@@ -158,7 +164,7 @@ pub fn run(quick: bool) -> Vec<Table> {
     }
     for loss in [2u32, 5, 25, 250] {
         let report =
-            run_attack_sweep(&spec(trials, timed(LatencySpec::ZERO, loss))).expect("valid spec");
+            run_sweep(&spec(trials, timed(LatencySpec::ZERO, loss)).into()).expect("valid spec");
         let pred = (1.0 - f64::from(loss) / 1000.0).powf(base_msgs);
         let mut cells = rate_cells(&format!("loss {loss} permille"), &report);
         cells.push(format!("{pred:.3}"));

@@ -7,78 +7,39 @@ use crate::{run_batch_range, TrialOutcome, TrialReport};
 use fle_attacks::build_runner;
 use ring_sim::TimedNetConfig;
 
-/// Runs `batch.trials` adversarial executions of the configured attack,
-/// one deterministic seed per trial, and aggregates them into a
-/// [`TrialReport`] whose `attack` arm carries the success/infeasible
-/// counts and the Wilson 95% CI on the success rate.
-///
-/// Each worker thread builds one cached runner
-/// ([`fle_attacks::build_runner`]) in `make_worker`: protocol base,
-/// engine, scheduler, arena and result buffers are all reused, so
-/// steady-state trials are allocation-free. Trials whose per-instance
-/// preconditions fail count as `infeasible` (and never as successes).
-/// The report is byte-identical for every thread count.
+/// Runs an attack sweep on an explicit (possibly asymmetric, per-edge)
+/// [`TimedNetConfig`] instead of the uniform net implied by
+/// `cfg.schedule` — the one case a [`ScheduleSpec`](crate::ScheduleSpec)
+/// cannot express. This is the entry point for experiments that place
+/// slow links *relative to the coalition* (e.g. adversary placement vs.
+/// asymmetric latency); everything else — batching, seed streams, report
+/// aggregation, thread-count invariance — is identical to
+/// [`run_sweep`](crate::run_sweep).
 ///
 /// # Errors
 ///
 /// If the spec is invalid (unresolvable coalition, layout rejected by
 /// the runner) — the same conditions
-/// [`SweepSpec::validate`](crate::SweepSpec::validate) reports. A
-/// malformed spec is a `Result`, never a worker panic, so a long-running
-/// multi-sweep process survives it.
-pub fn run_attack_sweep(cfg: &AttackSweep) -> Result<TrialReport, String> {
-    run_attack_partial(cfg, 0, cfg.batch.trials)?.finish()
-}
-
-/// [`run_attack_sweep`] with an explicit (possibly asymmetric, per-edge)
-/// [`TimedNetConfig`] instead of the uniform net implied by
-/// `cfg.schedule`. This is the entry point for experiments that place
-/// slow links *relative to the coalition* (e.g. adversary placement vs.
-/// asymmetric latency); everything else — batching, seed streams, report
-/// aggregation, thread-count invariance — is identical.
-///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
+/// [`SweepSpec::validate`](crate::SweepSpec::validate) reports.
 pub fn run_attack_sweep_with_net(
     cfg: &AttackSweep,
     net: &TimedNetConfig,
 ) -> Result<TrialReport, String> {
-    run_attack_partial_impl(cfg, Some(net), 0, cfg.batch.trials)?.finish()
+    attack_partial(cfg, Some(net), 0, cfg.batch.trials)?.finish()
 }
 
-/// Runs trials `start..end` of the attack sweep (global indices and
-/// seeds) into a mergeable [`ReportPartial`]. Panicking trials are
-/// contained as recorded faults; infeasible trials count as such.
+/// Runs trials `start..end` (global indices and seeds) of an attack sweep
+/// into a mergeable [`ReportPartial`], on the timed net `net` (`None`:
+/// FIFO).
 ///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
-pub fn run_attack_partial(
-    cfg: &AttackSweep,
-    start: u64,
-    end: u64,
-) -> Result<ReportPartial, String> {
-    let net = cfg.schedule.timed_net();
-    run_attack_partial_impl(cfg, net.as_ref(), start, end)
-}
-
-/// [`run_attack_partial`] with an explicit [`TimedNetConfig`], the
-/// range form of [`run_attack_sweep_with_net`].
-///
-/// # Errors
-///
-/// As for [`run_attack_sweep`].
-pub fn run_attack_partial_with_net(
-    cfg: &AttackSweep,
-    net: &TimedNetConfig,
-    start: u64,
-    end: u64,
-) -> Result<ReportPartial, String> {
-    run_attack_partial_impl(cfg, Some(net), start, end)
-}
-
-fn run_attack_partial_impl(
+/// Each worker thread builds one cached runner
+/// ([`fle_attacks::build_runner`]): protocol base, engine, scheduler,
+/// arena and result buffers are all reused, so steady-state trials are
+/// allocation-free. Trials whose per-instance preconditions fail count as
+/// `infeasible` (and never as successes); panicking trials are contained
+/// as recorded faults. A malformed spec is a `Result`, never a worker
+/// panic, so a long-running multi-sweep process survives it.
+pub(crate) fn attack_partial(
     cfg: &AttackSweep,
     net: Option<&TimedNetConfig>,
     start: u64,
@@ -142,7 +103,7 @@ fn run_attack_partial_impl(
 mod tests {
     use super::*;
     use crate::spec::{CoalitionSpec, FnKeySpec, ScheduleSpec, SeedMode, TargetSpec};
-    use crate::BatchConfig;
+    use crate::{run_sweep, BatchConfig};
     use fle_attacks::{AttackKind, RushingAttack};
     use fle_core::protocols::ALeadUni;
     use fle_core::Coalition;
@@ -167,10 +128,10 @@ mod tests {
 
     #[test]
     fn attack_sweep_is_thread_count_invariant() {
-        let baseline = run_attack_sweep(&rushing_sweep(1, SeedMode::Derived)).expect("valid");
+        let baseline = run_sweep(&rushing_sweep(1, SeedMode::Derived).into()).expect("valid");
         for threads in [2, 8] {
             let report =
-                run_attack_sweep(&rushing_sweep(threads, SeedMode::Derived)).expect("valid");
+                run_sweep(&rushing_sweep(threads, SeedMode::Derived).into()).expect("valid");
             assert_eq!(report.to_json(), baseline.to_json(), "threads={threads}");
             assert_eq!(report.to_csv(), baseline.to_csv(), "threads={threads}");
         }
@@ -179,14 +140,14 @@ mod tests {
     #[test]
     fn zero_profile_timed_attack_sweep_matches_fifo() {
         use ring_sim::LatencySpec;
-        let fifo = run_attack_sweep(&rushing_sweep(1, SeedMode::Derived)).expect("valid");
+        let fifo = run_sweep(&rushing_sweep(1, SeedMode::Derived).into()).expect("valid");
         let mut timed_cfg = rushing_sweep(1, SeedMode::Derived);
         timed_cfg.schedule = ScheduleSpec::Timed {
             latency: LatencySpec::ZERO,
             loss_permille: 0,
             dup_permille: 0,
         };
-        let timed = run_attack_sweep(&timed_cfg).expect("valid");
+        let timed = run_sweep(&timed_cfg.into()).expect("valid");
         assert_eq!(timed.to_json(), fifo.to_json());
     }
 
@@ -195,7 +156,7 @@ mod tests {
         // The pre-spec experiment tables looped `for seed in 0..trials`
         // and ran the attack directly; RawIndex mode must reproduce that
         // stream exactly.
-        let report = run_attack_sweep(&rushing_sweep(1, SeedMode::RawIndex)).expect("valid");
+        let report = run_sweep(&rushing_sweep(1, SeedMode::RawIndex).into()).expect("valid");
         let coalition = Coalition::equally_spaced(16, 7, 1).unwrap();
         let attack = RushingAttack::new(3);
         let mut successes = 0;
@@ -217,7 +178,7 @@ mod tests {
         // k > n cannot resolve; historically this panicked inside a worker.
         let mut cfg = rushing_sweep(1, SeedMode::Derived);
         cfg.coalition = CoalitionSpec::EquallySpaced { k: 99, offset: 0 };
-        let err = run_attack_sweep(&cfg).unwrap_err();
+        let err = run_sweep(&cfg.into()).unwrap_err();
         assert!(err.contains("coalition"), "unexpected message: {err}");
     }
 
@@ -241,7 +202,7 @@ mod tests {
             schedule: ScheduleSpec::Fifo,
             fault: None,
         };
-        let report = run_attack_sweep(&cfg).expect("valid");
+        let report = run_sweep(&cfg.into()).expect("valid");
         let arm = report.attack.expect("attack arm");
         assert_eq!(arm.infeasible, 10);
         assert_eq!(arm.successes, 0);

@@ -23,15 +23,16 @@
 //! * [`par_seeds`] — the legacy `fle-experiments` surface, now a thin
 //!   wrapper over [`run_batch`] (seeds are the raw trial indices, for
 //!   compatibility with the recorded experiment tables).
-//! * [`run_sweep`] — spec-level batches: build a [`SweepSpec`] (an honest
-//!   [`HonestSweep`], an adversarial [`AttackSweep`] or a tree-dictator
-//!   [`TreeSweep`]), get a [`TrialReport`] with per-node win counts,
-//!   failure counts, message/step summaries and percentiles — plus, for
-//!   adversarial grids, attack success counts with Wilson 95% CIs —
-//!   serializable to JSON ([`TrialReport::to_json`]) and CSV
-//!   ([`TrialReport::to_csv`]). Specs round-trip through deterministic
-//!   JSON ([`SweepSpec::to_json`] / [`SweepSpec::parse_json`]) and are
-//!   reference-checked by [`SweepSpec::validate`].
+//! * [`run_sweep`] — spec-level batches, the one way to run a sweep:
+//!   build a [`SweepSpec`] (an honest [`HonestSweep`], an adversarial
+//!   [`AttackSweep`] or a tree-dictator [`TreeSweep`]), get a
+//!   [`TrialReport`] with per-node win counts, failure counts,
+//!   message/step summaries and percentiles — plus, for adversarial
+//!   grids, attack success counts with Wilson 95% CIs — serializable to
+//!   JSON ([`TrialReport::to_json`]) and CSV ([`TrialReport::to_csv`]).
+//!   Specs round-trip through deterministic JSON ([`SweepSpec::to_json`]
+//!   / [`SweepSpec::parse_json`]) and are reference- and size-checked by
+//!   [`SweepSpec::validate`].
 //! * [`run_sweep_partial`] / [`ReportPartial`] — the crash-safe form:
 //!   any contiguous trial range aggregates into a mergeable partial with
 //!   exact metric histograms; disjoint partials [`merge`](ReportPartial::merge)
@@ -39,6 +40,9 @@
 //!   identical to the monolithic run. [`run_sweep_checkpointed`] builds
 //!   atomic-file checkpoint/resume on top; panicking trials are contained
 //!   per-trial as recorded [`TrialFault`]s instead of aborting the sweep.
+//! * [`run_attack_sweep_with_net`] — an attack sweep on an explicit
+//!   per-edge [`TimedNetConfig`], the one net a [`ScheduleSpec`] cannot
+//!   express.
 //!
 //! ## Example
 //!
@@ -92,9 +96,7 @@ mod spec;
 mod sweep;
 mod tree;
 
-pub use attack::{
-    run_attack_partial, run_attack_partial_with_net, run_attack_sweep, run_attack_sweep_with_net,
-};
+pub use attack::run_attack_sweep_with_net;
 pub use batch::{
     batched_trials, default_threads, par_seeds, run_batch, run_batch_range,
     run_batch_range_grouped, set_default_threads, BatchConfig, TrialFault,
@@ -120,10 +122,8 @@ pub use ring_sim::{
     CrashInstant, FaultConfig, FaultPlan, LatencySpec, LinkProfile, TimedNetConfig,
 };
 pub use sweep::{
-    run_honest_partial, run_honest_sweep, run_sweep, run_sweep_partial, HonestSweep, ProtocolKind,
-    DEFAULT_BATCH_WIDTH, MAX_BATCH_WIDTH,
+    run_sweep, run_sweep_partial, HonestSweep, ProtocolKind, DEFAULT_BATCH_WIDTH, MAX_BATCH_WIDTH,
 };
-pub use tree::{run_tree_partial, run_tree_sweep};
 
 use ring_sim::rng::mix;
 

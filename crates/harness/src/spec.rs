@@ -582,6 +582,12 @@ impl CoalitionSpec {
     }
 }
 
+/// The largest ring or graph [`SweepSpec::validate`] admits: the biggest
+/// size the experiments sweep. Honest phase nodes keep `O(n)` state each,
+/// so one trial's memory grows as `n²`; well past this size it no longer
+/// fits a worker.
+const MAX_N: usize = 4096;
+
 /// The graph family a tree-dictator sweep runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GraphSpec {
@@ -625,7 +631,8 @@ impl GraphSpec {
     pub fn n(self) -> usize {
         match self {
             GraphSpec::Path(n) | GraphSpec::Cycle(n) | GraphSpec::Complete(n) => n,
-            GraphSpec::Grid { rows, cols } => rows * cols,
+            // An overflowing product is past any size limit anyway.
+            GraphSpec::Grid { rows, cols } => rows.saturating_mul(cols),
             GraphSpec::RandomTree { n, .. } | GraphSpec::RandomConnected { n, .. } => n,
             GraphSpec::Figure2 => 16,
         }
@@ -654,7 +661,10 @@ impl GraphSpec {
             }
             GraphSpec::Grid { rows, cols } => {
                 require(rows >= 1 && cols >= 1, "grid dimensions must be positive")?;
-                require(rows * cols >= 2, "grid needs at least 2 vertices")?;
+                require(
+                    rows.checked_mul(cols).is_some_and(|v| v >= 2),
+                    "grid needs at least 2 vertices",
+                )?;
                 Graph::grid(rows, cols)
             }
             GraphSpec::RandomTree { n, seed } => {
@@ -932,18 +942,14 @@ impl SweepSpec {
                     "honest sweep",
                 )?;
                 let protocol: ProtocolKind = req_str(&v, "protocol", "honest sweep")?.parse()?;
-                let batch_width = opt_u64(&v, "batch_width", 0)? as usize;
-                if batch_width > MAX_BATCH_WIDTH {
-                    return Err(format!(
-                        "honest sweep: \"batch_width\" must be at most {MAX_BATCH_WIDTH}"
-                    ));
-                }
                 Ok(SweepSpec::Honest(HonestSweep {
                     protocol,
                     n: req_usize(&v, "n", "honest sweep")?,
                     fn_key: opt_u64(&v, "fn_key", 0)?,
                     batch: parse_batch(&v)?,
-                    batch_width,
+                    // Saturated, so `validate` names the lane limit.
+                    batch_width: usize::try_from(opt_u64(&v, "batch_width", 0)?)
+                        .unwrap_or(usize::MAX),
                     schedule: parse_schedule(&v)?,
                     fault: parse_fault(&v)?,
                 }))
@@ -1035,15 +1041,31 @@ impl SweepSpec {
     }
 
     /// Cross-checks every reference in the spec without running trials:
-    /// ring sizes against protocol minimums, coalition layouts against
-    /// attack preconditions, targets against their ranges.
+    /// ring and graph sizes against the 4096-node size limit and the
+    /// protocol minimums,
+    /// the lockstep width against [`MAX_BATCH_WIDTH`], coalition layouts
+    /// against attack preconditions, targets against their ranges.
     ///
     /// # Errors
     ///
     /// An actionable message naming the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
+        // First, so no later check builds anything of an absurd size.
+        let n = match self {
+            SweepSpec::Honest(h) => h.n,
+            SweepSpec::Attack(a) => a.n,
+            SweepSpec::TreeDictator(t) => t.graph.n(),
+        };
+        require(
+            n <= MAX_N,
+            &format!("n={n} exceeds the size limit of {MAX_N} nodes"),
+        )?;
         match self {
             SweepSpec::Honest(h) => {
+                require(
+                    h.batch_width <= MAX_BATCH_WIDTH,
+                    &format!("honest sweep: \"batch_width\" must be at most {MAX_BATCH_WIDTH}"),
+                )?;
                 let min = match h.protocol {
                     ProtocolKind::BasicLead | ProtocolKind::ALeadUni => 2,
                     ProtocolKind::PhaseAsyncLead | ProtocolKind::PhaseSumLead => 4,

@@ -1,11 +1,10 @@
 //! Protocol-level batch sweeps with per-worker engine reuse.
 
+use crate::attack::attack_partial;
 use crate::partial::ReportPartial;
 use crate::spec::{FaultSpec, ScheduleSpec, SweepSpec};
-use crate::{
-    run_attack_partial, run_attack_sweep, run_batch_range_grouped, run_tree_partial,
-    run_tree_sweep, trial_seed, BatchConfig, TrialOutcome, TrialReport,
-};
+use crate::tree::tree_partial;
+use crate::{run_batch_range_grouped, trial_seed, BatchConfig, TrialOutcome, TrialReport};
 use fle_core::protocols::{
     run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadUni, BasicLead, LockstepProtocol,
     PhaseAsyncLead, PhaseSumLead,
@@ -226,56 +225,16 @@ impl<P: LockstepProtocol> HonestWorker<P> {
 /// One honest trial's outcome and whether a planned crash fired.
 type Trial = (TrialOutcome, bool);
 
-/// Runs `batch.trials` honest executions of the configured protocol, one
-/// deterministic seed per trial, and aggregates them into a
-/// [`TrialReport`].
+/// Trials `start..end` of an honest sweep of `protocol`: lockstep groups
+/// where the sweep's width allows, scalar trials elsewhere, and a partial
+/// that carries the crash counters ([`ReportPartial::with_faults`]) when
+/// the sweep draws fault plans.
 ///
-/// Each worker thread owns one sweep worker — a reusable [`Engine`] plus
-/// monomorphized node, scheduler, arena, lockstep and result buffers —
-/// and a copy of the protocol instance, whose seed-independent state
-/// (`PhaseParams`, the keyed `RandomFn`, the ring size) is built *once*
-/// per sweep; each trial derives its seeded copy from it, so
-/// steady-state trials allocate nothing. The report (and its JSON/CSV
-/// serializations) is byte-identical for every thread count.
-///
-/// # Panics
-///
-/// Panics if `n` is below the protocol's minimum ring size.
-pub fn run_honest_sweep(cfg: &HonestSweep) -> TrialReport {
-    run_honest_partial(cfg, 0, cfg.batch.trials)
-        .finish()
-        .expect("full-range partial always finishes")
-}
-
-/// Runs trials `start..end` of the honest sweep (global indices and
-/// seeds, as in [`run_batch_range_grouped`]) into a mergeable
-/// [`ReportPartial`].
-/// Panicking trials are contained as recorded faults.
-///
-/// `run_honest_partial(cfg, 0, trials).finish()` is exactly
-/// [`run_honest_sweep`]; disjoint ranges merge to the same bytes.
-///
-/// # Panics
-///
-/// Panics if `n` is below the protocol's minimum ring size or the range
-/// is out of bounds.
-pub fn run_honest_partial(cfg: &HonestSweep, start: u64, end: u64) -> ReportPartial {
-    let n = cfg.n;
-    match cfg.protocol {
-        ProtocolKind::BasicLead => honest_partial(cfg, start, end, BasicLead::new(n)),
-        ProtocolKind::ALeadUni => honest_partial(cfg, start, end, ALeadUni::new(n)),
-        ProtocolKind::PhaseAsyncLead => {
-            let p = PhaseAsyncLead::new(n).with_fn_key(cfg.fn_key);
-            honest_partial(cfg, start, end, p)
-        }
-        ProtocolKind::PhaseSumLead => honest_partial(cfg, start, end, PhaseSumLead::new(n)),
-    }
-}
-
-/// [`run_honest_partial`] for one protocol: lockstep groups where the
-/// sweep's width allows, scalar trials elsewhere, and a partial that
-/// carries the crash counters ([`ReportPartial::with_faults`]) when the
-/// sweep draws fault plans.
+/// Each worker thread owns one [`HonestWorker`] and a copy of
+/// `protocol`, whose seed-independent state (`PhaseParams`, the keyed
+/// `RandomFn`, the ring size) is built *once* per sweep; each trial
+/// derives its seeded copy from it, so steady-state trials allocate
+/// nothing. Panicking trials are contained as recorded faults.
 fn honest_partial<P: LockstepProtocol + Clone + Sync>(
     cfg: &HonestSweep,
     start: u64,
@@ -314,30 +273,19 @@ fn honest_partial<P: LockstepProtocol + Clone + Sync>(
 }
 
 /// Runs any [`SweepSpec`] — honest, attack or tree-dictator — and
-/// aggregates it into a [`TrialReport`]. The report (and its JSON/CSV
+/// aggregates it into a [`TrialReport`]: `run_sweep_partial` over the
+/// whole trial range, finished. The report (and its JSON/CSV
 /// serializations) is byte-identical for every thread count.
-///
-/// Attack and tree grids dispatch onto per-worker caches
-/// ([`run_attack_sweep`] / [`run_tree_sweep`]) so steady-state trials
-/// are allocation-free.
 ///
 /// # Errors
 ///
-/// If the spec violates a constructor precondition (e.g. an infeasible
-/// coalition layout) — the same conditions [`SweepSpec::validate`]
-/// reports.
+/// As for [`run_sweep_partial`].
 ///
 /// # Panics
 ///
-/// Panics if `n` is below an honest protocol's minimum ring size (honest
-/// specs have no runner-layer checks; call [`SweepSpec::validate`]
-/// first).
+/// As for [`run_sweep_partial`].
 pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
-    match spec {
-        SweepSpec::Honest(cfg) => Ok(run_honest_sweep(cfg)),
-        SweepSpec::Attack(cfg) => run_attack_sweep(cfg),
-        SweepSpec::TreeDictator(cfg) => run_tree_sweep(cfg),
-    }
+    run_sweep_partial(spec, 0, spec.batch().trials)?.finish()
 }
 
 /// Runs trials `start..end` of any [`SweepSpec`] into a mergeable
@@ -346,9 +294,25 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
 /// [`finish`](ReportPartial::finish) to bytes identical to
 /// [`run_sweep`] over the full range.
 ///
+/// Every worker thread owns reusable per-sweep state — an engine,
+/// scheduler, arena and result buffers, and for attack grids one cached
+/// runner ([`fle_attacks::build_runner`]) — so steady-state trials are
+/// allocation-free. Attack trials whose per-instance preconditions fail
+/// count as `infeasible`; panicking trials are contained as recorded
+/// faults.
+///
 /// # Errors
 ///
-/// If the range exceeds the spec's trial count or the spec is invalid.
+/// If the range exceeds the spec's trial count, or the spec violates a
+/// constructor precondition (e.g. an unresolvable coalition or a layout
+/// the attack rejects) — the same conditions [`SweepSpec::validate`]
+/// reports.
+///
+/// # Panics
+///
+/// Panics if `n` is below an honest protocol's minimum ring size (honest
+/// specs have no runner-layer checks; call [`SweepSpec::validate`]
+/// first).
 pub fn run_sweep_partial(spec: &SweepSpec, start: u64, end: u64) -> Result<ReportPartial, String> {
     let trials = spec.batch().trials;
     if start > end || end > trials {
@@ -357,9 +321,19 @@ pub fn run_sweep_partial(spec: &SweepSpec, start: u64, end: u64) -> Result<Repor
         ));
     }
     match spec {
-        SweepSpec::Honest(cfg) => Ok(run_honest_partial(cfg, start, end)),
-        SweepSpec::Attack(cfg) => run_attack_partial(cfg, start, end),
-        SweepSpec::TreeDictator(cfg) => run_tree_partial(cfg, start, end),
+        SweepSpec::Honest(cfg) => Ok(match cfg.protocol {
+            ProtocolKind::BasicLead => honest_partial(cfg, start, end, BasicLead::new(cfg.n)),
+            ProtocolKind::ALeadUni => honest_partial(cfg, start, end, ALeadUni::new(cfg.n)),
+            ProtocolKind::PhaseAsyncLead => {
+                let p = PhaseAsyncLead::new(cfg.n).with_fn_key(cfg.fn_key);
+                honest_partial(cfg, start, end, p)
+            }
+            ProtocolKind::PhaseSumLead => honest_partial(cfg, start, end, PhaseSumLead::new(cfg.n)),
+        }),
+        SweepSpec::Attack(cfg) => {
+            attack_partial(cfg, cfg.schedule.timed_net().as_ref(), start, end)
+        }
+        SweepSpec::TreeDictator(cfg) => tree_partial(cfg, start, end),
     }
 }
 
@@ -433,15 +407,19 @@ mod tests {
                 schedule: ScheduleSpec::Fifo,
                 fault: None,
             };
-            let fifo = run_honest_sweep(&base);
-            let timed = run_honest_sweep(&HonestSweep {
-                schedule: ScheduleSpec::Timed {
-                    latency: LatencySpec::ZERO,
-                    loss_permille: 0,
-                    dup_permille: 0,
-                },
-                ..base
-            });
+            let fifo = run_sweep(&base.into()).expect("valid spec");
+            let timed = run_sweep(
+                &HonestSweep {
+                    schedule: ScheduleSpec::Timed {
+                        latency: LatencySpec::ZERO,
+                        loss_permille: 0,
+                        dup_permille: 0,
+                    },
+                    ..base
+                }
+                .into(),
+            )
+            .expect("valid spec");
             assert_eq!(timed.to_json(), fifo.to_json(), "{protocol:?}");
         }
     }
@@ -454,7 +432,7 @@ mod tests {
             base_seed: 9,
             threads: 1,
         };
-        let report = run_honest_sweep(&HonestSweep {
+        let report = run_sweep(&SweepSpec::Honest(HonestSweep {
             protocol: ProtocolKind::ALeadUni,
             n,
             fn_key: 0,
@@ -462,7 +440,8 @@ mod tests {
             batch_width: 0,
             schedule: ScheduleSpec::Fifo,
             fault: None,
-        });
+        }))
+        .expect("valid spec");
         let mut wins = vec![0u64; n];
         for i in 0..batch.trials {
             let exec = ALeadUni::new(n)

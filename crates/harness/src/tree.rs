@@ -3,35 +3,24 @@
 
 use crate::partial::ReportPartial;
 use crate::spec::TreeSweep;
-use crate::{run_batch_range, TrialOutcome, TrialReport};
+use crate::{run_batch_range, TrialOutcome};
 use fle_topology::tree_fle::TreeSumFle;
 
-/// Runs `batch.trials` dictator executions of [`TreeSumFle`] on the
-/// configured graph and aggregates them into a [`TrialReport`] whose
-/// `attack` arm counts how often the dictator coalition forced its
-/// target (Theorem 7.2 predicts: always).
+/// Runs trials `start..end` (global indices and seeds) of a
+/// tree-dictator sweep into a mergeable [`ReportPartial`] whose `attack`
+/// arm counts how often the dictator coalition forced its target
+/// (Theorem 7.2 predicts: always).
 ///
 /// Each worker thread resolves the graph and its Claim F.5 partition
-/// once; per trial only the seeded protocol instance is rebuilt. The
-/// report is byte-identical for every thread count.
+/// once; per trial only the seeded protocol instance is rebuilt.
+/// Panicking trials are contained as recorded faults.
 ///
 /// # Errors
 ///
 /// If the graph family parameters are invalid — the same conditions
 /// [`SweepSpec::validate`](crate::SweepSpec::validate) reports. A
 /// malformed spec is a `Result`, never a worker panic.
-pub fn run_tree_sweep(cfg: &TreeSweep) -> Result<TrialReport, String> {
-    run_tree_partial(cfg, 0, cfg.batch.trials)?.finish()
-}
-
-/// Runs trials `start..end` of the tree-dictator sweep (global indices
-/// and seeds) into a mergeable [`ReportPartial`]. Panicking trials are
-/// contained as recorded faults.
-///
-/// # Errors
-///
-/// As for [`run_tree_sweep`].
-pub fn run_tree_partial(cfg: &TreeSweep, start: u64, end: u64) -> Result<ReportPartial, String> {
+pub(crate) fn tree_partial(cfg: &TreeSweep, start: u64, end: u64) -> Result<ReportPartial, String> {
     let n = cfg.graph.n();
     // Validate the spec once up front so workers can only fail per-trial.
     cfg.graph.resolve()?;
@@ -64,7 +53,7 @@ pub fn run_tree_partial(cfg: &TreeSweep, start: u64, end: u64) -> Result<ReportP
 mod tests {
     use super::*;
     use crate::spec::{GraphSpec, SeedMode, TargetSpec};
-    use crate::BatchConfig;
+    use crate::{run_sweep, BatchConfig, SweepSpec};
 
     #[test]
     fn dictator_always_wins_across_graph_families() {
@@ -73,7 +62,7 @@ mod tests {
             GraphSpec::Grid { rows: 3, cols: 4 },
             GraphSpec::Figure2,
         ] {
-            let report = run_tree_sweep(&TreeSweep {
+            let report = run_sweep(&SweepSpec::TreeDictator(TreeSweep {
                 graph,
                 batch: BatchConfig {
                     trials: 12,
@@ -82,7 +71,7 @@ mod tests {
                 },
                 target: TargetSpec::SeedProduct { multiplier: 5 },
                 seed_mode: SeedMode::RawIndex,
-            })
+            }))
             .expect("valid spec");
             let arm = report.attack.expect("tree sweeps carry the arm");
             assert_eq!(arm.successes, 12, "{graph:?}");
@@ -94,7 +83,7 @@ mod tests {
     #[test]
     fn tree_sweep_is_thread_count_invariant() {
         let sweep = |threads| {
-            run_tree_sweep(&TreeSweep {
+            run_sweep(&SweepSpec::TreeDictator(TreeSweep {
                 graph: GraphSpec::RandomConnected {
                     n: 12,
                     permille: 250,
@@ -107,7 +96,7 @@ mod tests {
                 },
                 target: TargetSpec::Fixed(3),
                 seed_mode: SeedMode::Derived,
-            })
+            }))
             .expect("valid spec")
         };
         let baseline = sweep(1);

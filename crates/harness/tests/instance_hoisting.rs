@@ -6,10 +6,10 @@
 //! test here may construct the protocol concurrently).
 
 use fle_core::protocols::phase_async_builds;
-use fle_harness::{run_honest_sweep, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec};
+use fle_harness::{run_sweep, BatchConfig, HonestSweep, ProtocolKind, ScheduleSpec, SweepSpec};
 
 fn sweep(trials: u64, threads: usize) {
-    let report = run_honest_sweep(&HonestSweep {
+    let report = run_sweep(&SweepSpec::Honest(HonestSweep {
         protocol: ProtocolKind::PhaseAsyncLead,
         n: 8,
         fn_key: 9,
@@ -21,7 +21,8 @@ fn sweep(trials: u64, threads: usize) {
         batch_width: 0,
         schedule: ScheduleSpec::Fifo,
         fault: None,
-    });
+    }))
+    .expect("valid spec");
     assert_eq!(report.trials, trials);
 }
 

@@ -260,6 +260,71 @@ fn validate_rejects_out_of_range_references() {
         }),
         "target 8 out of range for graph n=8",
     );
+    // Lockstep widths past the lane limit, from flags as from files.
+    assert_invalid(
+        SweepSpec::Honest(HonestSweep {
+            protocol: ProtocolKind::PhaseAsyncLead,
+            n: 8,
+            fn_key: 0,
+            batch: BatchConfig {
+                trials: 10,
+                base_seed: 0,
+                threads: 0,
+            },
+            batch_width: 1025,
+            schedule: ScheduleSpec::Fifo,
+            fault: None,
+        }),
+        "\"batch_width\" must be at most 1024",
+    );
+    // Sizes past the node limit, for every spec kind, before anything
+    // of that size is built.
+    assert_invalid(
+        SweepSpec::Honest(HonestSweep {
+            protocol: ProtocolKind::PhaseAsyncLead,
+            n: 4_000_000_000,
+            fn_key: 0,
+            batch: BatchConfig {
+                trials: 1,
+                base_seed: 0,
+                threads: 0,
+            },
+            batch_width: 0,
+            schedule: ScheduleSpec::Fifo,
+            fault: None,
+        }),
+        "n=4000000000 exceeds the size limit of 4096 nodes",
+    );
+    assert_invalid(
+        SweepSpec::Attack(attack_spec(
+            AttackKind::Rushing,
+            4_000_000_000,
+            CoalitionSpec::EquallySpaced { k: 4, offset: 1 },
+        )),
+        "n=4000000000 exceeds the size limit of 4096 nodes",
+    );
+    for graph in [
+        GraphSpec::Complete(4097),
+        // rows × cols wraps to 2^31 in 64-bit arithmetic.
+        GraphSpec::Grid {
+            rows: 8_589_934_593,
+            cols: 2_147_483_648,
+        },
+    ] {
+        assert_invalid(
+            SweepSpec::TreeDictator(TreeSweep {
+                graph,
+                batch: BatchConfig {
+                    trials: 1,
+                    base_seed: 0,
+                    threads: 0,
+                },
+                target: TargetSpec::Fixed(0),
+                seed_mode: SeedMode::Derived,
+            }),
+            "exceeds the size limit of 4096 nodes",
+        );
+    }
 }
 
 #[test]
@@ -307,4 +372,14 @@ fn well_formed_specs_round_trip_and_validate() {
         assert_eq!(SweepSpec::parse_json(&spec.to_json()), Ok(spec.clone()));
         spec.validate().unwrap_or_else(|e| panic!("{e}"));
     }
+
+    // The size limit admits the largest ring the experiments sweep.
+    let at_limit = attack_spec(
+        AttackKind::Rushing,
+        4096,
+        CoalitionSpec::EquallySpaced { k: 64, offset: 1 },
+    );
+    SweepSpec::Attack(at_limit)
+        .validate()
+        .unwrap_or_else(|e| panic!("{e}"));
 }

@@ -259,7 +259,8 @@ proptest! {
         // …and the fully monomorphized single-deviator fast path.
         let mut cache = BasicSingleCache::ring(n);
         for pass in 0..2 {
-            let exec = attack.run_in(&p, &mut cache).expect("feasible");
+            let node = attack.adversary_ring_node(&p).expect("feasible");
+            let exec = p.run_with_in(vec![node], &mut cache);
             prop_assert_eq!(exec, &reference, "concrete pass {}", pass);
         }
     }
@@ -281,7 +282,8 @@ proptest! {
         // …and the homogeneous coalition fully unboxed (concrete Rusher).
         let mut cache = RushingCache::ring(n);
         for pass in 0..2 {
-            let exec = attack.run_in(&p, &coalition, &mut cache).expect("planned");
+            let nodes = attack.adversary_ring_nodes(&p, &coalition).expect("planned");
+            let exec = p.run_with_in(nodes, &mut cache);
             prop_assert_eq!(exec, &reference, "unboxed pass {}", pass);
         }
     }
@@ -309,7 +311,8 @@ proptest! {
         // PhaseRusher).
         let mut cache = PhaseRushingCache::ring(n);
         for pass in 0..2 {
-            let exec = attack.run_in(&p, &coalition, &mut cache).expect("planned");
+            let nodes = attack.adversary_ring_nodes(&p, &coalition).expect("planned");
+            let exec = p.run_with_in(nodes, &mut cache);
             prop_assert_eq!(exec, &reference, "unboxed pass {}", pass);
         }
     }
@@ -327,7 +330,8 @@ proptest! {
         let reference = attack.run(&p).expect("valid position");
         let mut cache = PhaseTrialCache::ring(n);
         for pass in 0..2 {
-            let exec = attack.run_in(&p, &mut cache).expect("valid position");
+            let nodes = attack.adversary_nodes(&p).expect("valid position");
+            let exec = p.run_with_in(nodes, &mut cache);
             prop_assert_eq!(exec, &reference, "pass {}", pass);
         }
     }

@@ -289,7 +289,7 @@ fn full_10k_sharded_merge_sha256_is_pinned() {
 /// Builds the canonical attack sweep: 500 trials of the `√n + 3` rushing
 /// coalition (`k = 7` equally spaced) against `PhaseAsyncLead n=16`, one
 /// derived seed per trial, run through the cached-engine attack fast path
-/// (`run_in` over a per-worker [`PhaseRushingCache`] — since the
+/// (`run_with_in` over a per-worker [`PhaseRushingCache`] — since the
 /// coalition-mix enum widening, the homogeneous coalition runs fully
 /// unboxed; the sha256 pin below proving the switch is byte-invisible).
 fn rushing_n16_report(trials: u64) -> TrialReport {
@@ -306,7 +306,10 @@ fn rushing_n16_report(trials: u64) -> TrialReport {
         || PhaseRushingCache::ring(n),
         |cache, _i, seed| {
             let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(9);
-            let exec = attack.run_in(&p, &coalition, cache).expect("feasible");
+            let nodes = attack
+                .adversary_ring_nodes(&p, &coalition)
+                .expect("feasible");
+            let exec = p.run_with_in(nodes, cache);
             TrialOutcome::of(exec)
         },
     );
@@ -314,7 +317,7 @@ fn rushing_n16_report(trials: u64) -> TrialReport {
 }
 
 /// SHA-256 pin of the attack fast path's aggregate output — the
-/// byte-identical regression oracle for `run_in`/`TrialCache`, mirroring
+/// byte-identical regression oracle for `run_with_in`/`TrialCache`, mirroring
 /// the honest sweep pins above. The digest was first derived through
 /// `SimBuilder::run_with` (`PhaseRushingAttack::run`), so it also proves
 /// the cached-engine path reproduces the one-shot path exactly.

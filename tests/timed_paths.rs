@@ -15,6 +15,7 @@
 use fle_attacks::{RushingAttack, RushingCache};
 use fle_core::protocols::{
     run_ring_honest_timed_into, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead,
+    RingProtocol,
 };
 use fle_core::Coalition;
 use proptest::prelude::*;
@@ -166,7 +167,7 @@ proptest! {
         });
     }
 
-    /// The cached attack path (`run_in` over a `TrialCache`) with the
+    /// The cached attack path (`run_with_in` over a `TrialCache`) with the
     /// zero-profile net installed must equal the untimed one-shot
     /// reference, and a noisy net must replay deterministically.
     #[test]
@@ -176,12 +177,13 @@ proptest! {
         let attack = RushingAttack::new(w);
         prop_assume!(attack.plan(&p, &coalition).is_ok());
         let reference = attack.run(&p, &coalition).expect("planned");
+        let rushers = |p: &ALeadUni| attack.adversary_ring_nodes(p, &coalition).expect("planned");
 
         let mut cache = RushingCache::ring(n);
         cache.set_timed_net(Some(&TimedNetConfig::default()));
         cache.set_trial_seed(seed);
         for pass in 0..2 {
-            let exec = attack.run_in(&p, &coalition, &mut cache).expect("planned");
+            let exec = p.run_with_in(rushers(&p), &mut cache);
             prop_assert_eq!(exec, &reference, "zero-profile timed attack pass {}", pass);
         }
 
@@ -190,18 +192,18 @@ proptest! {
         let net = noisy_net();
         cache.set_timed_net(Some(&net));
         cache.set_trial_seed(seed);
-        let first = attack.run_in(&p, &coalition, &mut cache).expect("planned").clone();
-        let again = attack.run_in(&p, &coalition, &mut cache).expect("planned").clone();
+        let first = p.run_with_in(rushers(&p), &mut cache).clone();
+        let again = p.run_with_in(rushers(&p), &mut cache).clone();
         prop_assert_eq!(&first, &again, "reused-cache noisy replay");
         let mut fresh = RushingCache::ring(n);
         fresh.set_timed_net(Some(&net));
         fresh.set_trial_seed(seed);
-        let fresh_exec = attack.run_in(&p, &coalition, &mut fresh).expect("planned").clone();
+        let fresh_exec = p.run_with_in(rushers(&p), &mut fresh).clone();
         prop_assert_eq!(&first, &fresh_exec, "fresh-cache noisy replay");
 
         // Dropping back to the untimed path restores the reference.
         cache.set_timed_net(None);
-        let exec = attack.run_in(&p, &coalition, &mut cache).expect("planned");
+        let exec = p.run_with_in(rushers(&p), &mut cache);
         prop_assert_eq!(exec, &reference, "untimed path restored");
     }
 }
