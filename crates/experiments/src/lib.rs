@@ -14,7 +14,7 @@
 //! `shamir`, `syncring`, `fullinfo`, `apph`, `rename`, `exact`,
 //! `ablate`, `timed`, `faults`). Every experiment returns plain-text [`Table`]s; `--quick`
 //! shrinks ring sizes and trial counts for smoke testing (the same
-//! configuration the integration tests and Criterion benches use).
+//! configuration the integration tests use).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

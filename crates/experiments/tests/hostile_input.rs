@@ -28,6 +28,18 @@ impl Drop for TempFile {
     }
 }
 
+/// Runs `fle_lab` with `args` and asserts exit code 2 with `needle` on
+/// stderr.
+fn assert_named_error(args: &[&str], needle: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fle_lab"))
+        .args(args)
+        .output()
+        .expect("spawn fle_lab");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
 /// `[` nested 200,000 deep once overflowed the parser's stack. The spec,
 /// checkpoint and partial-report readers share the parser, so each must
 /// reject the file with the nesting limit named.
@@ -53,17 +65,8 @@ fn deeply_nested_json_is_a_named_error() {
     ];
     for (name, args) in cases {
         let file = TempFile::new(name, &deep);
-        let out = Command::new(env!("CARGO_BIN_EXE_fle_lab"))
-            .args(&args)
-            .arg(file.as_str())
-            .output()
-            .expect("spawn fle_lab");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
-        assert!(
-            stderr.contains("JSON nesting depth limit of 128"),
-            "{name}: {stderr}"
-        );
+        let args = [&args[..], &[file.as_str()]].concat();
+        assert_named_error(&args, "JSON nesting depth limit of 128");
     }
 }
 
@@ -110,12 +113,80 @@ fn size_and_lane_limits_are_named_errors() {
         (vec!["sweep", "--spec", lanes.as_str()], "at most 1024"),
     ];
     for (args, needle) in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_fle_lab"))
-            .args(&args)
-            .output()
-            .expect("spawn fle_lab");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert_named_error(&args, needle);
+    }
+}
+
+/// The timed clock saturates at `u64::MAX`, and tied arrivals pop in send
+/// order. So `--latency uniform:0:18446744073709551615` once "elected" 88
+/// of these 200 trials, which `uniform:0:1000` deadlocks, and a crash at
+/// `u64::MAX` ns that recovers `u64::MAX` ns later undid itself at once.
+/// Both exited 0. Each must be an exit-2 error naming the limit.
+#[test]
+fn saturating_clock_specs_are_named_errors() {
+    let max = "18446744073709551615";
+    let (uniform, constant) = (format!("uniform:0:{max}"), format!("const:{max}"));
+    let crash = format!("1@{max}ns");
+    let phase = ["sweep", "--protocol", "phase", "--n", "64"];
+    let phase = [&phase[..], &["--trials", "200", "--seed", "1"]].concat();
+    let recover = ["--crash", &crash, "--recover", max];
+    let clock = "the limit is 264913820655573 ns";
+    let cases: [(Vec<&str>, &str); 3] = [
+        ([&phase[..], &["--latency", &uniform]].concat(), clock),
+        (
+            [&phase[..], &["--latency", &constant], &recover].concat(),
+            clock,
+        ),
+        (
+            [&phase[..], &["--latency", "const:500"], &recover].concat(),
+            "their sum must be at most 18446744073709551615",
+        ),
+    ];
+    for (args, needle) in cases {
+        assert_named_error(&args, needle);
+    }
+}
+
+/// A shard partial whose `wins` wrap around to exactly its 10 covered
+/// trials passed the outcome-count check: `merge-reports` printed
+/// `"elected":10` beside a `wins[0]` of `u64::MAX` and exited 0, and a
+/// debug build panicked. Wrapping outcome and histogram counts must be
+/// exit-2 errors naming the field.
+#[test]
+fn wrapping_partial_counts_are_named_errors() {
+    let shard = Command::new(env!("CARGO_BIN_EXE_fle_lab"))
+        .args(["sweep", "--protocol", "basic", "--n", "8", "--trials", "10"])
+        .args(["--seed", "3", "--shard", "0/1"])
+        .output()
+        .expect("spawn fle_lab");
+    assert!(shard.status.success(), "shard run failed");
+    let partial = String::from_utf8(shard.stdout).expect("UTF-8 partial");
+    let wins_at = partial.find("\"wins\":[").expect("wins field");
+    let wins_end = wins_at + partial[wins_at..].find(']').expect("wins end") + 1;
+    let wrapped_wins = format!(
+        "{}\"wins\":[18446744073709551615,11,0,0,0,0,0,0]{}",
+        &partial[..wins_at],
+        &partial[wins_end..]
+    );
+    // Basic-LEAD on n = 8 sends 64 messages in every trial.
+    let wrapped_messages = partial.replacen(
+        "\"messages\":[[64,10]]",
+        "\"messages\":[[64,18446744073709551615],[65,11]]",
+        1,
+    );
+    assert_ne!(
+        wrapped_messages, partial,
+        "messages histogram changed shape"
+    );
+    for (name, contents, needle) in [
+        ("wrapped_wins", wrapped_wins, "\"wins\" counts overflow"),
+        (
+            "wrapped_messages",
+            wrapped_messages,
+            "\"messages\" counts overflow",
+        ),
+    ] {
+        let file = TempFile::new(name, &contents);
+        assert_named_error(&["merge-reports", file.as_str()], needle);
     }
 }

@@ -671,11 +671,29 @@ impl ReportPartial {
             .covered()
             .checked_sub(out.faults.len() as u64)
             .ok_or_else(|| format!("{ctx}: more faults than covered trials"))?;
-        let accounted =
-            out.wins.iter().sum::<u64>() + out.out_of_range + out.fails.total() + out.infeasible;
+        let f = &out.fails;
+        let mut accounted = 0;
+        add_counts(&mut accounted, &out.wins, "wins", ctx)?;
+        add_counts(&mut accounted, &[out.out_of_range], "out_of_range", ctx)?;
+        let fails = [
+            f.abort,
+            f.disagreement,
+            f.deadlock,
+            f.step_limit,
+            f.crash_partition,
+        ];
+        add_counts(&mut accounted, &fails, "fails", ctx)?;
+        add_counts(&mut accounted, &[out.infeasible], "infeasible", ctx)?;
         require(
             accounted == recorded,
             &format!("{ctx}: outcome counts ({accounted}) != covered trials ({recorded})"),
+        )?;
+        require(
+            out.successes <= recorded,
+            &format!(
+                "{ctx}: successes ({}) exceed recorded trials ({recorded})",
+                out.successes
+            ),
         )?;
         let ran = recorded - out.infeasible;
         require(
@@ -686,7 +704,8 @@ impl ReportPartial {
             ),
         )?;
         for (name, hist) in [("messages", &out.messages), ("steps", &out.steps)] {
-            let samples: u64 = hist.values().sum();
+            let mut samples = 0;
+            add_counts(&mut samples, hist.values(), name, ctx)?;
             require(
                 samples == ran,
                 &format!("{ctx}: {name} histogram holds {samples} samples, expected {ran}"),
@@ -694,6 +713,24 @@ impl ReportPartial {
         }
         Ok(out)
     }
+}
+
+/// Adds `counts` to `total`, naming `field` if the sum leaves `u64`: a
+/// hostile count near `u64::MAX` must not wrap onto the covered total.
+/// Once every count is bounded by its partial's covered trials, merging
+/// disjoint partials cannot overflow either.
+fn add_counts<'a>(
+    total: &mut u64,
+    counts: impl IntoIterator<Item = &'a u64>,
+    field: &str,
+    ctx: &str,
+) -> Result<(), String> {
+    for &count in counts {
+        *total = total
+            .checked_add(count)
+            .ok_or_else(|| format!("{ctx}: \"{field}\" counts overflow a 64-bit total"))?;
+    }
+    Ok(())
 }
 
 fn parse_histogram(v: &Json, key: &str, ctx: &str) -> Result<BTreeMap<u64, u64>, String> {
@@ -897,6 +934,15 @@ mod tests {
         assert!(ReportPartial::parse_json(&bad)
             .unwrap_err()
             .contains("unsupported version"));
+        // Two such partials once overflowed the successes sum in `merge`.
+        let mut a = ReportPartial::new_attack("Test", 2, 0, 5);
+        a.record_attack(0, Some(elected(0, 3, 4)), true);
+        let bad = a
+            .to_json()
+            .replace("\"successes\":1", "\"successes\":18446744073709551615");
+        assert!(ReportPartial::parse_json(&bad)
+            .unwrap_err()
+            .contains("successes (18446744073709551615) exceed recorded trials (1)"));
     }
 
     #[test]

@@ -14,7 +14,9 @@ use crate::BatchConfig;
 use fle_attacks::{build_runner, cubic_distances, AttackKind};
 use fle_core::Coalition;
 use fle_topology::{figure2_graph, Graph, TreePartition};
-use ring_sim::{CrashInstant, FaultConfig, LatencySpec, LinkProfile, TimedNetConfig};
+use ring_sim::{
+    default_step_limit, CrashInstant, FaultConfig, LatencySpec, LinkProfile, TimedNetConfig,
+};
 
 /// How per-trial protocol seeds are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -296,37 +298,60 @@ impl ScheduleSpec {
         }
     }
 
-    /// Cross-checks the schedule's parameters: probabilities within
-    /// [0, 1000] permille and non-degenerate latency ranges.
-    fn validate(&self) -> Result<(), String> {
-        match *self {
-            ScheduleSpec::Fifo => Ok(()),
-            ScheduleSpec::Timed {
-                latency,
-                loss_permille,
-                dup_permille,
+    /// Cross-checks the schedule's parameters on a ring of `n`:
+    /// probabilities within [0, 1000] permille, non-degenerate latency
+    /// ranges, and a virtual clock that cannot saturate.
+    fn validate(&self, n: usize) -> Result<(), String> {
+        let ScheduleSpec::Timed {
+            latency,
+            loss_permille,
+            dup_permille,
+        } = *self
+        else {
+            return Ok(());
+        };
+        require(
+            loss_permille <= 1000,
+            &format!("schedule loss_permille must be <= 1000, got {loss_permille}"),
+        )?;
+        require(
+            dup_permille <= 1000,
+            &format!("schedule dup_permille must be <= 1000, got {dup_permille}"),
+        )?;
+        let longest = match latency {
+            LatencySpec::Constant { ns } => ns,
+            LatencySpec::Uniform { lo, hi } => {
+                require(
+                    hi > lo,
+                    &format!("uniform latency needs hi > lo, got lo={lo} hi={hi}"),
+                )?;
+                hi - 1
+            }
+            LatencySpec::TwoPoint {
+                lo,
+                hi,
+                hi_permille,
             } => {
                 require(
-                    loss_permille <= 1000,
-                    &format!("schedule loss_permille must be <= 1000, got {loss_permille}"),
+                    hi_permille <= 1000,
+                    &format!("two_point hi_permille must be <= 1000, got {hi_permille}"),
                 )?;
-                require(
-                    dup_permille <= 1000,
-                    &format!("schedule dup_permille must be <= 1000, got {dup_permille}"),
-                )?;
-                match latency {
-                    LatencySpec::Constant { .. } => Ok(()),
-                    LatencySpec::Uniform { lo, hi } => require(
-                        hi > lo,
-                        &format!("uniform latency needs hi > lo, got lo={lo} hi={hi}"),
-                    ),
-                    LatencySpec::TwoPoint { hi_permille, .. } => require(
-                        hi_permille <= 1000,
-                        &format!("two_point hi_permille must be <= 1000, got {hi_permille}"),
-                    ),
-                }
+                lo.max(hi)
             }
-        }
+        };
+        // A run takes at most `default_step_limit(n)` steps, each sending
+        // at most one latency past the clock, so no arrival time exceeds
+        // `(limit + 1) × longest`. Past u64 the clock would saturate and
+        // the tied arrivals pop in send order: a schedule nobody asked for.
+        let hops = default_step_limit(n) + 1;
+        require(
+            hops.checked_mul(longest).is_some(),
+            &format!(
+                "timed schedule: latency up to {longest} ns overflows the 64-bit virtual clock \
+                 over {hops} steps at n={n}; the limit is {} ns",
+                u64::MAX / hops
+            ),
+        )
     }
 }
 
@@ -416,6 +441,18 @@ impl FaultSpec {
             ),
         )?;
         require(self.window.bound() >= 1, "fault window bound must be >= 1")?;
+        if let Some(recover) = self.recover {
+            // Recovery instants are `at + recover` with `at < bound`.
+            require(
+                self.window.bound().checked_add(recover).is_some(),
+                &format!(
+                    "fault window bound {} plus recover {recover} overflows the 64-bit clock; \
+                     their sum must be at most {}",
+                    self.window.bound(),
+                    u64::MAX
+                ),
+            )?;
+        }
         // The window's clock must match the schedule's: crash instants
         // are compared against delivery counts on the fifo path and
         // against virtual time on the timed path.
@@ -1075,7 +1112,7 @@ impl SweepSpec {
                     &format!("{} needs n >= {min}, got n={}", h.protocol.name(), h.n),
                 )?;
                 require(h.batch.trials >= 1, "trials must be >= 1")?;
-                h.schedule.validate()?;
+                h.schedule.validate(h.n)?;
                 if let Some(f) = &h.fault {
                     f.validate(h.n, &h.schedule)?;
                 }
@@ -1092,7 +1129,7 @@ impl SweepSpec {
                     ),
                 )?;
                 require(a.batch.trials >= 1, "trials must be >= 1")?;
-                a.schedule.validate()?;
+                a.schedule.validate(a.n)?;
                 if let Some(f) = &a.fault {
                     f.validate(a.n, &a.schedule)?;
                 }

@@ -9,8 +9,9 @@
 
 use fle_attacks::AttackKind;
 use fle_harness::{
-    AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec, GraphSpec, HonestSweep, LatencySpec,
-    ProtocolKind, ScheduleSpec, SeedMode, SweepSpec, TargetSpec, TreeSweep,
+    AttackSweep, BatchConfig, CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, GraphSpec,
+    HonestSweep, LatencySpec, ProtocolKind, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
+    TreeSweep,
 };
 
 /// Asserts `src` fails to parse and the error mentions `needle`.
@@ -174,6 +175,91 @@ fn validate_rejects_out_of_range_timed_schedules() {
     });
     assert_eq!(SweepSpec::parse_json(&spec.to_json()), Ok(spec.clone()));
     spec.validate().unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// A timed run's arrivals reach at most (step limit + 1) × the longest
+/// latency, and its recovery instants at most window + recover. Past
+/// `u64` the clock saturates, the tied arrivals pop in send order, and the
+/// run follows a schedule nobody asked for, so both bounds are checked
+/// up front and the message names the limit.
+#[test]
+fn validate_bounds_the_virtual_clock_and_recovery() {
+    let spec = |latency, fault| {
+        SweepSpec::Honest(HonestSweep {
+            protocol: ProtocolKind::PhaseAsyncLead,
+            n: 64,
+            fn_key: 0,
+            batch: BatchConfig {
+                trials: 200,
+                base_seed: 1,
+                threads: 0,
+            },
+            batch_width: 8,
+            schedule: ScheduleSpec::Timed {
+                latency,
+                loss_permille: 0,
+                dup_permille: 0,
+            },
+            fault,
+        })
+    };
+    // n = 64 runs at most 16·64² + 4096 = 69,632 steps.
+    let limit = u64::MAX / 69_633;
+    let needle = format!("the limit is {limit} ns");
+    for latency in [
+        LatencySpec::Constant { ns: limit + 1 },
+        LatencySpec::Uniform {
+            lo: 0,
+            hi: limit + 2,
+        },
+        LatencySpec::Uniform {
+            lo: 0,
+            hi: u64::MAX,
+        },
+        LatencySpec::TwoPoint {
+            lo: 0,
+            hi: limit + 1,
+            hi_permille: 1,
+        },
+    ] {
+        assert_invalid(spec(latency, None), &needle);
+    }
+    for latency in [
+        LatencySpec::Constant { ns: limit },
+        LatencySpec::Uniform {
+            lo: 0,
+            hi: limit + 1,
+        },
+        LatencySpec::TwoPoint {
+            lo: limit,
+            hi: 0,
+            hi_permille: 1000,
+        },
+    ] {
+        spec(latency, None)
+            .validate()
+            .unwrap_or_else(|e| panic!("{latency:?}: {e}"));
+    }
+
+    let crash = |bound, recover| {
+        Some(FaultSpec {
+            crashes: 1,
+            window: CrashInstant::VirtualNs(bound),
+            recover: Some(recover),
+        })
+    };
+    let latency = LatencySpec::Constant { ns: 500 };
+    assert_invalid(
+        spec(latency, crash(u64::MAX, 1)),
+        "their sum must be at most 18446744073709551615",
+    );
+    assert_invalid(
+        spec(latency, crash(1, u64::MAX)),
+        "fault window bound 1 plus recover 18446744073709551615 overflows",
+    );
+    spec(latency, crash(u64::MAX - 7, 7))
+        .validate()
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]

@@ -1,11 +1,10 @@
 //! The discrete-event execution engine.
 
 use crate::fault::FaultPlan;
-use crate::links::{LinkQueues, LinkSlab};
 use crate::node::{Ctx, Node, SendBuf};
 use crate::outcome::{outcome_of, FailReason, Outcome};
 use crate::probe::Probe;
-use crate::scheduler::{FifoScheduler, PackedToken, Scheduler, Token};
+use crate::scheduler::{FifoScheduler, Scheduler, Token};
 use crate::timed::{TimedEvent, TimedNetConfig, TimedScheduler};
 use crate::topology::{EdgeId, NodeId, Topology};
 use std::collections::VecDeque;
@@ -25,6 +24,10 @@ pub const fn default_step_limit(n: usize) -> u64 {
 /// topologies fall back to the per-node linear scan, which is fine there:
 /// a topology that big is never swept trial-by-trial.
 const DENSE_EDGE_TABLE_MAX: usize = 1 << 20;
+
+/// Queue capacity, in slots, that [`Engine::reset`] always lets a link
+/// queue or the fused stream keep: the floor of its retention budget.
+const MIN_RETAINED: usize = 64;
 
 /// Builder wiring nodes, topology, wake-ups, scheduler and probe into one
 /// runnable simulation.
@@ -214,7 +217,8 @@ impl<'p, M> SimBuilder<'p, M> {
 /// Monte-Carlo sweep of many thousands of trials over the *same* topology
 /// that churn dominates the runtime, so `Engine` keeps those buffers alive
 /// across runs: [`Engine::run_into`] resets them in place (queue
-/// capacities are retained) and executes a fresh set of node behaviours.
+/// capacities are retained up to the budget of [`Engine::reset`]) and
+/// executes a fresh set of node behaviours.
 ///
 /// An `Engine` produces bit-identical [`Execution`]s to the equivalent
 /// [`SimBuilder::run`] call — it is purely an allocation-reuse facility.
@@ -256,12 +260,14 @@ pub struct Engine<M> {
     /// Per-node `(successor, edge)` fallback list for topologies too large
     /// for the dense table.
     out_edge_of: Vec<Vec<(NodeId, EdgeId)>>,
-    /// Per-link message storage: the flat [`LinkSlab`] on ring-shaped
-    /// topologies, per-link `VecDeque`s elsewhere.
-    links: LinkStorage<M>,
-    /// `link_dirty[e]` is set the first time a run pushes onto link `e`;
-    /// `link_touched` lists exactly those links, so [`Engine::reset`]
-    /// clears O(touched) queues instead of all of them.
+    /// Per-link FIFO message queues of the split token/link path.
+    links: Vec<VecDeque<M>>,
+    /// `link_touched` lists every link whose queue may hold messages or
+    /// more than [`MIN_RETAINED`] slots, and `link_dirty[e]` marks link
+    /// `e` as listed. A run lists a link the first time it pushes onto
+    /// it, and [`Engine::reset`] unlists it once its queue is empty and
+    /// back at the floor, so a reset walks O(listed) queues instead of
+    /// all of them.
     link_dirty: Vec<bool>,
     link_touched: Vec<EdgeId>,
     /// The fused token+message stream of the global-FIFO fast path (see
@@ -287,16 +293,6 @@ pub struct Engine<M> {
     hwm_events: u64,
 }
 
-/// The engine's two link-storage layouts. The variant is fixed at
-/// construction; a run dispatches on it **once**, outside the delivery
-/// loop, into a monomorphized [`drive`] instantiation.
-enum LinkStorage<M> {
-    /// Flat slab — topologies where every node has exactly one in-link.
-    Slab(LinkSlab<M>),
-    /// General-topology fallback: one `VecDeque` per link.
-    Queues(Vec<VecDeque<M>>),
-}
-
 /// One entry of the fused global-FIFO stream: a [`Token`] carrying its
 /// message payload inline. Under a global-FIFO schedule the `k`-th popped
 /// `Deliver` token always delivers the `k`-th sent message (token order
@@ -319,27 +315,7 @@ impl<M> std::fmt::Debug for Engine<M> {
 
 impl<M> Engine<M> {
     /// Creates an engine for `topology`, preallocating the working set.
-    ///
-    /// Topologies in which every node has exactly one incoming link
-    /// (unidirectional rings — every sweep workload) get the flat
-    /// `LinkSlab` message storage; general topologies fall back to
-    /// per-link `VecDeque`s. Both produce bit-identical [`Execution`]s.
     pub fn new(topology: Topology) -> Self {
-        Self::build(topology, false)
-    }
-
-    /// [`Engine::new`] forced onto the general-topology `VecDeque` link
-    /// storage even when the topology qualifies for the ring slab.
-    ///
-    /// Semantics are identical to [`Engine::new`] — this constructor
-    /// exists as the **differential-test oracle** for the slab fast path
-    /// (`tests/engine_paths.rs` runs every protocol through both layouts
-    /// and asserts bit-identical executions).
-    pub fn new_with_general_links(topology: Topology) -> Self {
-        Self::build(topology, true)
-    }
-
-    fn build(topology: Topology, force_general_links: bool) -> Self {
         let n = topology.len();
         let out_neighbors: Vec<Vec<NodeId>> = (0..n).map(|i| topology.out_neighbors(i)).collect();
         let out_edge_of: Vec<Vec<(NodeId, EdgeId)>> = (0..n)
@@ -365,19 +341,13 @@ impl<M> Engine<M> {
             Vec::new()
         };
         let links_count = topology.edges().len();
-        let ring_shaped = (0..n).all(|i| topology.in_edges(i).len() == 1);
-        let links = if ring_shaped && !force_general_links {
-            LinkStorage::Slab(LinkSlab::new(links_count))
-        } else {
-            LinkStorage::Queues((0..links_count).map(|_| VecDeque::new()).collect())
-        };
         Self {
             topology,
             n,
             out_neighbors,
             edge_of_dense,
             out_edge_of,
-            links,
+            links: (0..links_count).map(|_| VecDeque::new()).collect(),
             link_dirty: vec![false; links_count],
             link_touched: Vec::new(),
             fused: VecDeque::new(),
@@ -419,56 +389,40 @@ impl<M> Engine<M> {
         &self.topology
     }
 
-    /// `true` when this engine stores link messages in the flat ring
-    /// `LinkSlab` (rather than the general-topology `VecDeque`
-    /// fallback). Exposed so tests and benches can assert which path a
-    /// workload rides.
-    pub fn uses_ring_slab(&self) -> bool {
-        matches!(self.links, LinkStorage::Slab(_))
-    }
-
     /// Clears all per-run state in place, keeping every allocation (link
     /// queues retain their capacity). Called automatically at the start of
     /// each [`Engine::run_into`]; exposed for callers that want a cleared
     /// engine between batches.
     ///
-    /// Link clearing is O(links *touched by the previous run*): pushes
-    /// record first-touches in a dirty list, so a run that delivered
-    /// everything (or touched only a few links) costs a short walk here,
-    /// not a scan of every queue.
+    /// Link clearing is O(listed links): pushes list a link on first
+    /// touch, so a run that touched only a few links costs a short walk
+    /// here, not a scan of every queue.
     ///
     /// Capacity is retained across trials **up to a budget**: 4× the
     /// decaying high-water mark of events per run (floored at 64 slots).
     /// Steady-state batches keep their allocations and never shrink; after
     /// one anomalously large trial the excess is released here over the
     /// following trials instead of being pinned for the engine's lifetime.
+    /// A link stays listed until its queue is back at the floor, so its
+    /// excess is released even when no later run touches it. The policy
+    /// is the same on every topology.
     pub fn reset(&mut self) {
-        let budget = (4 * self.hwm_events).max(64) as usize;
+        let budget = (4 * self.hwm_events as usize).max(MIN_RETAINED);
         let Engine {
             links,
             link_dirty,
             link_touched,
             ..
         } = self;
-        match links {
-            LinkStorage::Slab(slab) => {
-                for &e in link_touched.iter() {
-                    slab.clear_link(e);
-                    link_dirty[e] = false;
-                }
-                slab.shrink_to_budget(budget);
+        link_touched.retain(|&e| {
+            let queue = &mut links[e];
+            queue.clear();
+            if queue.capacity() > budget {
+                queue.shrink_to(budget);
             }
-            LinkStorage::Queues(queues) => {
-                for &e in link_touched.iter() {
-                    queues.clear_link(e);
-                    link_dirty[e] = false;
-                    if queues[e].capacity() > budget {
-                        queues[e].shrink_to(budget);
-                    }
-                }
-            }
-        }
-        link_touched.clear();
+            link_dirty[e] = queue.capacity() > MIN_RETAINED;
+            link_dirty[e]
+        });
         self.fused.clear();
         if self.fused.capacity() > budget {
             self.fused.shrink_to(budget);
@@ -477,23 +431,6 @@ impl<M> Engine<M> {
         self.sent.fill(0);
         self.received.fill(0);
         self.sends.clear();
-    }
-
-    /// Retained capacity of the fused global-FIFO stream, in events —
-    /// bounded by the shrink-on-idle policy of [`Engine::reset`]. Exposed
-    /// for the capacity-regression suite.
-    pub fn retained_fused_capacity(&self) -> usize {
-        self.fused.capacity()
-    }
-
-    /// Largest retained per-link queue capacity, in messages — bounded by
-    /// the shrink-on-idle policy of [`Engine::reset`]. Exposed for the
-    /// capacity-regression suite.
-    pub fn retained_link_capacity(&self) -> usize {
-        match &self.links {
-            LinkStorage::Slab(slab) => slab.per_link_capacity(),
-            LinkStorage::Queues(queues) => queues.iter().map(|q| q.capacity()).max().unwrap_or(0),
-        }
     }
 
     /// Runs one trial and writes its result into `out`.
@@ -509,7 +446,7 @@ impl<M> Engine<M> {
     ///
     /// The run dispatches **once**, here, outside the delivery loop: on
     /// the schedule (the fused global-FIFO stream, the split token/link
-    /// path over the ring slab or the general queues, or the timed heap),
+    /// path over the per-link queues, or the timed heap),
     /// the probe and the fault plan, into a monomorphized loop. Without a
     /// probe the hooks compile away; no `Option` check survives on any
     /// per-delivery path. With the all-zero [`TimedNetConfig`] a timed
@@ -662,11 +599,19 @@ impl<M> Engine<M> {
     /// (test/oracle helper).
     #[cfg(test)]
     fn links_are_empty(&self) -> bool {
-        self.fused.is_empty()
-            && match &self.links {
-                LinkStorage::Slab(slab) => slab.is_empty(),
-                LinkStorage::Queues(queues) => queues.iter().all(|q| q.is_empty()),
-            }
+        self.fused.is_empty() && self.links.iter().all(VecDeque::is_empty)
+    }
+
+    /// Retained capacity of the fused global-FIFO stream, in events.
+    #[cfg(test)]
+    fn retained_fused_capacity(&self) -> usize {
+        self.fused.capacity()
+    }
+
+    /// Largest retained per-link queue capacity, in messages.
+    #[cfg(test)]
+    fn retained_link_capacity(&self) -> usize {
+        self.links.iter().map(VecDeque::capacity).max().unwrap_or(0)
     }
 }
 
@@ -757,15 +702,15 @@ impl FaultHook for PlanFaults<'_> {
     }
 }
 
-/// The four-way loop dispatch (fused global-FIFO stream, ring slab,
-/// general queues, timed heap), factored out of
+/// The three-way loop dispatch (fused global-FIFO stream, split
+/// token/link path, timed heap), factored out of
 /// [`session_core`](Engine::session_core) so it instantiates once per
 /// [`FaultHook`] without spelling the arms twice at the call site.
 #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
 fn drive_dispatch<M: Clone, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
     hot: &Hot<'_>,
     state: &mut RunState<'_, M>,
-    links: &mut LinkStorage<M>,
+    links: &mut [VecDeque<M>],
     fused: &mut VecDeque<FusedEvent<M>>,
     nodes: &mut [N],
     wakes: &[NodeId],
@@ -778,14 +723,9 @@ fn drive_dispatch<M: Clone, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, 
         Schedule::Oblivious(scheduler) if scheduler.is_global_fifo() => {
             drive_fused(hot, state, fused, nodes, wakes, step_limit, probe, faults)
         }
-        Schedule::Oblivious(scheduler) => match links {
-            LinkStorage::Slab(slab) => drive(
-                hot, state, slab, nodes, wakes, *scheduler, step_limit, probe, faults,
-            ),
-            LinkStorage::Queues(queues) => drive(
-                hot, state, queues, nodes, wakes, *scheduler, step_limit, probe, faults,
-            ),
-        },
+        Schedule::Oblivious(scheduler) => drive(
+            hot, state, links, nodes, wakes, *scheduler, step_limit, probe, faults,
+        ),
         Schedule::Timed { heap, .. } => {
             drive_timed(hot, state, heap, nodes, wakes, step_limit, probe, faults)
         }
@@ -813,17 +753,16 @@ struct RunState<'e, M> {
     link_touched: &'e mut Vec<EdgeId>,
 }
 
-/// The monomorphized delivery loop: pops packed tokens, moves messages
-/// through the link storage `L`, and activates nodes. One instantiation
-/// per (node storage, scheduler, link layout, probe hook) combination —
-/// the honest batch path's is fully static. The [`RunState`] is flattened
-/// into plain single-level `&mut` locals up front so every per-delivery
-/// counter access is one load, not a double indirection.
+/// The split token/link loop of every scheduler that is not a global
+/// FIFO: pops [`Token`]s, moves messages through the per-link FIFO
+/// queues, and activates nodes. One instantiation per (node storage,
+/// scheduler, probe hook, fault hook) combination. The [`RunState`] is
+/// flattened into plain single-level `&mut` locals up front.
 #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive<M, N: Node<M>, S: Scheduler + ?Sized, L: LinkQueues<M>, P: ProbeHook<M>, F: FaultHook>(
+fn drive<M, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
     hot: &Hot<'_>,
     state: &mut RunState<'_, M>,
-    links: &mut L,
+    links: &mut [VecDeque<M>],
     nodes: &mut [N],
     wakes: &[NodeId],
     scheduler: &mut S,
@@ -850,17 +789,17 @@ fn drive<M, N: Node<M>, S: Scheduler + ?Sized, L: LinkQueues<M>, P: ProbeHook<M>
     let mut steps = 0u64;
 
     for &w in wakes {
-        scheduler.push_packed(PackedToken::wake(w));
+        scheduler.push(Token::Wake(w));
     }
 
     let mut hit_limit = false;
-    while let Some(token) = scheduler.pop_packed() {
+    while let Some(token) = scheduler.pop() {
         if steps >= step_limit {
             hit_limit = true;
             break;
         }
         steps += 1;
-        match token.decode() {
+        match token {
             Token::Wake(i) => {
                 if outputs[i].is_none() && !faults.is_down(i, delivered) {
                     activate(
@@ -877,14 +816,16 @@ fn drive<M, N: Node<M>, S: Scheduler + ?Sized, L: LinkQueues<M>, P: ProbeHook<M>
                                 link_dirty[edge] = true;
                                 link_touched.push(edge);
                             }
-                            links.push(edge, msg);
-                            scheduler.push_packed(PackedToken::deliver(edge));
+                            links[edge].push_back(msg);
+                            scheduler.push(Token::Deliver(edge));
                         },
                     );
                 }
             }
             Token::Deliver(edge) => {
-                let msg = links.pop(edge);
+                let msg = links[edge]
+                    .pop_front()
+                    .expect("token implies a queued message");
                 let (from, to) = hot.edges[edge];
                 // A crashed receiver still consumes the message (the link
                 // worked; the processor did not), so the delivery counts —
@@ -908,8 +849,8 @@ fn drive<M, N: Node<M>, S: Scheduler + ?Sized, L: LinkQueues<M>, P: ProbeHook<M>
                                 link_dirty[edge] = true;
                                 link_touched.push(edge);
                             }
-                            links.push(edge, msg);
-                            scheduler.push_packed(PackedToken::deliver(edge));
+                            links[edge].push_back(msg);
+                            scheduler.push(Token::Deliver(edge));
                         },
                     );
                 }
@@ -1218,6 +1159,25 @@ mod tests {
     use crate::outcome::FailReason;
     use crate::scheduler::{LifoScheduler, RandomScheduler};
     use crate::Topology;
+
+    /// A global FIFO that leaves [`Scheduler::is_global_fifo`] false, so
+    /// the engine drives the fused stream's order through the split path.
+    #[derive(Default)]
+    struct SplitFifo(VecDeque<Token>);
+
+    impl Scheduler for SplitFifo {
+        fn push(&mut self, token: Token) {
+            self.0.push_back(token);
+        }
+
+        fn pop(&mut self) -> Option<Token> {
+            self.0.pop_front()
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
 
     /// One oblivious run through [`Engine::run_into`], without a probe.
     fn run<N: Node<u64>, S: Scheduler + ?Sized>(
@@ -1585,108 +1545,66 @@ mod tests {
     }
 
     /// The fused global-FIFO stream vs the split token/link path driven by
-    /// `reference::FifoScheduler` (identical pop order, `is_global_fifo`
-    /// false): executions must be bit-identical, on both link layouts.
+    /// [`SplitFifo`] (identical pop order, `is_global_fifo` false):
+    /// executions must be bit-identical on one reused engine.
     #[test]
     fn fused_fifo_matches_split_path_with_same_schedule() {
         let n = 6;
         let target = 3 * n as u64;
         let limit = default_step_limit(n);
-        for general in [false, true] {
-            let mut engine = if general {
-                Engine::new_with_general_links(Topology::ring(n))
-            } else {
-                Engine::new(Topology::ring(n))
-            };
-            for _ in 0..2 {
-                let fused = run(
-                    &mut engine,
-                    &mut mono_nodes(n, target),
-                    &[0],
-                    &mut FifoScheduler::new(),
-                    limit,
-                );
-                let split = run(
-                    &mut engine,
-                    &mut mono_nodes(n, target),
-                    &[0],
-                    &mut crate::scheduler::reference::FifoScheduler::new(),
-                    limit,
-                );
-                assert_eq!(fused, split, "general={general}");
-            }
-        }
-    }
-
-    #[test]
-    fn link_storage_selection_matches_topology_shape() {
-        // Unidirectional ring: one in-edge per node → slab.
-        assert!(Engine::<u64>::new(Topology::ring(5)).uses_ring_slab());
-        // Complete digraph / bidirectional ring: multiple in-edges → queues.
-        assert!(!Engine::<u64>::new(Topology::complete(4)).uses_ring_slab());
-        assert!(!Engine::<u64>::new(Topology::bidirectional_ring(4)).uses_ring_slab());
-        // The differential oracle forces queues even on the ring.
-        assert!(!Engine::<u64>::new_with_general_links(Topology::ring(5)).uses_ring_slab());
-    }
-
-    #[test]
-    fn general_links_engine_matches_slab_engine() {
-        let n = 6;
-        let target = 3 * n as u64;
-        let mut slab = Engine::new(Topology::ring(n));
-        let mut general = Engine::new_with_general_links(Topology::ring(n));
-        for _ in 0..3 {
-            let a = run(
-                &mut slab,
+        let mut engine = Engine::new(Topology::ring(n));
+        for pass in 0..2 {
+            let fused = run(
+                &mut engine,
                 &mut mono_nodes(n, target),
                 &[0],
                 &mut FifoScheduler::new(),
-                default_step_limit(n),
+                limit,
             );
-            let b = run(
-                &mut general,
+            let split = run(
+                &mut engine,
                 &mut mono_nodes(n, target),
                 &[0],
-                &mut FifoScheduler::new(),
-                default_step_limit(n),
+                &mut SplitFifo::default(),
+                limit,
             );
-            assert_eq!(a, b);
+            assert_eq!(fused, split, "pass {pass}");
         }
     }
 
     #[test]
     fn burst_past_slab_capacity_stays_fifo() {
         // One activation sends 40 messages on a single ring link — far
-        // past the slab's initial per-link capacity, forcing grow mid-run.
-        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        let seen2 = seen.clone();
+        // past any queue's initial capacity, forcing a grow mid-run — on
+        // the fused stream and on the split path's link queue.
         let mut engine: Engine<u64> = Engine::new(Topology::ring(2));
-        assert!(engine.uses_ring_slab());
-        let mut nodes: Vec<Box<dyn Node<u64>>> = vec![
-            Box::new(
-                FnNode::new(|_, _: u64, _ctx: &mut Ctx<'_, u64>| {}).on_wake(|ctx| {
-                    for v in 0..40 {
-                        ctx.send(v);
-                    }
-                    ctx.terminate(Some(0));
-                }),
-            ),
-            Box::new(FnNode::new(move |_, m: u64, ctx: &mut Ctx<'_, u64>| {
-                seen2.borrow_mut().push(m);
-                if seen2.borrow().len() == 40 {
-                    ctx.terminate(Some(0));
-                }
-            })),
+        let schedulers: [Box<dyn Scheduler>; 2] = [
+            Box::new(FifoScheduler::new()),
+            Box::new(SplitFifo::default()),
         ];
-        let exec = run(
-            &mut engine,
-            &mut nodes,
-            &[0],
-            &mut FifoScheduler::new(),
-            1000,
-        );
-        assert_eq!(exec.outcome, Outcome::Elected(0));
-        assert_eq!(*seen.borrow(), (0..40).collect::<Vec<u64>>());
+        for mut scheduler in schedulers {
+            let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+            let seen2 = seen.clone();
+            let mut nodes: Vec<Box<dyn Node<u64>>> = vec![
+                Box::new(
+                    FnNode::new(|_, _: u64, _ctx: &mut Ctx<'_, u64>| {}).on_wake(|ctx| {
+                        for v in 0..40 {
+                            ctx.send(v);
+                        }
+                        ctx.terminate(Some(0));
+                    }),
+                ),
+                Box::new(FnNode::new(move |_, m: u64, ctx: &mut Ctx<'_, u64>| {
+                    seen2.borrow_mut().push(m);
+                    if seen2.borrow().len() == 40 {
+                        ctx.terminate(Some(0));
+                    }
+                })),
+            ];
+            let exec = run(&mut engine, &mut nodes, &[0], &mut *scheduler, 1000);
+            assert_eq!(exec.outcome, Outcome::Elected(0));
+            assert_eq!(*seen.borrow(), (0..40).collect::<Vec<u64>>());
+        }
     }
 
     #[test]
@@ -1810,8 +1728,8 @@ mod tests {
 
     #[test]
     fn retained_capacity_is_bounded_after_oversized_trial() {
-        // One burst trial grows the fused stream (FIFO path) and the link
-        // slab (split path) far past steady state; the decaying budget in
+        // One burst trial grows the fused stream (FIFO path) and a link
+        // queue (split path) far past steady state; the decaying budget in
         // reset() must release the excess over the following small trials.
         let n = 2;
         let burst = 100_000u64;
@@ -1833,8 +1751,8 @@ mod tests {
                 })),
             ]
         };
-        // Grow both layouts: the fused path via the global FIFO, the slab
-        // via the split-path reference scheduler.
+        // Grow both: the fused stream via the global FIFO, the link queue
+        // via the split path.
         let _ = run(
             &mut engine,
             &mut burst_nodes(),
@@ -1846,7 +1764,7 @@ mod tests {
             &mut engine,
             &mut burst_nodes(),
             &[0],
-            &mut crate::scheduler::reference::FifoScheduler::new(),
+            &mut SplitFifo::default(),
             4 * burst,
         );
         assert!(
@@ -1872,7 +1790,64 @@ mod tests {
         );
         assert!(
             engine.retained_link_capacity() <= 1024,
-            "link slab retained {} slots per link",
+            "link queues retained {} slots",
+            engine.retained_link_capacity()
+        );
+    }
+
+    #[test]
+    fn retained_capacity_is_bounded_on_a_general_topology() {
+        // One split-path burst on link 0 → 1 of the complete digraph, then
+        // small trials that only ever touch link 0 → 2: reset() must still
+        // release the burst link, which no later run touches.
+        let burst = 100_000u64;
+        let mut engine: Engine<u64> = Engine::new(Topology::complete(3));
+        let idle = || FnNode::new(|_, _: u64, _ctx: &mut Ctx<'_, u64>| {});
+        let mut burst_nodes: Vec<Box<dyn Node<u64>>> = vec![
+            Box::new(idle().on_wake(move |ctx| {
+                for v in 0..burst {
+                    ctx.send_to(1, v);
+                }
+                ctx.terminate(Some(0));
+            })),
+            Box::new(idle()),
+            Box::new(idle()),
+        ];
+        let _ = run(
+            &mut engine,
+            &mut burst_nodes,
+            &[0],
+            &mut LifoScheduler::new(),
+            4 * burst,
+        );
+        assert!(
+            engine.retained_link_capacity() >= burst as usize,
+            "burst must have grown link 0 → 1"
+        );
+        for _ in 0..64 {
+            let mut nodes: Vec<Box<dyn Node<u64>>> = vec![
+                Box::new(idle().on_wake(|ctx| {
+                    ctx.send_to(2, 1);
+                    ctx.terminate(Some(1));
+                })),
+                Box::new(idle().on_wake(|ctx| ctx.terminate(Some(1)))),
+                Box::new(FnNode::new(|_, m: u64, ctx: &mut Ctx<'_, u64>| {
+                    ctx.terminate(Some(m))
+                })),
+            ];
+            let exec = run(
+                &mut engine,
+                &mut nodes,
+                &[0, 1],
+                &mut LifoScheduler::new(),
+                default_step_limit(3),
+            );
+            assert_eq!(exec.outcome, Outcome::Elected(1));
+        }
+        engine.reset();
+        assert!(
+            engine.retained_link_capacity() <= 1024,
+            "links retained {} slots",
             engine.retained_link_capacity()
         );
     }

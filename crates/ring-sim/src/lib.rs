@@ -21,7 +21,10 @@
 //!   [`Outcome`] and per-node statistics.
 //! * [`Engine`] is the reusable batch-trial variant of the same run loop:
 //!   it keeps the per-topology working set alive across trials (used by
-//!   `fle-harness` to run thousands of trials per second per worker).
+//!   `fle-harness` to run thousands of trials per second per worker). A
+//!   global FIFO runs on one fused event stream; every other oblivious
+//!   schedule runs the plain split path, [`Token`]s through the scheduler
+//!   and one FIFO queue per link.
 //! * [`EnumerativeScheduler`] and [`for_each_schedule`] exhaustively
 //!   enumerate every oblivious schedule of a small instance — a model
 //!   checker for schedule-independence claims.
@@ -73,7 +76,6 @@ mod arena;
 pub mod batch;
 mod engine;
 pub mod fault;
-mod links;
 mod node;
 mod outcome;
 mod probe;
@@ -90,8 +92,8 @@ pub use node::{Ctx, FnNode, Node};
 pub use outcome::{FailReason, Outcome};
 pub use probe::{DeliveryCountProbe, MessageLogProbe, NoProbe, Probe, SyncGapProbe};
 pub use scheduler::{
-    for_each_schedule, reference, EnumerativeScheduler, FifoScheduler, LifoScheduler, PackedToken,
-    RandomScheduler, ScheduleSweep, Scheduler, Token,
+    for_each_schedule, EnumerativeScheduler, FifoScheduler, LifoScheduler, RandomScheduler,
+    ScheduleSweep, Scheduler, Token,
 };
 pub use timed::{LatencySpec, LinkProfile, TimedNetConfig, TimedScheduler, NET_STREAM_SALT};
 pub use topology::{EdgeId, NodeId, Topology, TopologyError};

@@ -13,14 +13,9 @@
 
 use crate::rng::SplitMix64;
 use crate::topology::{EdgeId, NodeId};
+use std::collections::VecDeque;
 
 /// One schedulable unit: a spontaneous wake-up or a pending delivery.
-///
-/// This is the *decode view* of a token — the form pattern matching and
-/// the public [`Scheduler::push`]/[`Scheduler::pop`] surface speak. The
-/// provided schedulers store tokens as [`PackedToken`]s (8 bytes, tag bit
-/// plus payload) and the engine hot loop moves packed tokens end to end;
-/// the two forms convert losslessly in a couple of ALU ops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Token {
     /// Wake node `NodeId` spontaneously.
@@ -29,102 +24,17 @@ pub enum Token {
     Deliver(EdgeId),
 }
 
-/// A [`Token`] packed into one `u64`: bit 63 tags the kind (0 = wake,
-/// 1 = deliver), the low 63 bits carry the node or edge id.
-///
-/// Token queues used to be `VecDeque<Token>` — 16 bytes per entry
-/// (discriminant + padding + payload). Packing halves the traffic through
-/// the scheduler's ring buffer and makes a token a single register value
-/// on the engine's per-delivery path.
-///
-/// # Examples
-///
-/// ```
-/// use ring_sim::{PackedToken, Token};
-///
-/// let t = PackedToken::deliver(7);
-/// assert_eq!(t.decode(), Token::Deliver(7));
-/// assert_eq!(PackedToken::from(Token::Wake(3)).decode(), Token::Wake(3));
-/// ```
-#[repr(transparent)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PackedToken(u64);
-
-impl PackedToken {
-    /// The kind tag: set for deliveries, clear for wake-ups.
-    const DELIVER_TAG: u64 = 1 << 63;
-
-    /// Packs a wake-up of node `id`.
-    #[inline(always)]
-    pub fn wake(id: NodeId) -> Self {
-        debug_assert!((id as u64) < Self::DELIVER_TAG);
-        Self(id as u64)
-    }
-
-    /// Packs a delivery on link `edge`.
-    #[inline(always)]
-    pub fn deliver(edge: EdgeId) -> Self {
-        debug_assert!((edge as u64) < Self::DELIVER_TAG);
-        Self(edge as u64 | Self::DELIVER_TAG)
-    }
-
-    /// Unpacks into the [`Token`] enum view.
-    #[inline(always)]
-    pub fn decode(self) -> Token {
-        if self.0 & Self::DELIVER_TAG != 0 {
-            Token::Deliver((self.0 & !Self::DELIVER_TAG) as usize)
-        } else {
-            Token::Wake(self.0 as usize)
-        }
-    }
-}
-
-impl From<Token> for PackedToken {
-    #[inline(always)]
-    fn from(token: Token) -> Self {
-        match token {
-            Token::Wake(id) => Self::wake(id),
-            Token::Deliver(edge) => Self::deliver(edge),
-        }
-    }
-}
-
-impl From<PackedToken> for Token {
-    #[inline(always)]
-    fn from(packed: PackedToken) -> Self {
-        packed.decode()
-    }
-}
-
 /// The scheduling policy interface.
 ///
 /// Implementations must eventually pop every pushed token (the engine
 /// relies on this for its deadlock/termination analysis); all provided
 /// schedulers do.
-///
-/// The packed entry points ([`Scheduler::push_packed`] /
-/// [`Scheduler::pop_packed`]) are what the engine loop calls; their
-/// defaults round-trip through the [`Token`] enum so third-party
-/// schedulers only need `push`/`pop`, while the provided schedulers
-/// override them to move [`PackedToken`]s natively.
 pub trait Scheduler {
     /// Adds a pending token.
     fn push(&mut self, token: Token);
 
     /// Removes and returns the next token, or `None` when none are pending.
     fn pop(&mut self) -> Option<Token>;
-
-    /// [`Scheduler::push`] in packed form (the engine's entry point).
-    #[inline]
-    fn push_packed(&mut self, token: PackedToken) {
-        self.push(token.decode());
-    }
-
-    /// [`Scheduler::pop`] in packed form (the engine's entry point).
-    #[inline]
-    fn pop_packed(&mut self) -> Option<PackedToken> {
-        self.pop().map(PackedToken::from)
-    }
 
     /// Number of pending tokens.
     fn len(&self) -> usize;
@@ -143,9 +53,8 @@ pub trait Scheduler {
     /// per-link message queues collapse into **one** contiguous event
     /// stream — halving the queue traffic per delivery. Executions are
     /// bit-identical to the split path (pinned by differential tests
-    /// against [`reference::FifoScheduler`], which keeps the default
-    /// `false` and therefore drives the split path with the same
-    /// schedule).
+    /// against a FIFO scheduler that keeps the default `false` and
+    /// therefore drives the split path with the same schedule).
     ///
     /// The default is `false`; only [`FifoScheduler`] overrides it.
     /// Returning `true` from a scheduler that reorders tokens would
@@ -171,20 +80,11 @@ pub trait Scheduler {
 ///
 /// This is the default scheduler. On a unidirectional ring every oblivious
 /// schedule yields the same outcome, so the choice only matters for general
-/// topologies and for performance.
-///
-/// Storage is a power-of-two ring buffer of [`PackedToken`]s indexed by
-/// masking — no `VecDeque` wrap/branch machinery on the pop path, half the
-/// bytes per token. Pop order is bit-identical to the former
-/// `VecDeque<Token>` implementation (kept as
-/// [`reference::FifoScheduler`], the differential-test oracle).
+/// topologies and for performance: the engine runs a global FIFO on its
+/// fused event stream, so this queue itself stays idle there.
 #[derive(Debug, Default, Clone)]
 pub struct FifoScheduler {
-    /// Power-of-two ring buffer (empty until the first push).
-    buf: Vec<PackedToken>,
-    /// Index of the front token; always `< buf.len()` once allocated.
-    head: usize,
-    len: usize,
+    queue: VecDeque<Token>,
 }
 
 impl FifoScheduler {
@@ -192,59 +92,19 @@ impl FifoScheduler {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Doubles the ring buffer, re-linearizing the pending tokens to the
-    /// front. Out of line: once a batch reaches its steady-state token
-    /// high-water mark this never runs again.
-    #[cold]
-    fn grow(&mut self) {
-        let old_cap = self.buf.len();
-        let new_cap = (old_cap * 2).max(8);
-        let mut buf = vec![PackedToken::wake(0); new_cap];
-        for (i, slot) in buf.iter_mut().enumerate().take(self.len) {
-            *slot = self.buf[(self.head + i) & (old_cap - 1)];
-        }
-        self.buf = buf;
-        self.head = 0;
-    }
 }
 
 impl Scheduler for FifoScheduler {
-    #[inline]
     fn push(&mut self, token: Token) {
-        self.push_packed(PackedToken::from(token));
+        self.queue.push_back(token);
     }
 
-    #[inline]
     fn pop(&mut self) -> Option<Token> {
-        self.pop_packed().map(PackedToken::decode)
+        self.queue.pop_front()
     }
 
-    #[inline(always)]
-    fn push_packed(&mut self, token: PackedToken) {
-        if self.len == self.buf.len() {
-            self.grow();
-        }
-        let mask = self.buf.len() - 1;
-        let tail = (self.head + self.len) & mask;
-        self.buf[tail] = token;
-        self.len += 1;
-    }
-
-    #[inline(always)]
-    fn pop_packed(&mut self) -> Option<PackedToken> {
-        if self.len == 0 {
-            return None;
-        }
-        let token = self.buf[self.head];
-        self.head = (self.head + 1) & (self.buf.len() - 1);
-        self.len -= 1;
-        Some(token)
-    }
-
-    #[inline]
     fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// The licence for the engine's fused token+message fast path — see
@@ -254,19 +114,15 @@ impl Scheduler for FifoScheduler {
     }
 
     fn clear(&mut self) {
-        self.head = 0;
-        self.len = 0;
+        self.queue.clear();
     }
 }
 
 /// Delivers the most recently sent message first (a depth-first schedule —
 /// an adversarially "bursty" but still oblivious ordering).
-///
-/// A plain [`PackedToken`] stack; pop order is bit-identical to the former
-/// `Vec<Token>` form ([`reference::LifoScheduler`]).
 #[derive(Debug, Default, Clone)]
 pub struct LifoScheduler {
-    stack: Vec<PackedToken>,
+    stack: Vec<Token>,
 }
 
 impl LifoScheduler {
@@ -277,27 +133,14 @@ impl LifoScheduler {
 }
 
 impl Scheduler for LifoScheduler {
-    #[inline]
     fn push(&mut self, token: Token) {
-        self.stack.push(PackedToken::from(token));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Token> {
-        self.stack.pop().map(PackedToken::decode)
-    }
-
-    #[inline]
-    fn push_packed(&mut self, token: PackedToken) {
         self.stack.push(token);
     }
 
-    #[inline]
-    fn pop_packed(&mut self) -> Option<PackedToken> {
+    fn pop(&mut self) -> Option<Token> {
         self.stack.pop()
     }
 
-    #[inline]
     fn len(&self) -> usize {
         self.stack.len()
     }
@@ -312,14 +155,9 @@ impl Scheduler for LifoScheduler {
 ///
 /// Useful for property-testing schedule independence: on the ring, the
 /// outcome must not depend on the seed.
-///
-/// The random stream and the `next_u64() % len` index derivation are
-/// unchanged from the `Vec<Token>` implementation
-/// ([`reference::RandomScheduler`]), so pop order per seed is
-/// bit-identical.
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
-    tokens: Vec<PackedToken>,
+    tokens: Vec<Token>,
     rng: SplitMix64,
 }
 
@@ -343,23 +181,11 @@ impl RandomScheduler {
 }
 
 impl Scheduler for RandomScheduler {
-    #[inline]
     fn push(&mut self, token: Token) {
-        self.tokens.push(PackedToken::from(token));
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Token> {
-        self.pop_packed().map(PackedToken::decode)
-    }
-
-    #[inline]
-    fn push_packed(&mut self, token: PackedToken) {
         self.tokens.push(token);
     }
 
-    #[inline]
-    fn pop_packed(&mut self) -> Option<PackedToken> {
+    fn pop(&mut self) -> Option<Token> {
         if self.tokens.is_empty() {
             return None;
         }
@@ -367,128 +193,12 @@ impl Scheduler for RandomScheduler {
         Some(self.tokens.swap_remove(i))
     }
 
-    #[inline]
     fn len(&self) -> usize {
         self.tokens.len()
     }
 
     fn clear(&mut self) {
         self.tokens.clear();
-    }
-}
-
-pub mod reference {
-    //! The pre-packed-token scheduler implementations (`VecDeque<Token>` /
-    //! `Vec<Token>` storage), kept verbatim as **differential-test
-    //! oracles**: the packed rewrites in the parent module must reproduce
-    //! their pop sequences bit for bit under arbitrary push/pop
-    //! interleavings (see `packed_schedulers_match_reference_implementations` in
-    //! `crates/ring-sim/tests/properties.rs`). Not used on any runtime
-    //! path.
-
-    use super::{Scheduler, Token};
-    use crate::rng::SplitMix64;
-    use std::collections::VecDeque;
-
-    /// The PR 4-era FIFO scheduler: a `VecDeque<Token>`.
-    #[derive(Debug, Default, Clone)]
-    pub struct FifoScheduler {
-        queue: VecDeque<Token>,
-    }
-
-    impl FifoScheduler {
-        /// Creates an empty reference FIFO scheduler.
-        pub fn new() -> Self {
-            Self::default()
-        }
-    }
-
-    impl Scheduler for FifoScheduler {
-        fn push(&mut self, token: Token) {
-            self.queue.push_back(token);
-        }
-
-        fn pop(&mut self) -> Option<Token> {
-            self.queue.pop_front()
-        }
-
-        fn len(&self) -> usize {
-            self.queue.len()
-        }
-
-        fn clear(&mut self) {
-            self.queue.clear();
-        }
-    }
-
-    /// The PR 4-era LIFO scheduler: a `Vec<Token>` stack.
-    #[derive(Debug, Default, Clone)]
-    pub struct LifoScheduler {
-        stack: Vec<Token>,
-    }
-
-    impl LifoScheduler {
-        /// Creates an empty reference LIFO scheduler.
-        pub fn new() -> Self {
-            Self::default()
-        }
-    }
-
-    impl Scheduler for LifoScheduler {
-        fn push(&mut self, token: Token) {
-            self.stack.push(token);
-        }
-
-        fn pop(&mut self) -> Option<Token> {
-            self.stack.pop()
-        }
-
-        fn len(&self) -> usize {
-            self.stack.len()
-        }
-
-        fn clear(&mut self) {
-            self.stack.clear();
-        }
-    }
-
-    /// The PR 4-era seeded-random scheduler: `Vec<Token>` + swap-remove.
-    #[derive(Debug, Clone)]
-    pub struct RandomScheduler {
-        tokens: Vec<Token>,
-        rng: SplitMix64,
-    }
-
-    impl RandomScheduler {
-        /// Creates an empty reference random scheduler with the given seed.
-        pub fn new(seed: u64) -> Self {
-            Self {
-                tokens: Vec::new(),
-                rng: SplitMix64::new(seed),
-            }
-        }
-    }
-
-    impl Scheduler for RandomScheduler {
-        fn push(&mut self, token: Token) {
-            self.tokens.push(token);
-        }
-
-        fn pop(&mut self) -> Option<Token> {
-            if self.tokens.is_empty() {
-                return None;
-            }
-            let i = (self.rng.next_u64() % self.tokens.len() as u64) as usize;
-            Some(self.tokens.swap_remove(i))
-        }
-
-        fn len(&self) -> usize {
-            self.tokens.len()
-        }
-
-        fn clear(&mut self) {
-            self.tokens.clear();
-        }
     }
 }
 
@@ -848,20 +558,6 @@ mod tests {
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.trace().len(), 1, "clear must not record choices");
-    }
-
-    #[test]
-    fn packed_token_roundtrips() {
-        for t in [
-            Token::Wake(0),
-            Token::Wake(usize::MAX >> 1),
-            Token::Deliver(0),
-            Token::Deliver(12345),
-        ] {
-            assert_eq!(PackedToken::from(t).decode(), t);
-            assert_eq!(Token::from(PackedToken::from(t)), t);
-        }
-        assert_eq!(std::mem::size_of::<PackedToken>(), 8);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use ring_sim::rng::SplitMix64;
 use ring_sim::{
-    reference, Ctx, EnumerativeScheduler, FifoScheduler, FnNode, LifoScheduler, NodeId, Outcome,
-    PackedToken, RandomScheduler, Scheduler, SimBuilder, Token, Topology,
+    Ctx, EnumerativeScheduler, FifoScheduler, FnNode, LifoScheduler, NodeId, Outcome,
+    RandomScheduler, Scheduler, SimBuilder, Token, Topology,
 };
 
 /// Sorted multiset of tokens for conservation comparisons.
@@ -134,74 +134,6 @@ proptest! {
         check_scheduler_contract(Box::new(LifoScheduler::new()), &ops);
         check_scheduler_contract(Box::new(RandomScheduler::new(seed)), &ops);
         check_scheduler_contract(Box::new(EnumerativeScheduler::new()), &ops);
-    }
-
-    /// The packed-token schedulers must reproduce the pre-packing
-    /// `VecDeque`/`Vec<Token>` implementations **bit for bit**: for any
-    /// interleaved push/pop sequence, all three policies (FIFO, LIFO,
-    /// seeded-random) pop the exact same token at every step — including
-    /// `None`s on empty pops and the trailing drain. This is the oracle
-    /// that licenses the `FifoScheduler` masked ring buffer and the 8-byte
-    /// `PackedToken` storage as pure layout changes.
-    #[test]
-    fn packed_schedulers_match_reference_implementations(
-        raw_ops in proptest::collection::vec(0u64..200, 0..160),
-        seed in any::<u64>(),
-    ) {
-        // ~1/3 pops, ~2/3 pushes of wake/deliver tokens over a small id
-        // space; a mid-sequence `clear` exercises storage reuse.
-        let ops: Vec<Option<Token>> = raw_ops
-            .iter()
-            .map(|v| match v % 6 {
-                0 | 1 => None,
-                2 => Some(Token::Wake((v / 6 % 12) as usize)),
-                _ => Some(Token::Deliver((v / 6 % 12) as usize)),
-            })
-            .collect();
-        let differential = |mut packed: Box<dyn Scheduler>, mut oracle: Box<dyn Scheduler>| {
-            for (step, op) in ops.iter().enumerate() {
-                match op {
-                    Some(token) => {
-                        // Alternate the entry form so both the enum and
-                        // the packed push surface are exercised.
-                        if step % 2 == 0 {
-                            packed.push(*token);
-                        } else {
-                            packed.push_packed(PackedToken::from(*token));
-                        }
-                        oracle.push(*token);
-                    }
-                    None => {
-                        prop_assert_eq!(packed.pop(), oracle.pop(), "step {}", step);
-                    }
-                }
-                prop_assert_eq!(packed.len(), oracle.len(), "len at step {}", step);
-                if step == ops.len() / 2 {
-                    packed.clear();
-                    oracle.clear();
-                }
-            }
-            loop {
-                let (a, b) = (packed.pop_packed().map(PackedToken::decode), oracle.pop());
-                prop_assert_eq!(a, b, "drain");
-                if b.is_none() {
-                    break;
-                }
-            }
-            Ok(())
-        };
-        differential(
-            Box::new(FifoScheduler::new()),
-            Box::new(reference::FifoScheduler::new()),
-        )?;
-        differential(
-            Box::new(LifoScheduler::new()),
-            Box::new(reference::LifoScheduler::new()),
-        )?;
-        differential(
-            Box::new(RandomScheduler::new(seed)),
-            Box::new(reference::RandomScheduler::new(seed)),
-        )?;
     }
 
     /// On a unidirectional ring every oblivious schedule produces the same

@@ -5,13 +5,12 @@
 //! `SimBuilder` (fresh working set per run), boxed `Box<dyn Node>` mixes
 //! and monomorphized honest node vectors over a reused engine, the
 //! arena-pooled `run_ring_honest_pooled_into` batch loop, and the
-//! `run_with_in`/`TrialCache` attack fast path. Since the packed-token /
-//! link-slab engine landed, each protocol additionally runs through an
-//! `Engine::new_with_general_links` oracle — the general-topology
-//! `VecDeque` link layout — against the default ring `LinkSlab` layout.
-//! Every pair must produce *identical* `Execution`s — outcome, per-node
-//! outputs, and every counter — for every protocol, ring size and seed.
-//! These property tests are the oracle that keeps the fast paths honest.
+//! `run_with_in`/`TrialCache` attack fast path. Each protocol also runs
+//! through the split token/link loop under a FIFO that the engine does
+//! not recognize as one, against the fused global-FIFO stream. Every pair
+//! must produce *identical* `Execution`s — outcome, per-node outputs, and
+//! every counter — for every protocol, ring size and seed. These property
+//! tests are the oracle that keeps the fast paths honest.
 
 use fle_attacks::{
     BasicSingleAttack, BasicSingleCache, PhaseGuessAttack, PhaseRushingAttack, PhaseRushingCache,
@@ -24,9 +23,30 @@ use fle_core::protocols::{
 use fle_core::Coalition;
 use proptest::prelude::*;
 use ring_sim::{
-    default_step_limit, ArenaBacked, Engine, Execution, FifoScheduler, Node, Schedule, Scheduler,
-    Topology, TrialArena,
+    default_step_limit, ArenaBacked, Engine, Execution, FifoScheduler, LifoScheduler, Node,
+    RandomScheduler, Schedule, Scheduler, Token, Topology, TrialArena,
 };
+use std::collections::VecDeque;
+
+/// A global FIFO that leaves [`Scheduler::is_global_fifo`] false, so the
+/// engine drives it through the split token/link loop. Its delivery order
+/// is the fused stream's, which makes it the oracle for that stream.
+#[derive(Default)]
+struct SplitFifo(VecDeque<Token>);
+
+impl Scheduler for SplitFifo {
+    fn push(&mut self, token: Token) {
+        self.0.push_back(token);
+    }
+
+    fn pop(&mut self) -> Option<Token> {
+        self.0.pop_front()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
 
 /// One probe-free run of `nodes` through `Engine::run_into` on an
 /// oblivious scheduler, into `out`.
@@ -112,43 +132,25 @@ fn assert_paths_agree<M: Clone + 'static, N: Node<M> + ArenaBacked>(
     }
 }
 
-/// Runs the same honest instance through every engine storage layout:
-/// the fused global-FIFO stream (what `FifoScheduler` rides) on both the
-/// ring `LinkSlab` engine and the forced general-topology `VecDeque`
-/// engine, plus the *split* token/link path driven by
-/// `ring_sim::reference::FifoScheduler` (identical pop order,
-/// `is_global_fifo` = false) on both layouts. All four must equal the
-/// `SimBuilder` reference. Engines are reused for a second pass so a
-/// stale slab cursor or dirty-list bug surfaces as a second-run mismatch.
-fn assert_link_layouts_agree<M: Clone, N: Node<M> + ArenaBacked>(
+/// Runs the same honest instance on the fused global-FIFO stream (what
+/// `FifoScheduler` rides) and on the split token/link path driven by
+/// [`SplitFifo`] (identical pop order). Both must equal the `SimBuilder`
+/// reference. The engine is reused for a second pass so a stale queue or
+/// dirty-list bug surfaces as a second-run mismatch.
+fn assert_fused_and_split_agree<M: Clone, N: Node<M>>(
     n: usize,
     wakes: &[usize],
     reference: &Execution,
     mut mono: impl FnMut(usize) -> N,
 ) {
-    let mut slab = Engine::new(Topology::ring(n));
-    let mut general = Engine::new_with_general_links(Topology::ring(n));
-    assert!(slab.uses_ring_slab() && !general.uses_ring_slab());
+    let mut engine = Engine::new(Topology::ring(n));
     for pass in 0..2 {
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let via_slab = run(&mut slab, &mut nodes, wakes, &mut FifoScheduler::new());
-        assert_eq!(&via_slab, reference, "fused on slab engine (pass {pass})");
+        let fused = run(&mut engine, &mut nodes, wakes, &mut FifoScheduler::new());
+        assert_eq!(&fused, reference, "fused stream (pass {pass})");
         let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let via_general = run(&mut general, &mut nodes, wakes, &mut FifoScheduler::new());
-        assert_eq!(
-            &via_general, reference,
-            "fused on general-links engine (pass {pass})"
-        );
-        let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let mut split = ring_sim::reference::FifoScheduler::new();
-        let split_slab = run(&mut slab, &mut nodes, wakes, &mut split);
-        assert_eq!(&split_slab, reference, "split LinkSlab path (pass {pass})");
-        let mut nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        let split_general = run(&mut general, &mut nodes, wakes, &mut split);
-        assert_eq!(
-            &split_general, reference,
-            "split VecDeque-links path (pass {pass})"
-        );
+        let split = run(&mut engine, &mut nodes, wakes, &mut SplitFifo::default());
+        assert_eq!(&split, reference, "split token/link path (pass {pass})");
     }
 }
 
@@ -169,7 +171,7 @@ proptest! {
             |id| p.honest_ring_node(id),
             |id, arena| p.honest_ring_node_in(id, arena),
         );
-        assert_link_layouts_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
+        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
         prop_assert_eq!(p.run_honest_in(&mut engine), reference);
     }
 
@@ -187,7 +189,7 @@ proptest! {
             |id| p.honest_ring_node(id),
             |id, arena| p.honest_ring_node_in(id, arena),
         );
-        assert_link_layouts_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
+        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
         prop_assert_eq!(p.run_honest_in(&mut engine), reference);
     }
 
@@ -205,7 +207,7 @@ proptest! {
             |id| p.honest_ring_node(id),
             |id, arena| p.honest_ring_node_in(id, arena),
         );
-        assert_link_layouts_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
+        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
         prop_assert_eq!(p.run_honest_in(&mut engine), reference);
     }
 
@@ -223,7 +225,7 @@ proptest! {
             |id| p.honest_ring_node(id),
             |id, arena| p.honest_ring_node_in(id, arena),
         );
-        assert_link_layouts_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
+        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
         prop_assert_eq!(p.run_honest_in(&mut engine), reference);
     }
 }
@@ -354,86 +356,6 @@ proptest! {
             let exec = p.run_with_in(nodes, &mut cache);
             prop_assert_eq!(exec, &reference, "pass {}", pass);
         }
-    }
-}
-
-/// Times the *split* token/link path (non-global-FIFO schedulers) on the
-/// ring `LinkSlab` layout vs. the general `VecDeque` layout, for the two
-/// non-FIFO schedulers the suite ships. Ignored by default: it is a
-/// measurement, not an assertion — run it in release to (re)settle the
-/// keep-or-delete question for the slab's non-FIFO branch:
-///
-/// ```text
-/// cargo test --release -p fle-bench --test engine_paths -- \
-///     --ignored --nocapture split_path_slab_vs_vecdeque_timing
-/// ```
-///
-/// Recorded 2026-08-08 (PR 7, 1-core container, PhaseAsyncLead n=64,
-/// 300 trials/config, two runs): Lifo slab 199–226 µs/trial vs general
-/// 219–251 µs/trial (slab ~1.10x faster); Random slab 285–298 µs/trial
-/// vs general 293–357 µs/trial (parity to ~1.25x — the scheduler's
-/// `swap_remove` dominates). Verdict: keep the slab branch — it never
-/// loses on either non-FIFO scheduler, and deleting it would fork the
-/// engine's link storage per scheduler for no win.
-#[test]
-#[ignore = "release-mode timing measurement; run explicitly with --nocapture"]
-fn split_path_slab_vs_vecdeque_timing() {
-    use ring_sim::{LifoScheduler, RandomScheduler};
-    use std::time::Instant;
-
-    let n = 64;
-    let trials = 300u64;
-    let limit = default_step_limit(n);
-    fn time_config<S: Scheduler>(
-        label: &str,
-        engine: &mut Engine<fle_core::protocols::PhaseMsg>,
-        mut scheduler: S,
-        n: usize,
-        trials: u64,
-        limit: u64,
-    ) -> std::time::Duration {
-        // Warm-up trial so allocations reach steady state before timing.
-        for pass in 0..2 {
-            let start = Instant::now();
-            for seed in 0..trials {
-                let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(7);
-                let mut nodes: Vec<_> = (0..n).map(|id| p.honest_ring_node(id)).collect();
-                let mut exec = ring_sim::Execution::default();
-                let schedule = ring_sim::Schedule::Oblivious(&mut scheduler);
-                engine.run_into(&mut nodes, &p.wakes(), schedule, limit, None, &mut exec);
-                assert!(exec.outcome.elected().is_some(), "{label} seed {seed}");
-            }
-            if pass == 1 {
-                let per = start.elapsed() / trials as u32;
-                println!("{label}: {per:?}/trial");
-                return start.elapsed();
-            }
-        }
-        unreachable!()
-    }
-
-    for layout in ["slab", "general"] {
-        let mut engine = if layout == "slab" {
-            Engine::new(Topology::ring(n))
-        } else {
-            Engine::new_with_general_links(Topology::ring(n))
-        };
-        time_config(
-            &format!("lifo/{layout}"),
-            &mut engine,
-            LifoScheduler::new(),
-            n,
-            trials,
-            limit,
-        );
-        time_config(
-            &format!("random/{layout}"),
-            &mut engine,
-            RandomScheduler::new(42),
-            n,
-            trials,
-            limit,
-        );
     }
 }
 
@@ -674,4 +596,94 @@ fn engine_reuse_across_seeds_matches_fresh_runs() {
         let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(7);
         assert_eq!(p.run_honest_in(&mut engine), p.run_honest(), "seed {seed}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Split-path pin: the token/link loop that every non-global-FIFO scheduler
+// rides. Protocol-level checks under other orders compare outcomes only;
+// this pins every counter of every execution.
+
+/// Runs one instance on `engine` under each split-path order (LIFO, three
+/// seeded-random orders, and [`SplitFifo`]), twice over, and appends each
+/// `Execution`'s `Debug` form to `log`. The second pass must repeat the
+/// first, so a reset bug in the reused engine shows as a mismatch.
+fn log_split_orders<M: Clone, N: Node<M>>(
+    log: &mut String,
+    engine: &mut Engine<M>,
+    wakes: &[usize],
+    step_limit: u64,
+    mut nodes: impl FnMut() -> Vec<N>,
+) {
+    let mut passes = [String::new(), String::new()];
+    for pass in &mut passes {
+        let mut schedulers: Vec<Box<dyn Scheduler>> = vec![Box::new(LifoScheduler::new())];
+        for seed in [1, 2, 3] {
+            schedulers.push(Box::new(RandomScheduler::new(seed)));
+        }
+        schedulers.push(Box::new(SplitFifo::default()));
+        for scheduler in &mut schedulers {
+            let mut out = Execution::default();
+            let schedule = Schedule::Oblivious(&mut **scheduler);
+            engine.run_into(&mut nodes(), wakes, schedule, step_limit, None, &mut out);
+            pass.push_str(&format!("{out:?}\n"));
+        }
+    }
+    assert_eq!(passes[0], passes[1], "second pass on the reused engine");
+    log.push_str(&passes.concat());
+}
+
+/// Every ring protocol at n ∈ {5, 12}, and A-LEADfc's honest run on the
+/// complete digraph (built as the secret-sharing property tests build
+/// it), through the split path on one reused engine per case.
+#[test]
+fn split_path_executions_are_pinned() {
+    use fle_secretshare::ALeadFc;
+
+    let mut log = String::new();
+    for n in [5, 12] {
+        let limit = default_step_limit(n);
+        let p = BasicLead::new(n).with_seed(11);
+        log_split_orders(
+            &mut log,
+            &mut Engine::new(Topology::ring(n)),
+            &p.wakes(),
+            limit,
+            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
+        );
+        let p = ALeadUni::new(n).with_seed(11);
+        log_split_orders(
+            &mut log,
+            &mut Engine::new(Topology::ring(n)),
+            &p.wakes(),
+            limit,
+            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
+        );
+        let p = PhaseAsyncLead::new(n).with_seed(11).with_fn_key(5);
+        log_split_orders(
+            &mut log,
+            &mut Engine::new(Topology::ring(n)),
+            &p.wakes(),
+            limit,
+            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
+        );
+        let p = PhaseSumLead::new(n).with_seed(11);
+        log_split_orders(
+            &mut log,
+            &mut Engine::new(Topology::ring(n)),
+            &p.wakes(),
+            limit,
+            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
+        );
+        let p = ALeadFc::new(n).with_seed(11);
+        let wakes: Vec<usize> = (0..n).collect();
+        let limit = (n as u64).pow(3) * 8 + 10_000;
+        let mut engine = Engine::new(Topology::complete(n));
+        log_split_orders(&mut log, &mut engine, &wakes, limit, || {
+            (0..n).map(|id| p.honest_node(id)).collect()
+        });
+    }
+    assert_eq!(
+        fle_harness::sha256_hex(log.as_bytes()),
+        "38ade6277ee985ebd7877e82b962c3a72b49bbc1cadc2e1499e711757d6e6a04"
+    );
 }
