@@ -746,31 +746,43 @@ impl PhaseSumLead {
 }
 
 /// Implements [`LockstepProtocol`] by delegating to the protocol's
-/// inherent batch entry and its cache's lane extraction.
+/// inherent batch entry and lending its cache's engine. A lane holds
+/// `$sq·n² + $lin·n` bytes.
 macro_rules! lockstep_protocol {
-    ($protocol:ty, $cache:ty) => {
+    ($protocol:ty, $cache:ty, $sq:literal, $lin:literal) => {
         impl LockstepProtocol for $protocol {
             type BatchCache = $cache;
+
+            fn lane_bytes(n: usize) -> u64 {
+                let n = n as u64;
+                n.saturating_mul(n)
+                    .saturating_mul($sq)
+                    .saturating_add(n.saturating_mul($lin))
+            }
 
             fn batch_cache(n: usize) -> $cache {
                 <$cache>::ring(n)
             }
 
-            fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut $cache) -> bool {
-                <$protocol>::run_honest_batch_into(self, seeds, cache)
+            fn lockstep_engine(cache: &mut $cache) -> &mut LockstepEngine {
+                &mut cache.engine
             }
 
-            fn execution_into(cache: &$cache, lane: usize, out: &mut Execution) {
-                cache.execution_into(lane, out);
+            fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut $cache) -> bool {
+                <$protocol>::run_honest_batch_into(self, seeds, cache)
             }
         }
     };
 }
 
-lockstep_protocol!(BasicLead, BasicBatchCache);
-lockstep_protocol!(ALeadUni, ALeadBatchCache);
-lockstep_protocol!(PhaseAsyncLead, PhaseBatchCache);
-lockstep_protocol!(PhaseSumLead, PhaseBatchCache);
+// Basic-LEAD and A-LEADuni: two or three `u64` registers and the output
+// per node, and n² sends of one `u64` each.
+lockstep_protocol!(BasicLead, BasicBatchCache, 8, 32);
+lockstep_protocol!(ALeadUni, ALeadBatchCache, 8, 32);
+// The phase protocols: the (2n + 1)-slot store, three registers and the
+// output per node, 2n² sends of one `u64` each, and the shared snapshot.
+lockstep_protocol!(PhaseAsyncLead, PhaseBatchCache, 32, 64);
+lockstep_protocol!(PhaseSumLead, PhaseBatchCache, 32, 64);
 
 #[cfg(test)]
 mod tests {

@@ -37,6 +37,7 @@ pub use sync_lead::{SyncFixedValue, SyncLead, SyncWaitAndCancel};
 pub use sync_ring::{SyncRingCorruptor, SyncRingLead, SyncRingNode, SyncRingWaiter};
 pub use wakeup::{WakeLead, WakeMsg, WakeNode};
 
+use ring_sim::batch::LockstepEngine;
 use ring_sim::rng::SplitMix64;
 use ring_sim::{
     default_step_limit, ArenaBacked, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler,
@@ -211,17 +212,25 @@ pub trait LockstepProtocol: RingProtocol {
     /// The reusable per-worker lane state.
     type BatchCache;
 
+    /// Bytes one lane of a group holds at the end of a run on a ring of
+    /// `n` processors: its share of the node registers, outputs and
+    /// payload arena. Sweeps size their lane width from it.
+    fn lane_bytes(n: usize) -> u64;
+
     /// Creates the batch cache for a ring of `n` processors.
     fn batch_cache(n: usize) -> Self::BatchCache;
 
+    /// The cache's lockstep engine: install per-lane crash-fault plans
+    /// on it before a group ([`LockstepEngine::set_fault_plans`]), and
+    /// read after it which lanes a crash hit and the other lanes'
+    /// executions.
+    fn lockstep_engine(cache: &mut Self::BatchCache) -> &mut LockstepEngine;
+
     /// Runs `seeds.len()` honest trials in lockstep, lane `l` simulating
     /// `self.seeded(seeds[l])`. Returns `false` if the group diverged (the
-    /// caller re-runs its trials scalar).
+    /// caller re-runs its trials scalar); otherwise each unhit lane's
+    /// [`Execution`] is read from [`LockstepProtocol::lockstep_engine`].
     fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut Self::BatchCache) -> bool;
-
-    /// Extracts lane `lane`'s [`Execution`] from the last successful
-    /// group.
-    fn execution_into(cache: &Self::BatchCache, lane: usize, out: &mut Execution);
 }
 
 /// Runs a ring protocol with some nodes replaced by adversarial

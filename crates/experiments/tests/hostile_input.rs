@@ -147,6 +147,49 @@ fn saturating_clock_specs_are_named_errors() {
     }
 }
 
+/// Runs `fle_lab` with `args` under an address-space cap of `cap_kib`
+/// KiB (`ulimit -v`), asserts exit 0, and returns the sha256 of stdout.
+fn capped_run_sha(cap_kib: u64, args: &[&str]) -> String {
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg(format!("ulimit -v {cap_kib}; exec \"$0\" \"$@\""))
+        .arg(env!("CARGO_BIN_EXE_fle_lab"))
+        .args(args)
+        .output()
+        .expect("spawn sh");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    fle_harness::sha256_hex(&out.stdout)
+}
+
+/// A phase lane holds about 32·n² bytes and `validate` admits 1,024
+/// lanes, so a lockstep group could pass every check and then fail to
+/// allocate: 256 lanes at n = 256 (537 MB) aborted under `ulimit -v
+/// 400000` with exit 134, "memory allocation … failed". The width now
+/// drops until the lanes fit the lane-memory ceiling, and the report is
+/// the `--batch 1` report byte for byte (each hash is of that stdout).
+/// The timed variant, one constant latency with recovering crashes, runs
+/// in lanes too and must fit the same ceiling.
+#[test]
+fn lane_memory_fits_the_ceiling_with_width_one_bytes() {
+    let lanes = "sweep --protocol phase --n 256 --trials 256 --batch 256 --threads 1 --seed 1";
+    let timed = "--latency const:500 --crash 1@40000000ns --recover 500";
+    let cases = [
+        (
+            lanes.to_string(),
+            "2418ce702de74180a2e01e18757df9bc624144c39a06108febd0b5fd3c8f0f26",
+        ),
+        (
+            format!("{lanes} {timed}"),
+            "f966fa1d210c070e5ec5b7f03073d41aeebe8ced2ec4c69dd0e676f016ce9bbd",
+        ),
+    ];
+    for (args, sha) in cases {
+        let args: Vec<&str> = args.split(' ').collect();
+        assert_eq!(capped_run_sha(400_000, &args), sha, "{args:?}");
+    }
+}
+
 /// A shard partial whose `wins` wrap around to exactly its 10 covered
 /// trials passed the outcome-count check: `merge-reports` printed
 /// `"elected":10` beside a `wins[0]` of `u64::MAX` and exited 0, and a

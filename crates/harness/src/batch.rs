@@ -111,12 +111,12 @@ pub fn run_batch_range<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    let no_group = |_: &mut W, _: u64, _: &mut Vec<T>| false;
+    let no_group = |_: &mut W, _: u64, _: &mut Vec<Option<T>>| {};
     run_batch_range_grouped(cfg, start, end, 1, make_worker, no_group, trial)
 }
 
 /// Process-wide count of trials that completed on a lockstep batch fast
-/// path (a [`run_batch_range_grouped`] group that returned `true`).
+/// path (a `Some` lane of a [`run_batch_range_grouped`] group).
 /// Instrumentation only — tests assert lower bounds to prove batching
 /// engaged; never compare exactly (parallel test runs share it).
 static BATCHED_TRIALS: AtomicU64 = AtomicU64::new(0);
@@ -129,20 +129,20 @@ pub fn batched_trials() -> u64 {
 
 /// [`run_batch_range`] with a group fast path: within each worker's
 /// contiguous piece, full `width`-trial groups are attempted through
-/// `group` first, and only the pieces the fast path cannot serve — a
-/// group that returns `false` (diverged), panics, or under-fills, and the
-/// ragged tail shorter than `width` — run through the scalar `trial`
-/// closure.
+/// `group` first, and only the trials the fast path cannot serve — a
+/// `None` lane, every lane of a group that panics or does not fill
+/// exactly `width` lanes (a diverged group fills none), and the ragged
+/// tail shorter than `width` — run through the scalar `trial` closure.
 ///
-/// `group(worker, group_start, out)` must either push exactly `width`
-/// results for global trials `group_start..group_start + width` (in
-/// order) and return `true`, or return `false` leaving the batch
-/// attempt's results unused. Groups are aligned to each worker piece's
-/// start, and the pieces are the same chunks at every width — so for a
-/// given `(threads, start, end)` the scalar path serves exactly
-/// the same indices whether a checkpoint resume or shard split lands
-/// mid-chunk or not, and results are bit-identical to the all-scalar
-/// runner in every case.
+/// `group(worker, group_start, out)` pushes one entry per lane for global
+/// trials `group_start..group_start + width`, in order: `Some(result)`
+/// where the fast path served the trial, `None` where it must rerun
+/// scalar. Groups are aligned to each worker piece's start, and the
+/// pieces are the same chunks at every width — so for a given
+/// `(threads, start, end)` the scalar path serves exactly the same
+/// indices whether a checkpoint resume or shard split lands mid-chunk or
+/// not, and results are bit-identical to the all-scalar runner in every
+/// case.
 ///
 /// At a `width` of 0 or 1 every trial runs through `trial` and `group`
 /// is never called: that is [`run_batch_range`].
@@ -156,7 +156,7 @@ pub fn run_batch_range_grouped<W, T: Send>(
     end: u64,
     width: usize,
     make_worker: impl Fn() -> W + Sync,
-    group: impl Fn(&mut W, u64, &mut Vec<T>) -> bool + Sync,
+    group: impl Fn(&mut W, u64, &mut Vec<Option<T>>) + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
     assert!(
@@ -188,37 +188,37 @@ pub fn run_batch_range_grouped<W, T: Send>(
     // `piece_start..piece_start + piece.len()`.
     let run_piece = |piece: &mut [Option<Result<T, TrialFault>>], piece_start: u64| {
         let mut worker = make_worker();
-        let mut buf: Vec<T> = Vec::with_capacity(width);
+        let mut buf: Vec<Option<T>> = Vec::with_capacity(width);
         let mut i = 0usize;
         while i < piece.len() {
             let index = piece_start + i as u64;
             if width > 1 && piece.len() - i >= width {
                 buf.clear();
-                let ok = catch_unwind(AssertUnwindSafe(|| group(&mut worker, index, &mut buf)));
-                match ok {
-                    Ok(true) if buf.len() == width => {
-                        BATCHED_TRIALS.fetch_add(width as u64, Ordering::Relaxed);
-                        for (j, result) in buf.drain(..).enumerate() {
-                            piece[i + j] = Some(Ok(result));
-                        }
-                        i += width;
-                        continue;
-                    }
-                    Ok(_) => {} // diverged (or under-filled): re-run scalar
-                    Err(_) => {
-                        // A panicking group may have left the worker's
-                        // cached state mid-trial; rebuild before the
-                        // scalar re-run (which attributes any persistent
-                        // fault to its exact trial).
-                        worker = make_worker();
-                    }
+                let filled = catch_unwind(AssertUnwindSafe(|| group(&mut worker, index, &mut buf)));
+                if filled.is_err() {
+                    // A panicking group may have left the worker's cached
+                    // state mid-trial; rebuild before the scalar re-run
+                    // (which attributes any persistent fault to its exact
+                    // trial).
+                    worker = make_worker();
                 }
-                for j in 0..width {
-                    let result = run_one(&mut worker, index + j as u64);
-                    if result.is_err() {
-                        worker = make_worker();
-                    }
-                    piece[i + j] = Some(result);
+                if filled.is_err() || buf.len() != width {
+                    buf.clear();
+                    buf.resize_with(width, || None);
+                }
+                let served = buf.iter().filter(|lane| lane.is_some()).count();
+                BATCHED_TRIALS.fetch_add(served as u64, Ordering::Relaxed);
+                for (j, lane) in buf.drain(..).enumerate() {
+                    piece[i + j] = Some(match lane {
+                        Some(result) => Ok(result),
+                        None => {
+                            let result = run_one(&mut worker, index + j as u64);
+                            if result.is_err() {
+                                worker = make_worker();
+                            }
+                            result
+                        }
+                    });
                 }
                 i += width;
             } else {
@@ -481,10 +481,9 @@ mod tests {
                     panic!("group panic");
                 }
                 if diverge_at.is_some_and(|d| (gstart..gstart + width as u64).contains(&d)) {
-                    return false;
+                    return;
                 }
-                out.extend((0..width as u64).map(|j| (gstart + j, "batch")));
-                true
+                out.extend((0..width as u64).map(|j| Some((gstart + j, "batch"))));
             },
             |(), i, _seed| (i, "scalar"),
         )
@@ -549,6 +548,38 @@ mod tests {
     }
 
     #[test]
+    fn none_lanes_rerun_scalar_alone() {
+        // Lanes 1 and 6 of every group come back `None`: exactly those
+        // trials rerun scalar, and only the others count as batched.
+        let cfg = BatchConfig {
+            trials: 16,
+            base_seed: 4,
+            threads: 1,
+        };
+        let before = batched_trials();
+        let out = run_batch_range_grouped(
+            &cfg,
+            0,
+            16,
+            8,
+            || (),
+            |(), gstart, out| {
+                out.extend((0..8u64).map(|j| (j != 1 && j != 6).then_some((gstart + j, "batch"))));
+            },
+            |(), i, _seed| (i, "scalar"),
+        );
+        for (i, slot) in out.iter().enumerate() {
+            let expect = if i % 8 == 1 || i % 8 == 6 {
+                "scalar"
+            } else {
+                "batch"
+            };
+            assert_eq!(slot.as_ref().expect("no faults"), &(i as u64, expect));
+        }
+        assert!(batched_trials() >= before + 12);
+    }
+
+    #[test]
     fn panicking_group_falls_back_to_scalar() {
         for threads in [1, 2] {
             let out = run_marked(16, 0, 16, 8, threads, None, Some(2));
@@ -576,7 +607,7 @@ mod tests {
             8,
             4,
             || (),
-            |(), _gstart, _out| false, // force scalar everywhere
+            |(), _gstart, _out| {}, // force scalar everywhere
             |(), i, _seed| {
                 assert!(i != 5, "boom at 5");
                 i

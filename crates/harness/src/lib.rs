@@ -122,7 +122,8 @@ pub use ring_sim::{
     CrashInstant, FaultConfig, FaultPlan, LatencySpec, LinkProfile, TimedNetConfig,
 };
 pub use sweep::{
-    run_sweep, run_sweep_partial, HonestSweep, ProtocolKind, DEFAULT_BATCH_WIDTH, MAX_BATCH_WIDTH,
+    run_sweep, run_sweep_partial, HonestSweep, ProtocolKind, DEFAULT_BATCH_WIDTH,
+    LANE_MEMORY_CEILING, MAX_BATCH_WIDTH,
 };
 
 use ring_sim::rng::mix;

@@ -9,6 +9,7 @@ use fle_core::protocols::{
     run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadUni, BasicLead, LockstepProtocol,
     PhaseAsyncLead, PhaseSumLead,
 };
+use ring_sim::batch::LaneClock;
 use ring_sim::{
     Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, NodeId, TimedNetConfig,
     TimedScheduler, Topology, TrialArena,
@@ -46,6 +47,17 @@ impl ProtocolKind {
             ProtocolKind::PhaseSumLead => "PhaseSumLead",
         }
     }
+
+    /// Bytes one lockstep lane holds on a ring of `n`
+    /// ([`LockstepProtocol::lane_bytes`]).
+    fn lane_bytes(&self, n: usize) -> u64 {
+        match self {
+            ProtocolKind::BasicLead => BasicLead::lane_bytes(n),
+            ProtocolKind::ALeadUni => ALeadUni::lane_bytes(n),
+            ProtocolKind::PhaseAsyncLead => PhaseAsyncLead::lane_bytes(n),
+            ProtocolKind::PhaseSumLead => PhaseSumLead::lane_bytes(n),
+        }
+    }
 }
 
 impl std::str::FromStr for ProtocolKind {
@@ -78,6 +90,13 @@ pub const DEFAULT_BATCH_WIDTH: usize = 8;
 /// lane state stops fitting in cache and the fast path only gets slower.
 pub const MAX_BATCH_WIDTH: usize = 1024;
 
+/// The bytes all lockstep lanes of a sweep may hold at once, over every
+/// worker thread: [`HonestSweep::resolved_batch_width`] lowers the width
+/// until threads × width × a lane's bytes fits, down to 1 (the scalar
+/// path, which holds no lanes). The default width of 8 fits phase rings
+/// of n = 64 on up to 248 threads.
+pub const LANE_MEMORY_CEILING: u64 = 256 << 20;
+
 /// One honest protocol sweep: which protocol, at what size, over which
 /// batch. Wrap in [`SweepSpec::Honest`] (or use `.into()`) to dispatch
 /// through [`run_sweep`].
@@ -93,32 +112,49 @@ pub struct HonestSweep {
     pub batch: BatchConfig,
     /// Lockstep batch width `k`: trials run `k` at a time through the
     /// structure-of-arrays engine (`ring_sim::batch`). 0 resolves to
-    /// [`DEFAULT_BATCH_WIDTH`]; 1 forces the scalar path; timed
-    /// schedules always run scalar. Results are bit-identical for every
-    /// width.
+    /// [`DEFAULT_BATCH_WIDTH`]; 1 forces the scalar path. Schedules and
+    /// faults the lanes cannot follow run scalar, and the memory ceiling
+    /// can lower the width (see [`HonestSweep::resolved_batch_width`]).
+    /// Results are bit-identical for every width.
     pub batch_width: usize,
     /// Delivery discipline (FIFO fast path or timed network).
     pub schedule: ScheduleSpec,
     /// Optional crash-fault injection: per trial, a deterministic
-    /// [`FaultPlan`] is drawn from the trial seed's fault stream and
-    /// installed on the engine. Forces the scalar trial path.
+    /// [`FaultPlan`] is drawn from the trial seed's fault stream. With
+    /// recovery, lockstep groups carry one plan per lane and rerun scalar
+    /// only the trials a crash actually hits; crash-stop faults run
+    /// every trial scalar.
     pub fault: Option<FaultSpec>,
 }
 
 impl HonestSweep {
     /// The lockstep width this sweep actually runs with: the configured
-    /// width (0 → [`DEFAULT_BATCH_WIDTH`]), forced to 1 (scalar) under a
-    /// timed schedule (whose per-delivery noise streams are inherently
-    /// per-trial) or a fault plan (whose crash instants diverge trials
-    /// immediately).
+    /// width (0 → [`DEFAULT_BATCH_WIDTH`]), lowered until the sweep's
+    /// threads × width × a lane's bytes fits [`LANE_MEMORY_CEILING`].
+    ///
+    /// It is 1 (scalar) on a timed net whose links are not all one
+    /// constant latency ([`TimedNetConfig::constant_latency`]: latency
+    /// draws, loss and duplication are per-trial noise), and under
+    /// crash-stop faults: a lane whose crash-stop fires is always hit, so
+    /// lanes would only add work there. Recovering faults keep the
+    /// width.
     pub fn resolved_batch_width(&self) -> usize {
-        if self.schedule.timed_net().is_some() || self.fault.is_some() {
+        let lanes_follow_net = self
+            .schedule
+            .timed_net()
+            .is_none_or(|net| net.constant_latency().is_some());
+        let lanes_follow_faults = self.fault.is_none_or(|f| f.recover.is_some());
+        if !lanes_follow_net || !lanes_follow_faults {
             return 1;
         }
-        match self.batch_width {
+        let width = match self.batch_width {
             0 => DEFAULT_BATCH_WIDTH,
             w => w,
-        }
+        };
+        let per_lane = (self.batch.resolved_threads() as u64)
+            .saturating_mul(self.protocol.lane_bytes(self.n))
+            .max(1);
+        width.min((LANE_MEMORY_CEILING / per_lane).max(1) as usize)
     }
 }
 
@@ -126,11 +162,13 @@ impl HonestSweep {
 /// instance, the sweep's timed net and fault configuration (each optional),
 /// a reusable [`Engine`], the monomorphized node vector, the (constant)
 /// wake list, a pooled FIFO scheduler and timed heap, the per-worker
-/// [`TrialArena`] node-state pool, the lockstep cache and its seed buffer,
-/// the fault-plan buffer and the reused [`Execution`] out-parameter. Once every buffer has reached its steady-state
-/// capacity — after the first trial — a trial performs *no* heap
-/// allocation at all, node construction included (phase-node stores are
-/// drawn from and reclaimed into the arena).
+/// [`TrialArena`] node-state pool, the lockstep cache with its seed and
+/// per-lane plan buffers and the clock its plans run on, the scalar
+/// fault-plan buffer and the reused [`Execution`] out-parameter. Once
+/// every buffer has reached its steady-state capacity — after the first
+/// trial — a trial performs *no* heap allocation at all, node
+/// construction included (phase-node stores are drawn from and reclaimed
+/// into the arena).
 struct HonestWorker<P: LockstepProtocol> {
     protocol: P,
     net: Option<TimedNetConfig>,
@@ -143,6 +181,8 @@ struct HonestWorker<P: LockstepProtocol> {
     arena: TrialArena,
     batch: P::BatchCache,
     seeds: Vec<u64>,
+    plans: Vec<FaultPlan>,
+    clock: LaneClock,
     plan: FaultPlan,
     exec: Execution,
 }
@@ -150,6 +190,12 @@ struct HonestWorker<P: LockstepProtocol> {
 impl<P: LockstepProtocol> HonestWorker<P> {
     fn new(protocol: P, net: Option<TimedNetConfig>, fault: Option<FaultConfig>) -> Self {
         let n = protocol.n();
+        // Lockstep groups under faults only run on FIFO or constant-latency
+        // nets (`resolved_batch_width`); any other net never forms a group.
+        let clock = match net.as_ref().and_then(TimedNetConfig::constant_latency) {
+            Some(latency) => LaneClock::Latency(latency),
+            None => LaneClock::Deliveries,
+        };
         Self {
             protocol,
             net,
@@ -162,29 +208,43 @@ impl<P: LockstepProtocol> HonestWorker<P> {
             arena: TrialArena::new(),
             batch: P::batch_cache(n),
             seeds: Vec::new(),
+            plans: Vec::new(),
+            clock,
             plan: FaultPlan::none(),
             exec: Execution::default(),
         }
     }
 
     /// Runs trials `gstart..gstart + width` as one lockstep group, with
-    /// exactly the seeds the scalar path would derive for those indices.
-    /// Returns `false` if the group diverged.
-    fn group(&mut self, base_seed: u64, gstart: u64, width: usize, out: &mut Vec<Trial>) -> bool {
+    /// exactly the seeds the scalar path would derive for those indices
+    /// and, under faults, one plan per lane drawn from each lane's seed.
+    /// Pushes one entry per lane, `None` for a lane a crash hit; pushes
+    /// nothing if the group diverged or every lane was hit.
+    fn group(&mut self, base_seed: u64, gstart: u64, width: usize, out: &mut Vec<Option<Trial>>) {
         self.seeds.clear();
         self.seeds
             .extend((0..width as u64).map(|j| trial_seed(base_seed, gstart + j)));
+        if let Some(cfg) = &self.fault {
+            let n = self.protocol.n();
+            self.plans.resize_with(width, FaultPlan::none);
+            for (plan, &seed) in self.plans.iter_mut().zip(&self.seeds) {
+                plan.draw_into(cfg, n, seed);
+            }
+            P::lockstep_engine(&mut self.batch).set_fault_plans(&self.plans, self.clock);
+        }
         if !self
             .protocol
             .run_honest_batch_into(&self.seeds, &mut self.batch)
         {
-            return false;
+            return;
         }
+        let lanes = P::lockstep_engine(&mut self.batch);
         for lane in 0..width {
-            P::execution_into(&self.batch, lane, &mut self.exec);
-            out.push((TrialOutcome::of(&self.exec), false));
+            out.push((!lanes.lane_hit(lane)).then(|| {
+                lanes.execution_into(lane, &mut self.exec);
+                (TrialOutcome::of(&self.exec), self.exec.stats.crashes > 0)
+            }));
         }
-        true
     }
 
     /// Runs one honest trial through the arena-pooled engine path: on the

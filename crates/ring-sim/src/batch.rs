@@ -28,9 +28,25 @@
 //! wake-ups plus deliveries. Per-trial statistics (`sent`, `received`,
 //! `steps`, `delivered`) are shared across lanes — the lockstep property
 //! guarantees they are identical — while outputs are per-lane.
+//!
+//! **Crash faults per lane.** [`LockstepEngine::set_fault_plans`] installs
+//! one [`FaultPlan`] per lane, measured on a [`LaneClock`]: deliveries
+//! completed (the FIFO path) or virtual time on a net whose every link
+//! has one constant latency, whose timed run is the FIFO run plus a clock.
+//! The lanes still run the fault-free schedule. An event that the scalar
+//! faulty run would drop — a wake or delivery to a live node that the
+//! lane's plan has down — marks that lane *hit*
+//! ([`LockstepEngine::lane_hit`]), and the run stops once every lane is
+//! hit. An unhit lane's scalar run takes exactly the fault-free schedule,
+//! so its result is the lockstep one plus the plan's fired-crash count;
+//! the caller re-runs the hit lanes scalar. As in the scalar engine, the
+//! run dispatches once on whether plans are installed: the fault-free
+//! instantiation keeps no clock and checks nothing per event.
 
 use crate::engine::Execution;
+use crate::fault::FaultPlan;
 use crate::outcome::outcome_of;
+use crate::timed::clock_add;
 use std::collections::VecDeque;
 
 /// The event tag reserved for wake-ups in the fused stream. Protocol
@@ -47,6 +63,24 @@ struct Event {
     /// Payload group index: the lanes live at
     /// `payloads[off * lanes .. (off + 1) * lanes]`. Unused for wakes.
     off: u32,
+}
+
+// The fault-free loop moves 12-byte events; the latency clock keeps its
+// times beside the queue rather than in it.
+const _: () = assert!(std::mem::size_of::<Event>() == 12);
+
+/// The clock a faulty lockstep run measures crash instants on: the clock
+/// of the scalar engine path whose runs the lanes stand in for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneClock {
+    /// Deliveries completed so far: the untimed global-FIFO path.
+    Deliveries,
+    /// Virtual nanoseconds on a timed net whose every link takes exactly
+    /// this many ns ([`TimedNetConfig::constant_latency`]): wakes fire at
+    /// 0 and each send arrives at its activation's time plus the latency.
+    ///
+    /// [`TimedNetConfig::constant_latency`]: crate::TimedNetConfig::constant_latency
+    Latency(u64),
 }
 
 /// Behaviour of one processor over `k` lockstep trials.
@@ -134,8 +168,8 @@ impl LaneCtx<'_> {
 ///
 /// Create once per worker with [`LockstepEngine::new`] and call
 /// [`LockstepEngine::run`] per trial group; all buffers (event queue,
-/// payload arena, counters, outputs) retain their capacity across runs,
-/// so steady-state groups allocate nothing.
+/// payload arena, counters, outputs, fault plans) retain their capacity
+/// across runs, so steady-state groups allocate nothing.
 #[derive(Debug)]
 pub struct LockstepEngine {
     n: usize,
@@ -161,6 +195,26 @@ pub struct LockstepEngine {
     /// budget (retained capacity decays toward ×4 of the recent need,
     /// matching the scalar engine's policy).
     hwm_payloads: usize,
+    /// One crash-fault plan per lane, applied to every run until replaced
+    /// (empty: the fault-free loop — see [`LockstepEngine::set_fault_plans`]).
+    plans: Vec<FaultPlan>,
+    /// The clock `plans` are measured on.
+    clock: LaneClock,
+    /// `(node, lane)` for every fault of `plans`, sorted: node `v`'s lanes
+    /// are `by_node[first[v]..first[v + 1]]`, so an event to a node no
+    /// plan crashes costs two loads.
+    by_node: Vec<(u32, u32)>,
+    first: Vec<u32>,
+    /// Per lane: the last run dropped, on the lane's plan, an activation
+    /// of the fault-free schedule.
+    hit: Vec<bool>,
+    /// Lanes of the current run not hit yet.
+    unhit: usize,
+    /// Arrival times of the queued deliveries, in queue order: kept only by
+    /// faulty runs on the latency clock.
+    times: VecDeque<u64>,
+    /// The latency clock: the arrival time of the last popped event.
+    now: u64,
 }
 
 impl LockstepEngine {
@@ -185,6 +239,14 @@ impl LockstepEngine {
             delivered: 0,
             diverged: false,
             hwm_payloads: 0,
+            plans: Vec::new(),
+            clock: LaneClock::Deliveries,
+            by_node: Vec::new(),
+            first: Vec::new(),
+            hit: Vec::new(),
+            unhit: 0,
+            times: VecDeque::new(),
+            now: 0,
         }
     }
 
@@ -198,18 +260,48 @@ impl LockstepEngine {
         self.lanes
     }
 
+    /// Installs one crash-fault plan per lane, measured on `clock`: every
+    /// later [`LockstepEngine::run`] applies `plans[l]` to lane `l` until
+    /// they are replaced, and an empty slice returns to the fault-free
+    /// loop. The plans are copied into engine-owned buffers whose
+    /// allocations are reused, as [`Engine::set_fault_plan`] does.
+    ///
+    /// [`Engine::set_fault_plan`]: crate::Engine::set_fault_plan
+    pub fn set_fault_plans(&mut self, plans: &[FaultPlan], clock: LaneClock) {
+        self.plans.resize_with(plans.len(), FaultPlan::none);
+        for (mine, plan) in self.plans.iter_mut().zip(plans) {
+            mine.clone_from(plan);
+        }
+        self.clock = clock;
+        let n = self.n;
+        self.by_node.clear();
+        self.by_node
+            .extend(self.plans.iter().enumerate().flat_map(|(lane, plan)| {
+                let lane = lane as u32;
+                plan.faults().iter().map(move |f| (f.node as u32, lane))
+            }));
+        self.by_node.sort_unstable();
+        let by_node = &self.by_node;
+        self.first.clear();
+        self.first.extend(
+            (0..=n).map(|v| by_node.partition_point(|&(node, _)| (node as usize) < v) as u32),
+        );
+    }
+
     /// Runs `lanes` lockstep trials: wakes `wakes` in order, then drives
     /// the fused FIFO stream to quiescence (or to `step_limit`).
     ///
     /// Returns `true` if the run completed in lockstep; `false` if any
     /// activation diverged (or the step limit was hit), in which case the
     /// engine's results are meaningless and the caller must re-run the
-    /// trials through the scalar path.
+    /// trials through the scalar path. Under installed fault plans it
+    /// also returns `false` once every lane is hit; after a `true` run,
+    /// only the lanes not [`LockstepEngine::lane_hit`] hold results.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != n`, `lanes == 0`, or a wake id is out of
-    /// range.
+    /// Panics if `nodes.len() != n`, `lanes == 0`, a wake id is out of
+    /// range, or fault plans are installed for another number of lanes.
     pub fn run<N: LockstepNode>(
         &mut self,
         lanes: usize,
@@ -219,6 +311,11 @@ impl LockstepEngine {
     ) -> bool {
         assert_eq!(nodes.len(), self.n, "need one node per ring position");
         assert!(lanes > 0, "lockstep run needs at least one lane");
+        assert!(
+            self.plans.is_empty() || self.plans.len() == lanes,
+            "{} fault plans installed for {lanes} lanes",
+            self.plans.len()
+        );
         self.reset(lanes);
         for &w in wakes {
             assert!(w < self.n, "wake id {w} out of range");
@@ -228,41 +325,126 @@ impl LockstepEngine {
                 off: 0,
             });
         }
-        let mut ok = true;
+        // One dispatch on the fault plans, outside the loop, as in the
+        // scalar engine: the fault-free instantiation keeps no clock and
+        // makes no per-event check.
+        let ok = if self.plans.is_empty() {
+            self.drive::<N, false>(nodes, step_limit)
+        } else {
+            self.drive::<N, true>(nodes, step_limit)
+        };
+        self.decay_capacity();
+        ok
+    }
+
+    /// The event loop of [`LockstepEngine::run`]; see there for the result.
+    /// With `FAULTS` it also reads the lanes' clock per event and, before
+    /// each activation, marks the lanes whose plan has the node down.
+    fn drive<N: LockstepNode, const FAULTS: bool>(
+        &mut self,
+        nodes: &mut [N],
+        step_limit: u64,
+    ) -> bool {
         while let Some(event) = self.queue.pop_front() {
             // Mirror the scalar fused loop exactly: the limit check runs
             // before the step is counted; hitting it means the lockstep
             // result cannot represent the scalar `StepLimit` outcome, so
             // it is treated as a divergence.
             if self.steps >= step_limit {
-                ok = false;
-                break;
+                return false;
             }
             self.steps += 1;
+            let clock = if FAULTS { self.tick(event.tag) } else { 0 };
             if event.tag == WAKE_TAG {
                 let me = event.to as usize;
                 if !self.has_output[me] {
+                    if FAULTS && self.hit_lanes(me, clock) {
+                        return false;
+                    }
+                    let queued = self.queue.len();
                     self.activate(nodes, me, None);
+                    if FAULTS {
+                        self.stamp(queued, clock);
+                    }
                 }
             } else {
                 let to = event.to as usize;
                 self.received[to] += 1;
                 self.delivered += 1;
                 if !self.has_output[to] {
+                    if FAULTS && self.hit_lanes(to, clock) {
+                        return false;
+                    }
                     let start = event.off as usize * self.lanes;
                     self.incoming.clear();
                     self.incoming
                         .extend_from_slice(&self.payloads[start..start + self.lanes]);
+                    let queued = self.queue.len();
                     self.activate(nodes, to, Some(event.tag));
+                    if FAULTS {
+                        self.stamp(queued, clock);
+                    }
                 }
             }
             if self.diverged {
-                ok = false;
-                break;
+                return false;
             }
         }
-        self.decay_capacity();
-        ok
+        true
+    }
+
+    /// The lanes' clock at the event just popped: the deliveries completed
+    /// before it, or its arrival time (wakes at 0, ahead of every send).
+    fn tick(&mut self, tag: u8) -> u64 {
+        match self.clock {
+            LaneClock::Deliveries => self.delivered,
+            LaneClock::Latency(_) => {
+                if tag != WAKE_TAG {
+                    self.now = self
+                        .times
+                        .pop_front()
+                        .expect("one arrival time per queued delivery");
+                }
+                self.now
+            }
+        }
+    }
+
+    /// On the latency clock, stamps the sends an activation at `clock`
+    /// queued behind the first `queued` events: each arrives `L` later.
+    fn stamp(&mut self, queued: usize, clock: u64) {
+        if let LaneClock::Latency(latency) = self.clock {
+            let arrive = clock_add(clock, latency);
+            let sent = self.queue.len() - queued;
+            self.times.extend(std::iter::repeat_n(arrive, sent));
+        }
+    }
+
+    /// Marks hit every lane whose plan has node `to` down at `clock`: the
+    /// lanes whose scalar run drops this activation. Returns `true` once
+    /// every lane is hit.
+    fn hit_lanes(&mut self, to: usize, clock: u64) -> bool {
+        let lanes = &self.by_node[self.first[to] as usize..self.first[to + 1] as usize];
+        for &(_, lane) in lanes {
+            let lane = lane as usize;
+            if !self.hit[lane] && self.plans[lane].is_down(to, clock) {
+                self.hit[lane] = true;
+                self.unhit -= 1;
+            }
+        }
+        self.unhit == 0
+    }
+
+    /// `true` when the last run dropped, on lane `lane`'s fault plan, an
+    /// activation of the fault-free schedule. The lane's trial then took
+    /// another schedule: re-run it through the scalar engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane_hit(&self, lane: usize) -> bool {
+        assert!(lane < self.lanes, "lane {lane} out of range");
+        self.hit[lane]
     }
 
     /// Dispatches one activation to `nodes[me]` with field-split borrows,
@@ -301,15 +483,17 @@ impl LockstepEngine {
     }
 
     /// Extracts trial `lane`'s [`Execution`] from the last completed run,
-    /// bit-identical to the scalar engine's output for the same trial.
+    /// bit-identical to the scalar engine's output for the same trial
+    /// under the lane's fault plan, if any.
     ///
     /// Only meaningful after [`LockstepEngine::run`] returned `true`.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range.
+    /// Panics if `lane` is out of range or was hit
+    /// ([`LockstepEngine::lane_hit`]).
     pub fn execution_into(&self, lane: usize, out: &mut Execution) {
-        assert!(lane < self.lanes, "lane {lane} out of range");
+        assert!(!self.lane_hit(lane), "lane {lane} was hit by a crash");
         out.outputs.clear();
         for i in 0..self.n {
             out.outputs.push(if self.has_output[i] {
@@ -328,6 +512,18 @@ impl LockstepEngine {
         // stream always drained: `all_delivered` is unconditionally true,
         // exactly as in the scalar fused path on a completed run.
         out.outcome = outcome_of(&out.outputs, true);
+        // An unhit lane's scalar run took this very schedule, so it ends
+        // on the same clock reading.
+        match self.plans.get(lane) {
+            Some(plan) => {
+                let end = match self.clock {
+                    LaneClock::Deliveries => self.delivered,
+                    LaneClock::Latency(_) => self.now,
+                };
+                plan.settle_into(end, out);
+            }
+            None => out.stats.crashes = 0,
+        }
     }
 
     /// Resets per-run state for a `lanes`-wide group, retaining capacity.
@@ -347,6 +543,11 @@ impl LockstepEngine {
         self.steps = 0;
         self.delivered = 0;
         self.diverged = false;
+        self.hit.clear();
+        self.hit.resize(lanes, false);
+        self.unhit = lanes;
+        self.times.clear();
+        self.now = 0;
     }
 
     /// Decays retained payload capacity toward a ×4 budget of the recent
@@ -437,6 +638,49 @@ mod tests {
             assert_eq!(exec.stats.delivered, 6);
             assert_eq!(exec.stats.steps, 7);
         }
+    }
+
+    #[test]
+    fn lane_fault_plans_hit_only_the_lanes_they_drop_an_activation_of() {
+        let pongs = || {
+            vec![
+                Pong {
+                    bound: 1,
+                    last: vec![0; 3],
+                },
+                Pong {
+                    bound: 1,
+                    last: vec![0; 3],
+                },
+            ]
+        };
+        let mut engine = LockstepEngine::new(2);
+        // Lane 0 drops the origin's wake; lane 1's crash of node 1 at the
+        // second delivery recovers before the third; lane 2's fires after
+        // node 1 terminated (on the sixth and last delivery's clock).
+        let plans = [
+            FaultPlan::none().with_crash(0, 0, Some(1)),
+            FaultPlan::none().with_crash(1, 1, Some(2)),
+            FaultPlan::none().with_crash(1, 5, None),
+        ];
+        engine.set_fault_plans(&plans, LaneClock::Deliveries);
+        assert!(engine.run(3, &mut pongs(), &[0], 1000));
+        let hits: Vec<bool> = (0..3).map(|lane| engine.lane_hit(lane)).collect();
+        assert_eq!(hits, [true, false, false]);
+        let mut exec = Execution::default();
+        engine.execution_into(1, &mut exec);
+        assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 1));
+        engine.execution_into(2, &mut exec);
+        assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 1));
+
+        // Every lane hit stops the run; an empty slice restores the
+        // fault-free loop, which settles no crashes.
+        engine.set_fault_plans(&plans[..1], LaneClock::Latency(5));
+        assert!(!engine.run(1, &mut pongs(), &[0], 1000));
+        engine.set_fault_plans(&[], LaneClock::Deliveries);
+        assert!(engine.run(3, &mut pongs(), &[0], 1000));
+        engine.execution_into(0, &mut exec);
+        assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 0));
     }
 
     #[test]

@@ -577,13 +577,7 @@ impl<M> Engine<M> {
         out.stats.sent.extend_from_slice(&*state.sent);
         out.stats.received.clear();
         out.stats.received.extend_from_slice(&*state.received);
-        out.stats.crashes = fault.fired_count(clock);
-        if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
-            // Quiescence with live non-terminated nodes downstream of a
-            // fired crash: the fault partitioned the election, which is a
-            // different diagnosis than a protocol deadlock.
-            out.outcome = Outcome::Fail(FailReason::CrashPartition);
-        }
+        fault.settle_into(clock, out);
         self.hwm_events = steps.max(self.hwm_events / 2);
     }
 

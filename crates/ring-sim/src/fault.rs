@@ -29,7 +29,17 @@
 //! [`FaultPlan::is_empty`] into a monomorphized loop whose fault hook is
 //! an inline `false` — the fault-free path carries no per-delivery check
 //! and stays bit-identical to builds that predate this module.
+//!
+//! Plans also ride the lockstep engine, one per lane
+//! ([`LockstepEngine::set_fault_plans`](crate::batch::LockstepEngine::set_fault_plans)),
+//! on the delivery clock or on the virtual clock of a net with one
+//! constant latency. The lanes keep the fault-free schedule; a lane whose
+//! plan would drop one of its activations is reported hit and reruns on
+//! the scalar engine. Both engines settle a run's fired crashes the same
+//! way.
 
+use crate::engine::Execution;
+use crate::outcome::{FailReason, Outcome};
 use crate::rng::SplitMix64;
 use crate::topology::NodeId;
 
@@ -212,6 +222,20 @@ impl FaultPlan {
             .iter()
             .filter(|f| if self.timed { f.at <= end } else { f.at < end })
             .count() as u64
+    }
+
+    /// Writes a finished run's fault accounting into `out`: the faults
+    /// that fired by the run's end clock `end` ([`FaultPlan::fired_count`]),
+    /// and the diagnosis of a quiescence after a fired crash. The scalar
+    /// and the lockstep engine both settle a run through this.
+    pub(crate) fn settle_into(&self, end: u64, out: &mut Execution) {
+        out.stats.crashes = self.fired_count(end);
+        if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
+            // Quiescence with live non-terminated nodes downstream of a
+            // fired crash: the fault partitioned the election, which is a
+            // different diagnosis than a protocol deadlock.
+            out.outcome = Outcome::Fail(FailReason::CrashPartition);
+        }
     }
 }
 

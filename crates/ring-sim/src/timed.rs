@@ -157,6 +157,44 @@ impl TimedNetConfig {
             .map(|&(_, p)| p)
             .unwrap_or(self.default)
     }
+
+    /// `Some(L)` when every link takes exactly `L` ns — each profile is
+    /// [`LatencySpec::Constant`] with the one shared `L`, and no gap,
+    /// loss or duplication. Such a net keeps the paper's reliable FIFO
+    /// links: a message sent at `t` arrives at `t + L`, so the heap pops
+    /// in send order and a run *is* the global-FIFO run plus a clock
+    /// (wakes at 0, each send at its activation's time + `L`). That is
+    /// what lets the lockstep engine stand in for it
+    /// ([`LaneClock::Latency`](crate::batch::LaneClock::Latency)).
+    pub fn constant_latency(&self) -> Option<u64> {
+        let constant = |p: &LinkProfile| match p.latency {
+            LatencySpec::Constant { ns }
+                if p.gap_ns == 0 && p.loss_permille == 0 && p.dup_permille == 0 =>
+            {
+                Some(ns)
+            }
+            _ => None,
+        };
+        let l = constant(&self.default)?;
+        self.overrides
+            .iter()
+            .all(|(_, p)| constant(p) == Some(l))
+            .then_some(l)
+    }
+}
+
+/// `t + d` on the virtual clock, saturating at `u64::MAX` like every
+/// clock addition of the timed paths. Spec-driven runs cannot get there
+/// (`SweepSpec::validate` bounds the largest virtual time a run can
+/// reach), so a debug build asserts that the addition did not saturate:
+/// tied saturated arrivals would silently pop in send order.
+#[inline]
+pub(crate) fn clock_add(t: u64, d: u64) -> u64 {
+    debug_assert!(
+        t.checked_add(d).is_some(),
+        "virtual clock overflow: {t} + {d} ns"
+    );
+    t.saturating_add(d)
 }
 
 /// One pending simulation event: a spontaneous wake-up or a message
@@ -297,13 +335,13 @@ impl<M: Clone> TimedScheduler<M> {
         }
         let mut dep = self.now;
         if p.gap_ns > 0 {
-            dep = dep.max(self.next_free[edge]).saturating_add(p.gap_ns);
+            dep = clock_add(dep.max(self.next_free[edge]), p.gap_ns);
             self.next_free[edge] = dep;
         }
-        let arrive = dep.saturating_add(p.latency.draw(&mut self.rng));
+        let arrive = clock_add(dep, p.latency.draw(&mut self.rng));
         let dup_arrive = if p.dup_permille > 0 && self.rng.next_below(1000) < p.dup_permille as u64
         {
-            Some(dep.saturating_add(p.latency.draw(&mut self.rng)))
+            Some(clock_add(dep, p.latency.draw(&mut self.rng)))
         } else {
             None
         };
@@ -364,6 +402,40 @@ mod tests {
         s.send(1, 11); // arrives at 1
         s.send(0, 12); // arrives at 5, after 10 by seq
         assert_eq!(drain_times(&mut s), vec![(1, 11), (5, 10), (5, 12)]);
+    }
+
+    #[test]
+    fn constant_latency_needs_one_reliable_constant_on_every_link() {
+        let constant = |ns| LinkProfile {
+            latency: LatencySpec::Constant { ns },
+            ..LinkProfile::default()
+        };
+        assert_eq!(TimedNetConfig::default().constant_latency(), Some(0));
+        let mut net = TimedNetConfig::uniform(constant(500));
+        net.overrides.push((3, constant(500)));
+        assert_eq!(net.constant_latency(), Some(500));
+        net.overrides.push((4, constant(499)));
+        assert_eq!(net.constant_latency(), None, "two latencies");
+        for noisy in [
+            LinkProfile {
+                loss_permille: 1,
+                ..constant(500)
+            },
+            LinkProfile {
+                dup_permille: 1,
+                ..constant(500)
+            },
+            LinkProfile {
+                gap_ns: 1,
+                ..constant(500)
+            },
+            LinkProfile {
+                latency: LatencySpec::Uniform { lo: 500, hi: 501 },
+                ..LinkProfile::default()
+            },
+        ] {
+            assert_eq!(TimedNetConfig::uniform(noisy).constant_latency(), None);
+        }
     }
 
     #[test]

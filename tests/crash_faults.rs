@@ -227,6 +227,53 @@ fn timed_fault_sweep_sha256_is_pinned_and_thread_invariant() {
     }
 }
 
+/// The recovering timed pin, the path that runs in lockstep lanes: the
+/// benchmark's `timed_crash_phase_n64` spec at 500 trials (what `fle_lab
+/// sweep --protocol phase --n 64 --trials 500 --seed 1 --latency
+/// const:500 --crash 1@4000000ns --recover 10000` runs). Lanes whose
+/// crash hits an activation rerun scalar, so every width gives the bytes
+/// of the all-scalar run — `fault.crashed_trials` included — which this
+/// hash was taken from.
+#[test]
+fn recovering_timed_fault_sweep_sha256_is_pinned_across_threads_and_widths() {
+    for threads in [1, 2, 8] {
+        for batch_width in [1, 8] {
+            let report = run_sweep(&SweepSpec::Honest(HonestSweep {
+                protocol: ProtocolKind::PhaseAsyncLead,
+                n: 64,
+                fn_key: 0,
+                batch: BatchConfig {
+                    trials: 500,
+                    base_seed: 1,
+                    threads,
+                },
+                batch_width,
+                schedule: ScheduleSpec::Timed {
+                    latency: LatencySpec::Constant { ns: 500 },
+                    loss_permille: 0,
+                    dup_permille: 0,
+                },
+                fault: Some(FaultSpec {
+                    crashes: 1,
+                    window: CrashInstant::VirtualNs(4_000_000),
+                    recover: Some(10_000),
+                }),
+            }))
+            .expect("valid spec");
+            assert_eq!(
+                report.fault.as_ref().map(|f| f.crashed_trials),
+                Some(255),
+                "threads {threads} width {batch_width}"
+            );
+            assert_eq!(
+                sha256_hex(report.to_json().as_bytes()),
+                "63ebf1b628d1496ae891a92fedd3d4c5eb5656acbef60e57639062f7eae81ad3",
+                "threads {threads} width {batch_width}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 3. Semantics: CrashPartition, recovery, determinism.
 
@@ -340,13 +387,12 @@ proptest! {
         let out = run_batch_range_grouped(
             &cfg, 0, trials, width,
             || (),
-            |(), gstart, buf: &mut Vec<TrialOutcome>| {
+            |(), gstart, buf: &mut Vec<Option<TrialOutcome>>| {
                 for j in 0..width as u64 {
                     let i = gstart + j;
                     assert!(i != poison, "poisoned group trial {i}");
-                    buf.push(value(i, trial_seed(base_seed, i)));
+                    buf.push(Some(value(i, trial_seed(base_seed, i))));
                 }
-                true
             },
             |(), i, seed| {
                 assert!(i != poison, "poisoned scalar trial {i}");

@@ -519,6 +519,205 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Lane fault plans: lockstep groups under one crash plan per lane vs the
+// scalar faulty run of each lane, on the deliveries clock and on
+// constant-latency timed nets.
+
+use fle_core::protocols::{run_ring_honest_timed_into, LockstepProtocol};
+use ring_sim::batch::LaneClock;
+use ring_sim::{
+    CrashInstant, FaultConfig, FaultPlan, LatencySpec, LinkProfile, NodeId, Probe, TimedNetConfig,
+    TimedScheduler,
+};
+
+/// The scalar reference: `p`'s honest trial seeded `seed` under `plan`,
+/// on FIFO links or on the timed `net`.
+fn scalar_faulty<P: RingProtocol>(
+    p: &P,
+    seed: u64,
+    plan: &FaultPlan,
+    net: Option<&TimedNetConfig>,
+) -> Execution {
+    let n = p.n();
+    let q = p.seeded(seed);
+    let honest = |id, arena: &mut TrialArena| q.honest_ring_node_in(id, arena);
+    let mut engine = Engine::new(Topology::ring(n));
+    engine.set_fault_plan(plan);
+    let (wakes, mut nodes, mut arena) = (P::WAKES.ids(n), Vec::new(), TrialArena::new());
+    let mut out = Execution::default();
+    match net {
+        Some(net) => run_ring_honest_timed_into(
+            &mut engine,
+            n,
+            honest,
+            &wakes,
+            &mut nodes,
+            &mut TimedScheduler::new(),
+            net,
+            seed,
+            &mut arena,
+            &mut out,
+        ),
+        None => run_ring_honest_pooled_into(
+            &mut engine,
+            n,
+            honest,
+            &wakes,
+            &mut nodes,
+            &mut FifoScheduler::new(),
+            &mut arena,
+            &mut out,
+        ),
+    }
+    out
+}
+
+/// The first node to terminate in `p`'s fault-free FIFO run seeded
+/// `seed`, and the run's delivery count.
+fn first_terminator<P: RingProtocol>(p: &P, seed: u64) -> (NodeId, u64) {
+    struct First(Option<NodeId>);
+    impl<M> Probe<M> for First {
+        fn on_terminate(&mut self, node: NodeId, _: Option<u64>) {
+            self.0.get_or_insert(node);
+        }
+    }
+    let n = p.n();
+    let q = p.seeded(seed);
+    let mut arena = TrialArena::new();
+    let mut nodes: Vec<P::Node> = (0..n)
+        .map(|id| q.honest_ring_node_in(id, &mut arena))
+        .collect();
+    let (mut first, mut out) = (First(None), Execution::default());
+    Engine::new(Topology::ring(n)).run_into(
+        &mut nodes,
+        &P::WAKES.ids(n),
+        Schedule::Oblivious(&mut FifoScheduler::new()),
+        default_step_limit(n),
+        Some(&mut first),
+        &mut out,
+    );
+    (first.0.expect("an honest run elects"), out.stats.delivered)
+}
+
+/// Lockstep groups of `p` under one crash plan per lane, at widths
+/// {1, 2, 7, 8}, on the deliveries clock with recovery and on constant
+/// latencies L ∈ {0, 1, 500} with `window_ns` and recovery. Lanes draw
+/// their plans from their seeds, except in groups of two or more: lane
+/// 0 crashes the origin at instant 0, which drops its wake, so the lane
+/// must be hit; on the deliveries clock the last lane crashes the first
+/// node to terminate at the run's last delivery, which fires and must
+/// hit nothing. Every unhit lane must equal its scalar faulty run.
+fn assert_lane_faults_match<P: LockstepProtocol>(label: &str, p: &P, base: u64) {
+    let n = p.n();
+    // Every protocol here delivers at most 2n² messages.
+    let deliveries = 2 * (n * n) as u64;
+    let mut cache = P::batch_cache(n);
+    let mut next = 0u64;
+    for latency in [None, Some(0), Some(1), Some(500)] {
+        let (clock, net, window, recover) = match latency {
+            None => (
+                LaneClock::Deliveries,
+                None,
+                CrashInstant::Deliveries(deliveries),
+                n as u64,
+            ),
+            Some(l) => (
+                LaneClock::Latency(l),
+                Some(TimedNetConfig::uniform(LinkProfile {
+                    latency: LatencySpec::Constant { ns: l },
+                    ..LinkProfile::default()
+                })),
+                CrashInstant::VirtualNs(deliveries * l + 2),
+                n as u64 * l + 1,
+            ),
+        };
+        let cfg = FaultConfig {
+            crashes: 1 + base % 2,
+            window,
+            recover_after: Some(recover),
+        };
+        for width in [1, 2, 7, 8] {
+            let seeds: Vec<u64> = (0..width as u64)
+                .map(|j| trial_seed(base, next + j))
+                .collect();
+            next += width as u64;
+            let mut plans: Vec<FaultPlan> = seeds
+                .iter()
+                .map(|&seed| {
+                    let mut plan = FaultPlan::none();
+                    plan.draw_into(&cfg, n, seed);
+                    plan
+                })
+                .collect();
+            let after_end = width > 1 && latency.is_none();
+            if width > 1 {
+                plans[0] = FaultPlan::none()
+                    .with_crash(0, 0, Some(recover))
+                    .with_timed(latency.is_some());
+            }
+            if after_end {
+                let (node, delivered) = first_terminator(p, seeds[width - 1]);
+                plans[width - 1] = FaultPlan::none().with_crash(node, delivered - 1, Some(recover));
+            }
+            P::lockstep_engine(&mut cache).set_fault_plans(&plans, clock);
+            let ran = p.run_honest_batch_into(&seeds, &mut cache);
+            let engine = P::lockstep_engine(&mut cache);
+            let case = format!("{label} {clock:?} width {width}");
+            let hits: Vec<bool> = (0..width).map(|lane| engine.lane_hit(lane)).collect();
+            assert!(ran || hits.iter().all(|&hit| hit), "{case}: diverged");
+            if width > 1 {
+                assert!(hits[0], "{case}: the origin's dropped wake must hit lane 0");
+            }
+            if !ran {
+                continue;
+            }
+            let mut exec = Execution::default();
+            for (lane, (&seed, plan)) in seeds.iter().zip(&plans).enumerate() {
+                if hits[lane] {
+                    continue;
+                }
+                engine.execution_into(lane, &mut exec);
+                let reference = scalar_faulty(p, seed, plan, net.as_ref());
+                assert_eq!(exec, reference, "{case} lane {lane} vs scalar");
+            }
+            if after_end {
+                assert!(!hits[width - 1], "{case}: a crash after termination hit");
+                engine.execution_into(width - 1, &mut exec);
+                assert_eq!(exec.stats.crashes, 1, "{case}: the late crash must fire");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn batch_vs_scalar_lane_faults_basic(base in any::<u64>(), n in 2usize..14) {
+        assert_lane_faults_match("basic", &BasicLead::new(n), base);
+    }
+
+    #[test]
+    fn batch_vs_scalar_lane_faults_a_lead_uni(base in any::<u64>(), n in 2usize..14) {
+        assert_lane_faults_match("alead", &ALeadUni::new(n), base);
+    }
+
+    #[test]
+    fn batch_vs_scalar_lane_faults_phase_async(
+        base in any::<u64>(),
+        key in any::<u64>(),
+        n in 4usize..14,
+    ) {
+        assert_lane_faults_match("phase", &PhaseAsyncLead::new(n).with_fn_key(key), base);
+    }
+
+    #[test]
+    fn batch_vs_scalar_lane_faults_phase_sum(base in any::<u64>(), n in 4usize..14) {
+        assert_lane_faults_match("phasesum", &PhaseSumLead::new(n), base);
+    }
+}
+
 /// A full batched sweep must serialize byte-identically to the scalar
 /// sweep — for every protocol, at a width (7) that leaves a ragged tail —
 /// and the lockstep path must actually have run (not silently fallen back

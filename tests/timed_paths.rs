@@ -1,16 +1,19 @@
 //! Differential tests of the engine's virtual-clock (timed) path.
 //!
-//! The timed scheduler is a superset of the untimed engine: with the
-//! all-zero [`TimedNetConfig`] (zero latency, no loss, no duplication,
-//! no bandwidth queueing) every delivery fires at time 0 and ties break
-//! by send sequence, which *is* the fused global-FIFO order. So for
-//! every protocol, ring size and seed, the timed path must produce
-//! bit-identical [`Execution`]s to the untimed fast path — outcome,
-//! per-node outputs, and every counter. These property tests pin that
-//! anchor for the four ring protocols and the cached attack path, and
-//! pin determinism of the noisy configurations: a lossy/duplicating
-//! net replays byte-identically from the same seed (the noise stream is
-//! derived from the trial seed, never from global state).
+//! The timed scheduler is a superset of the untimed engine: with one
+//! constant latency `L` on every link (no loss, no duplication, no
+//! bandwidth queueing) a message sent at `t` arrives at `t + L`, so the
+//! heap pops in send order, which *is* the fused global-FIFO order. With
+//! `L = 0` (the all-zero profile) every delivery fires at time 0 and ties
+//! break by send sequence. So for every protocol, ring size, seed and
+//! `L`, the timed path must produce bit-identical [`Execution`]s to the
+//! untimed fast path — outcome, per-node outputs, and every counter.
+//! These property tests pin that anchor for the four ring protocols (the
+//! lockstep engine's constant-latency clock rests on it) and for the
+//! cached attack path, and pin determinism of the noisy configurations:
+//! a lossy/duplicating net replays byte-identically from the same seed
+//! (the noise stream is derived from the trial seed, never from global
+//! state).
 
 use fle_attacks::{RushingAttack, RushingCache};
 use fle_core::protocols::{
@@ -54,21 +57,33 @@ fn run_timed<M: Clone, N: Node<M> + ArenaBacked>(
     out
 }
 
-/// Asserts the zero-profile timed run equals the untimed reference,
-/// twice over the same engine/scheduler (reuse must not perturb it).
-fn assert_zero_profile_matches<M: Clone, N: Node<M> + ArenaBacked>(
+/// The latency the four protocol differentials draw: 0 (the all-zero
+/// profile) half the time, else up to 999 ns.
+fn latency_ns() -> impl Strategy<Value = u64> {
+    (0u64..2000).prop_map(|x| x.saturating_sub(1000))
+}
+
+/// Asserts the timed run on constant `latency` links equals the untimed
+/// reference, twice over the same engine/scheduler (reuse must not
+/// perturb it).
+fn assert_constant_latency_matches<M: Clone, N: Node<M> + ArenaBacked>(
     n: usize,
     wakes: &[usize],
     reference: &Execution,
     seed: u64,
+    latency: u64,
     mut mono: impl FnMut(usize, &mut TrialArena) -> N,
 ) {
-    let net = TimedNetConfig::default();
+    let net = TimedNetConfig::uniform(LinkProfile {
+        latency: LatencySpec::Constant { ns: latency },
+        ..LinkProfile::default()
+    });
+    assert_eq!(net.constant_latency(), Some(latency));
     let mut engine = Engine::new(Topology::ring(n));
     let mut timed = TimedScheduler::new();
     for pass in 0..2 {
         let out = run_timed(&mut engine, &mut timed, n, wakes, &net, seed, &mut mono);
-        assert_eq!(&out, reference, "zero-profile timed (pass {pass})");
+        assert_eq!(&out, reference, "const:{latency} timed (pass {pass})");
     }
 }
 
@@ -116,10 +131,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn basic_lead_timed_zero_profile_matches_fifo(seed in any::<u64>(), n in 2usize..24) {
+    fn basic_lead_timed_zero_profile_matches_fifo(
+        seed in any::<u64>(),
+        n in 2usize..24,
+        l in latency_ns(),
+    ) {
         let p = BasicLead::new(n).with_seed(seed);
         let reference = p.run_honest();
-        assert_zero_profile_matches(n, &p.wakes(), &reference, seed, |id, arena| {
+        assert_constant_latency_matches(n, &p.wakes(), &reference, seed, l, |id, arena| {
             p.honest_ring_node_in(id, arena)
         });
         assert_noisy_replay_deterministic(n, &p.wakes(), seed, |id, arena| {
@@ -128,10 +147,14 @@ proptest! {
     }
 
     #[test]
-    fn a_lead_uni_timed_zero_profile_matches_fifo(seed in any::<u64>(), n in 2usize..24) {
+    fn a_lead_uni_timed_zero_profile_matches_fifo(
+        seed in any::<u64>(),
+        n in 2usize..24,
+        l in latency_ns(),
+    ) {
         let p = ALeadUni::new(n).with_seed(seed);
         let reference = p.run_honest();
-        assert_zero_profile_matches(n, &p.wakes(), &reference, seed, |id, arena| {
+        assert_constant_latency_matches(n, &p.wakes(), &reference, seed, l, |id, arena| {
             p.honest_ring_node_in(id, arena)
         });
         assert_noisy_replay_deterministic(n, &p.wakes(), seed, |id, arena| {
@@ -144,10 +167,11 @@ proptest! {
         seed in any::<u64>(),
         key in any::<u64>(),
         n in 4usize..24,
+        l in latency_ns(),
     ) {
         let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(key);
         let reference = p.run_honest();
-        assert_zero_profile_matches(n, &p.wakes(), &reference, seed, |id, arena| {
+        assert_constant_latency_matches(n, &p.wakes(), &reference, seed, l, |id, arena| {
             p.honest_ring_node_in(id, arena)
         });
         assert_noisy_replay_deterministic(n, &p.wakes(), seed, |id, arena| {
@@ -156,10 +180,14 @@ proptest! {
     }
 
     #[test]
-    fn phase_sum_timed_zero_profile_matches_fifo(seed in any::<u64>(), n in 4usize..24) {
+    fn phase_sum_timed_zero_profile_matches_fifo(
+        seed in any::<u64>(),
+        n in 4usize..24,
+        l in latency_ns(),
+    ) {
         let p = PhaseSumLead::new(n).with_seed(seed);
         let reference = p.run_honest();
-        assert_zero_profile_matches(n, &p.wakes(), &reference, seed, |id, arena| {
+        assert_constant_latency_matches(n, &p.wakes(), &reference, seed, l, |id, arena| {
             p.honest_ring_node_in(id, arena)
         });
         assert_noisy_replay_deterministic(n, &p.wakes(), seed, |id, arena| {
