@@ -16,7 +16,9 @@
 //! exactly `n` messages, and the origin does not forward its `n`-th
 //! (final) receive.
 
-use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
+use super::{
+    fold_mod, node_rng, run_ring, wrap_sub, BasicNode, FleProtocol, RingProtocol, TrialCache, Wakes,
+};
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, Probe, TrialArena};
 
 /// [`TrialCache`] for `A-LEADuni`'s boxed coalition mixes.
@@ -105,12 +107,7 @@ impl ALeadUni {
             None => node_rng(self.seed, id).next_below(self.n as u64),
         };
         if id == 0 {
-            ALeadNode::Origin(Origin {
-                n: self.n as u64,
-                d,
-                sum: 0,
-                round: 0,
-            })
+            ALeadNode::Origin(BasicNode::new(self.n as u64, d))
         } else {
             ALeadNode::Normal(Normal {
                 n: self.n as u64,
@@ -196,8 +193,11 @@ impl FleProtocol for ALeadUni {
 /// branch instead of a `Box<dyn Node>` vtable call.
 #[derive(Debug, Clone)]
 pub enum ALeadNode {
-    /// The spontaneously-waking origin (processor 0).
-    Origin(Origin),
+    /// The spontaneously-waking origin (processor 0). It is a `Basic-LEAD`
+    /// processor: it sends its secret at wake-up, then forwards `n − 1`
+    /// incoming messages immediately ("behaves like a pipe"), and its
+    /// `n`-th receive must be its own secret coming full circle.
+    Origin(BasicNode),
     /// A normal processor with the one-round delay buffer.
     Normal(Normal),
 }
@@ -218,36 +218,6 @@ impl Node<u64> for ALeadNode {
         match self {
             ALeadNode::Origin(o) => o.on_message(from, msg, ctx),
             ALeadNode::Normal(p) => p.on_message(from, msg, ctx),
-        }
-    }
-}
-
-/// The origin: sends its secret at wake-up, then forwards `n − 1` incoming
-/// messages immediately ("behaves like a pipe"). Its `n`-th receive must be
-/// its own secret coming full circle.
-#[derive(Debug, Clone)]
-pub struct Origin {
-    n: u64,
-    d: u64,
-    sum: u64,
-    round: u64,
-}
-
-impl Node<u64> for Origin {
-    fn on_wake(&mut self, ctx: &mut Ctx<'_, u64>) {
-        ctx.send(self.d);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        let m = fold_mod(msg, self.n);
-        self.round += 1;
-        self.sum = wrap_sub(self.sum + m, self.n);
-        if self.round < self.n {
-            ctx.send(m);
-        } else if m == self.d {
-            ctx.terminate(Some(self.sum));
-        } else {
-            ctx.abort();
         }
     }
 }

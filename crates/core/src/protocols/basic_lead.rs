@@ -93,12 +93,7 @@ impl BasicLead {
             Some(vs) => vs[id],
             None => node_rng(self.seed, id).next_below(self.n as u64),
         };
-        BasicNode {
-            n: self.n as u64,
-            d,
-            sum: 0,
-            round: 0,
-        }
+        BasicNode::new(self.n as u64, d)
     }
 
     /// [`BasicLead::honest_ring_node`] with the uniform arena-aware batch
@@ -164,6 +159,19 @@ pub struct BasicNode {
     d: u64,
     sum: u64,
     round: u64,
+}
+
+impl BasicNode {
+    /// A fresh processor on a ring of `n` holding the secret `d`.
+    /// `A-LEADuni`'s origin is this processor too.
+    pub(crate) fn new(n: u64, d: u64) -> Self {
+        BasicNode {
+            n,
+            d,
+            sum: 0,
+            round: 0,
+        }
+    }
 }
 
 /// `BasicNode` keeps only scalar state — nothing to reclaim.

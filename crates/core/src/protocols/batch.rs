@@ -95,6 +95,36 @@ pub struct BatchBasicNode {
     sum: Vec<u64>,
 }
 
+impl BatchBasicNode {
+    /// An empty `k`-lane processor on a ring of `n`; [`Self::refill`]
+    /// readies it for a group.
+    fn new(n: usize, k: usize) -> Self {
+        BatchBasicNode {
+            n: n as u64,
+            round: 0,
+            d: Vec::with_capacity(k),
+            sum: Vec::with_capacity(k),
+        }
+    }
+
+    /// Readies position `id` for a group of `seeds.len()` lanes: round 0,
+    /// zero sums, and lane `l`'s secret drawn from `seeds[l]` (or the
+    /// pinned value of `id`).
+    fn refill(&mut self, id: usize, seeds: &[u64], pinned: Option<&[u64]>) {
+        let (n, k) = (self.n, seeds.len());
+        self.round = 0;
+        self.d.clear();
+        match pinned {
+            Some(vs) => self.d.resize(k, vs[id]),
+            None => self
+                .d
+                .extend(seeds.iter().map(|&s| node_rng(s, id).next_below(n))),
+        }
+        self.sum.clear();
+        self.sum.resize(k, 0);
+    }
+}
+
 impl LockstepNode for BatchBasicNode {
     fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
         ctx.send(0).copy_from_slice(&self.d);
@@ -167,32 +197,16 @@ impl BasicLead {
     pub fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut BasicBatchCache) -> bool {
         let n = self.n();
         let k = seeds.len();
-        let fill = |id: usize, d: &mut Vec<u64>, sum: &mut Vec<u64>| {
-            d.clear();
-            match self.pinned_values() {
-                Some(vs) => d.resize(k, vs[id]),
-                None => d.extend(seeds.iter().map(|&s| node_rng(s, id).next_below(n as u64))),
-            }
-            sum.clear();
-            sum.resize(k, 0);
-        };
+        let pinned = self.pinned_values();
         ensure_nodes(
             &mut cache.nodes,
             n,
             |id| {
-                let mut node = BatchBasicNode {
-                    n: n as u64,
-                    round: 0,
-                    d: Vec::with_capacity(k),
-                    sum: Vec::with_capacity(k),
-                };
-                fill(id, &mut node.d, &mut node.sum);
+                let mut node = BatchBasicNode::new(n, k);
+                node.refill(id, seeds, pinned);
                 node
             },
-            |id, node| {
-                node.round = 0;
-                fill(id, &mut node.d, &mut node.sum);
-            },
+            |id, node| node.refill(id, seeds, pinned),
         );
         run_ring_honest_batch_into(&mut cache.engine, n, k, &mut cache.nodes, &cache.wakes)
     }
@@ -202,72 +216,55 @@ impl BasicLead {
 // A-LEADuni
 // ---------------------------------------------------------------------
 
-/// The `k`-lane honest `A-LEADuni` processor: the origin pipes, normals
-/// carry the one-round delay `buffer` per lane.
+/// The `k`-lane honest `A-LEADuni` processor: the origin is a
+/// `Basic-LEAD` processor (it pipes), normals carry the one-round delay
+/// `buffer` per lane.
 pub struct BatchALeadNode {
-    n: u64,
+    /// The `Basic-LEAD` registers; the origin runs their handlers as is.
+    basic: BatchBasicNode,
     origin: bool,
-    round: u64,
-    d: Vec<u64>,
     /// Normal processors' delay buffer (empty for the origin).
     buffer: Vec<u64>,
-    sum: Vec<u64>,
 }
 
 impl LockstepNode for BatchALeadNode {
     fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
-        ctx.send(0).copy_from_slice(&self.d);
+        self.basic.on_wake(ctx);
     }
 
-    fn on_message(&mut self, _tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
-        let n = self.n;
+    fn on_message(&mut self, tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
         if self.origin {
-            // Identical to Basic-LEAD's handler: forward immediately.
-            self.round += 1;
-            if self.round < n {
-                let out = ctx.send(0);
-                for ((o, s), &x) in out.iter_mut().zip(self.sum.iter_mut()).zip(lanes) {
-                    let m = fold_mod(x, n);
-                    *s = wrap_sub(*s + m, n);
-                    *o = m;
-                }
+            return self.basic.on_message(tag, lanes, ctx);
+        }
+        let BatchBasicNode {
+            n,
+            round,
+            d: secrets,
+            sum,
+        } = &mut self.basic;
+        let n = *n;
+        // Scalar order: send the buffer first, then absorb the new value
+        // into buffer and sum.
+        ctx.send(0).copy_from_slice(&self.buffer);
+        *round += 1;
+        let mut all_own = true;
+        for (((b, s), &d), &x) in self
+            .buffer
+            .iter_mut()
+            .zip(sum.iter_mut())
+            .zip(secrets.iter())
+            .zip(lanes)
+        {
+            let m = fold_mod(x, n);
+            *b = m;
+            *s = wrap_sub(*s + m, n);
+            all_own &= m == d;
+        }
+        if *round == n {
+            if all_own {
+                ctx.terminate().copy_from_slice(sum);
             } else {
-                let mut all_own = true;
-                for ((s, &d), &x) in self.sum.iter_mut().zip(&self.d).zip(lanes) {
-                    let m = fold_mod(x, n);
-                    *s = wrap_sub(*s + m, n);
-                    all_own &= m == d;
-                }
-                if all_own {
-                    ctx.terminate().copy_from_slice(&self.sum);
-                } else {
-                    ctx.diverge();
-                }
-            }
-        } else {
-            // Scalar order: send the buffer first, then absorb the new
-            // value into buffer and sum.
-            ctx.send(0).copy_from_slice(&self.buffer);
-            self.round += 1;
-            let mut all_own = true;
-            for (((b, s), &d), &x) in self
-                .buffer
-                .iter_mut()
-                .zip(self.sum.iter_mut())
-                .zip(&self.d)
-                .zip(lanes)
-            {
-                let m = fold_mod(x, n);
-                *b = m;
-                *s = wrap_sub(*s + m, n);
-                all_own &= m == d;
-            }
-            if self.round == n {
-                if all_own {
-                    ctx.terminate().copy_from_slice(&self.sum);
-                } else {
-                    ctx.diverge();
-                }
+                ctx.diverge();
             }
         }
     }
@@ -307,21 +304,13 @@ impl ALeadUni {
     pub fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut ALeadBatchCache) -> bool {
         let n = self.n();
         let k = seeds.len();
+        let pinned = self.pinned_values();
         let fill = |id: usize, node: &mut BatchALeadNode| {
-            node.round = 0;
-            node.d.clear();
-            match self.pinned_values() {
-                Some(vs) => node.d.resize(k, vs[id]),
-                None => node
-                    .d
-                    .extend(seeds.iter().map(|&s| node_rng(s, id).next_below(n as u64))),
-            }
-            node.sum.clear();
-            node.sum.resize(k, 0);
+            node.basic.refill(id, seeds, pinned);
             node.buffer.clear();
             if !node.origin {
                 // A normal processor's buffer starts holding its secret.
-                node.buffer.extend_from_slice(&node.d);
+                node.buffer.extend_from_slice(&node.basic.d);
             }
         };
         ensure_nodes(
@@ -329,12 +318,9 @@ impl ALeadUni {
             n,
             |id| {
                 let mut node = BatchALeadNode {
-                    n: n as u64,
+                    basic: BatchBasicNode::new(n, k),
                     origin: id == 0,
-                    round: 0,
-                    d: Vec::with_capacity(k),
                     buffer: Vec::with_capacity(k),
-                    sum: Vec::with_capacity(k),
                 };
                 fill(id, &mut node);
                 node

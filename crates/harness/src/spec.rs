@@ -362,9 +362,11 @@ impl ScheduleSpec {
 /// only when present, so fault-free specs (and their sha pins and
 /// checkpoint spec hashes) are byte-unchanged.
 ///
-/// Fault-enabled sweeps force the scalar trial path (like timed
-/// schedules do): per-trial fault plans diverge trials immediately, so
-/// lockstep batching would never pay off.
+/// Crash-stop faults run every trial scalar: a lockstep lane whose
+/// crash-stop fires is always hit. Recovering faults keep the lockstep
+/// width on FIFO links and on a timed net of one constant latency, with
+/// one plan per lane; only the lanes a crash hits rerun scalar (see
+/// [`HonestSweep::resolved_batch_width`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Distinct nodes to crash per trial (`1 ..= n-1`).

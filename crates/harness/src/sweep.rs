@@ -6,14 +6,10 @@ use crate::spec::{FaultSpec, ScheduleSpec, SweepSpec};
 use crate::tree::tree_partial;
 use crate::{run_batch_range_grouped, trial_seed, BatchConfig, TrialOutcome, TrialReport};
 use fle_core::protocols::{
-    run_ring_honest_pooled_into, run_ring_honest_timed_into, ALeadUni, BasicLead, LockstepProtocol,
-    PhaseAsyncLead, PhaseSumLead,
+    ALeadUni, BasicLead, LockstepProtocol, PhaseAsyncLead, PhaseSumLead, TrialCache,
 };
 use ring_sim::batch::LaneClock;
-use ring_sim::{
-    Engine, Execution, FaultConfig, FaultPlan, FifoScheduler, NodeId, TimedNetConfig,
-    TimedScheduler, Topology, TrialArena,
-};
+use ring_sim::{Execution, FaultConfig, FaultPlan, TimedNetConfig};
 
 /// The ring protocols the harness can sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,10 +108,12 @@ pub struct HonestSweep {
     pub batch: BatchConfig,
     /// Lockstep batch width `k`: trials run `k` at a time through the
     /// structure-of-arrays engine (`ring_sim::batch`). 0 resolves to
-    /// [`DEFAULT_BATCH_WIDTH`]; 1 forces the scalar path. Schedules and
-    /// faults the lanes cannot follow run scalar, and the memory ceiling
-    /// can lower the width (see [`HonestSweep::resolved_batch_width`]).
-    /// Results are bit-identical for every width.
+    /// [`DEFAULT_BATCH_WIDTH`]; 1 forces the scalar path, which runs each
+    /// trial through a [`TrialCache`] with no coalition, as the attack
+    /// runners do. Schedules and faults the lanes cannot follow run
+    /// scalar, and the memory ceiling can lower the width (see
+    /// [`HonestSweep::resolved_batch_width`]). Results are bit-identical
+    /// for every width.
     pub batch_width: usize,
     /// Delivery discipline (FIFO fast path or timed network).
     pub schedule: ScheduleSpec,
@@ -159,58 +157,45 @@ impl HonestSweep {
 }
 
 /// Per-worker state of one honest protocol sweep: the hoisted protocol
-/// instance, the sweep's timed net and fault configuration (each optional),
-/// a reusable [`Engine`], the monomorphized node vector, the (constant)
-/// wake list, a pooled FIFO scheduler and timed heap, the per-worker
-/// [`TrialArena`] node-state pool, the lockstep cache with its seed and
-/// per-lane plan buffers and the clock its plans run on, the scalar
-/// fault-plan buffer and the reused [`Execution`] out-parameter. Once
-/// every buffer has reached its steady-state capacity — after the first
-/// trial — a trial performs *no* heap allocation at all, node
+/// instance, the sweep's fault configuration, the scalar [`TrialCache`]
+/// (configured once with the sweep's timed net and faults), the lockstep
+/// cache with its seed and per-lane plan buffers and the clock its plans
+/// run on, and the reused [`Execution`] out-parameter of lockstep lanes.
+/// Once every buffer has reached its steady-state capacity — after the
+/// first trial — a trial performs *no* heap allocation at all, node
 /// construction included (phase-node stores are drawn from and reclaimed
-/// into the arena).
+/// into the cache's arena).
 struct HonestWorker<P: LockstepProtocol> {
     protocol: P,
-    net: Option<TimedNetConfig>,
     fault: Option<FaultConfig>,
-    engine: Engine<P::Msg>,
-    nodes: Vec<P::Node>,
-    wakes: Vec<NodeId>,
-    scheduler: FifoScheduler,
-    timed: TimedScheduler<P::Msg>,
-    arena: TrialArena,
+    scalar: TrialCache<P::Msg, P::Node, P::Node>,
     batch: P::BatchCache,
     seeds: Vec<u64>,
     plans: Vec<FaultPlan>,
     clock: LaneClock,
-    plan: FaultPlan,
     exec: Execution,
 }
 
 impl<P: LockstepProtocol> HonestWorker<P> {
-    fn new(protocol: P, net: Option<TimedNetConfig>, fault: Option<FaultConfig>) -> Self {
+    fn new(protocol: P, net: Option<&TimedNetConfig>, fault: Option<FaultConfig>) -> Self {
         let n = protocol.n();
         // Lockstep groups under faults only run on FIFO or constant-latency
         // nets (`resolved_batch_width`); any other net never forms a group.
-        let clock = match net.as_ref().and_then(TimedNetConfig::constant_latency) {
+        let clock = match net.and_then(TimedNetConfig::constant_latency) {
             Some(latency) => LaneClock::Latency(latency),
             None => LaneClock::Deliveries,
         };
+        let mut scalar = TrialCache::ring(n);
+        scalar.set_timed_net(net);
+        scalar.set_faults(fault.as_ref());
         Self {
             protocol,
-            net,
             fault,
-            engine: Engine::new(Topology::ring(n)),
-            nodes: Vec::with_capacity(n),
-            wakes: P::WAKES.ids(n),
-            scheduler: FifoScheduler::new(),
-            timed: TimedScheduler::new(),
-            arena: TrialArena::new(),
+            scalar,
             batch: P::batch_cache(n),
             seeds: Vec::new(),
             plans: Vec::new(),
             clock,
-            plan: FaultPlan::none(),
             exec: Execution::default(),
         }
     }
@@ -247,37 +232,14 @@ impl<P: LockstepProtocol> HonestWorker<P> {
         }
     }
 
-    /// Runs one honest trial through the arena-pooled engine path: on the
-    /// timed net when one is set (its noise stream derived from `seed`),
-    /// under a crash-fault plan drawn from `seed`'s fault stream
+    /// Runs one honest trial scalar, through the same [`TrialCache`] path
+    /// the attack runners take with no coalition: on the timed net when
+    /// one is set (its noise stream derived from `seed`), under a
+    /// crash-fault plan drawn from `seed`'s fault stream
     /// ([`ring_sim::FAULT_STREAM_SALT`]) when faults are configured.
     fn trial(&mut self, seed: u64) -> Trial {
-        let n = self.engine.topology().len();
-        if let Some(cfg) = &self.fault {
-            self.plan.draw_into(cfg, n, seed);
-            self.engine.set_fault_plan(&self.plan);
-        }
-        let p = self.protocol.seeded(seed);
-        let honest = |id, arena: &mut TrialArena| p.honest_ring_node_in(id, arena);
-        let Self {
-            net,
-            engine,
-            nodes,
-            wakes,
-            scheduler,
-            timed,
-            arena,
-            exec,
-            ..
-        } = self;
-        match net {
-            Some(net) => run_ring_honest_timed_into(
-                engine, n, honest, wakes, nodes, timed, net, seed, arena, exec,
-            ),
-            None => {
-                run_ring_honest_pooled_into(engine, n, honest, wakes, nodes, scheduler, arena, exec)
-            }
-        }
+        self.scalar.set_trial_seed(seed);
+        let exec = self.scalar.run(&self.protocol.seeded(seed), Vec::new());
         (TrialOutcome::of(exec), exec.stats.crashes > 0)
     }
 }
@@ -310,7 +272,7 @@ fn honest_partial<P: LockstepProtocol + Clone + Sync>(
         start,
         end,
         width,
-        || HonestWorker::new(protocol.clone(), net.clone(), fault),
+        || HonestWorker::new(protocol.clone(), net.as_ref(), fault),
         |w, gstart, out| w.group(base_seed, gstart, width, out),
         |w, _i, seed| w.trial(seed),
     );
@@ -354,10 +316,11 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
 /// [`finish`](ReportPartial::finish) to bytes identical to
 /// [`run_sweep`] over the full range.
 ///
-/// Every worker thread owns reusable per-sweep state — an engine,
-/// scheduler, arena and result buffers, and for attack grids one cached
-/// runner ([`fle_attacks::build_runner`]) — so steady-state trials are
-/// allocation-free. Attack trials whose per-instance preconditions fail
+/// Every worker thread owns reusable per-sweep state — a
+/// [`TrialCache`] (engine, queues, arena and result buffers), directly
+/// for honest sweeps and inside one cached runner
+/// ([`fle_attacks::build_runner`]) for attack grids — so steady-state
+/// trials are allocation-free. Attack trials whose per-instance preconditions fail
 /// count as `infeasible`; panicking trials are contained as recorded
 /// faults.
 ///

@@ -213,7 +213,8 @@ pub struct LockstepEngine {
     /// Arrival times of the queued deliveries, in queue order: kept only by
     /// faulty runs on the latency clock.
     times: VecDeque<u64>,
-    /// The latency clock: the arrival time of the last popped event.
+    /// The lanes' clock at the last popped event (read by faulty runs
+    /// only): deliveries completed before it, or its arrival time.
     now: u64,
 }
 
@@ -346,7 +347,7 @@ impl LockstepEngine {
         step_limit: u64,
     ) -> bool {
         while let Some(event) = self.queue.pop_front() {
-            // Mirror the scalar fused loop exactly: the limit check runs
+            // Mirror the scalar engine loop exactly: the limit check runs
             // before the step is counted; hitting it means the lockstep
             // result cannot represent the scalar `StepLimit` outcome, so
             // it is treated as a divergence.
@@ -393,21 +394,21 @@ impl LockstepEngine {
         true
     }
 
-    /// The lanes' clock at the event just popped: the deliveries completed
-    /// before it, or its arrival time (wakes at 0, ahead of every send).
+    /// Advances the lanes' clock to the event just popped and returns it:
+    /// the deliveries completed before it, or its arrival time (wakes at
+    /// 0, ahead of every send).
     fn tick(&mut self, tag: u8) -> u64 {
         match self.clock {
-            LaneClock::Deliveries => self.delivered,
-            LaneClock::Latency(_) => {
-                if tag != WAKE_TAG {
-                    self.now = self
-                        .times
-                        .pop_front()
-                        .expect("one arrival time per queued delivery");
-                }
-                self.now
+            LaneClock::Deliveries => self.now = self.delivered,
+            LaneClock::Latency(_) if tag != WAKE_TAG => {
+                self.now = self
+                    .times
+                    .pop_front()
+                    .expect("one arrival time per queued delivery");
             }
+            LaneClock::Latency(_) => {}
         }
+        self.now
     }
 
     /// On the latency clock, stamps the sends an activation at `clock`
@@ -512,16 +513,11 @@ impl LockstepEngine {
         // stream always drained: `all_delivered` is unconditionally true,
         // exactly as in the scalar fused path on a completed run.
         out.outcome = outcome_of(&out.outputs, true);
-        // An unhit lane's scalar run took this very schedule, so it ends
-        // on the same clock reading.
+        // An unhit lane's scalar run took this very schedule, so its last
+        // event read the same clock; a completed run counted every event
+        // it popped.
         match self.plans.get(lane) {
-            Some(plan) => {
-                let end = match self.clock {
-                    LaneClock::Deliveries => self.delivered,
-                    LaneClock::Latency(_) => self.now,
-                };
-                plan.settle_into(end, out);
-            }
+            Some(plan) => plan.settle_into((self.steps > 0).then_some(self.now), out),
             None => out.stats.crashes = 0,
         }
     }

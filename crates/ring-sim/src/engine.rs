@@ -5,7 +5,7 @@ use crate::node::{Ctx, Node, SendBuf};
 use crate::outcome::{outcome_of, FailReason, Outcome};
 use crate::probe::Probe;
 use crate::scheduler::{FifoScheduler, Scheduler, Token};
-use crate::timed::{TimedEvent, TimedNetConfig, TimedScheduler};
+use crate::timed::{TimedNetConfig, TimedScheduler};
 use crate::topology::{EdgeId, NodeId, Topology};
 use std::collections::VecDeque;
 
@@ -271,11 +271,14 @@ pub struct Engine<M> {
     link_dirty: Vec<bool>,
     link_touched: Vec<EdgeId>,
     /// The fused token+message stream of the global-FIFO fast path (see
-    /// [`Scheduler::is_global_fifo`]): tokens and their messages travel as
-    /// one entry, so a delivery is a single `pop_front` instead of a token
-    /// pop plus a link-queue pop. Empty whenever the run's scheduler is
-    /// not a global FIFO. Capacity is retained across trials.
-    fused: VecDeque<FusedEvent<M>>,
+    /// [`Scheduler::is_global_fifo`]). Under a global-FIFO schedule the
+    /// `k`-th popped `Deliver` token always delivers the `k`-th sent
+    /// message (token order *is* per-link message order), so tokens and
+    /// their messages travel as one [`Event`]: a delivery is a single
+    /// `pop_front` instead of a token pop plus a link-queue pop. Empty
+    /// whenever the run's scheduler is not a global FIFO. Capacity is
+    /// retained across trials.
+    fused: VecDeque<Event<M>>,
     outputs: Vec<Option<Option<u64>>>,
     sent: Vec<u64>,
     received: Vec<u64>,
@@ -293,12 +296,10 @@ pub struct Engine<M> {
     hwm_events: u64,
 }
 
-/// One entry of the fused global-FIFO stream: a [`Token`] carrying its
-/// message payload inline. Under a global-FIFO schedule the `k`-th popped
-/// `Deliver` token always delivers the `k`-th sent message (token order
-/// *is* per-link message order), so storing them together is semantics-
-/// preserving — and halves the hot loop's queue traffic.
-enum FusedEvent<M> {
+/// One pending event of a run: a spontaneous wake-up or a message
+/// arriving on a link. The fused stream and the timed heap store these;
+/// the split path assembles one from a [`Token`] and its link queue.
+pub(crate) enum Event<M> {
     /// Wake node `NodeId` spontaneously.
     Wake(NodeId),
     /// Deliver `M` along link `EdgeId`.
@@ -379,11 +380,6 @@ impl<M> Engine<M> {
         self.fault.clear();
     }
 
-    /// The currently installed crash-fault plan (empty = fault-free).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// The topology this engine simulates.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -444,15 +440,16 @@ impl<M> Engine<M> {
     /// refilled in place, so a worker that reuses one `Execution` across a
     /// batch allocates nothing per trial on this path.
     ///
-    /// The run dispatches **once**, here, outside the delivery loop: on
-    /// the schedule (the fused global-FIFO stream, the split token/link
-    /// path over the per-link queues, or the timed heap),
-    /// the probe and the fault plan, into a monomorphized loop. Without a
-    /// probe the hooks compile away; no `Option` check survives on any
-    /// per-delivery path. With the all-zero [`TimedNetConfig`] a timed
-    /// run is bit-identical to a FIFO run: every event is stamped `t = 0`,
-    /// so the heap pops in send order. `M: Clone` is needed for the timed
-    /// net's duplicate deliveries.
+    /// Every run goes through one event loop over one of three queues:
+    /// the fused global-FIFO stream, the split token/link path over the
+    /// per-link queues (every other oblivious scheduler), or the timed
+    /// heap. The run dispatches **once**, here, outside that loop: on the
+    /// probe, the schedule and the fault plan, into a monomorphized
+    /// instantiation. Without a probe or a plan the hooks compile away; no
+    /// `Option` check survives on any per-delivery path. With the all-zero
+    /// [`TimedNetConfig`] a timed run is bit-identical to a FIFO run: every
+    /// event is stamped `t = 0`, so the heap pops in send order. `M: Clone`
+    /// is needed for the timed net's duplicate deliveries.
     ///
     /// # Panics
     ///
@@ -474,16 +471,17 @@ impl<M> Engine<M> {
         }
     }
 
-    /// The engine loop's front half: resets per-run state and the
-    /// schedule, then dispatches **once** on the fault plan into
-    /// [`drive_dispatch`] — generic over node storage, scheduler and probe,
-    /// so the honest batch path carries no vtable call, no storage match
-    /// and no probe branch per delivery — and writes the result.
+    /// The engine loop's front half: resets per-run state, then dispatches
+    /// **once** on the schedule, which picks the queue and clears or
+    /// re-seeds it, and once on the fault plan ([`drive_under`]) into
+    /// [`drive`] — generic over node storage, queue and probe, so the
+    /// honest batch path carries no vtable call, no storage match and no
+    /// probe branch per delivery — and writes the result.
     fn session_core<N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>>(
         &mut self,
         nodes: &mut [N],
         wakes: &[NodeId],
-        mut schedule: Schedule<'_, M, S>,
+        schedule: Schedule<'_, M, S>,
         step_limit: u64,
         mut probe: P,
         out: &mut Execution,
@@ -492,13 +490,6 @@ impl<M> Engine<M> {
     {
         assert_eq!(nodes.len(), self.n, "need one behaviour per node");
         self.reset();
-        match &mut schedule {
-            Schedule::Oblivious(scheduler) => scheduler.clear(),
-            Schedule::Timed { heap, net, seed } => {
-                heap.begin_trial(net, self.topology.edges().len(), *seed)
-            }
-        }
-
         let Engine {
             topology,
             n,
@@ -528,57 +519,46 @@ impl<M> Engine<M> {
             sent,
             received,
             sends,
-            link_dirty,
-            link_touched,
         };
-        // One dispatch on the fault plan, outside the loop: the fault-free
-        // arm instantiates with `NoFaults`, whose inline-false `is_down`
-        // vanishes — no per-delivery fault check survives on that path.
-        let (steps, delivered, hit_limit) = if fault.is_empty() {
-            drive_dispatch(
-                &hot,
-                &mut state,
-                links,
-                fused,
-                nodes,
-                wakes,
-                &mut schedule,
-                step_limit,
-                &mut probe,
-                &NoFaults,
-            )
-        } else {
-            drive_dispatch(
-                &hot,
-                &mut state,
-                links,
-                fused,
-                nodes,
-                wakes,
-                &mut schedule,
-                step_limit,
-                &mut probe,
-                &PlanFaults(fault),
-            )
-        };
-        // Crash instants count deliveries on the oblivious paths and
-        // virtual nanoseconds on the timed one.
-        let clock = match &schedule {
-            Schedule::Oblivious(_) => delivered,
-            Schedule::Timed { heap, .. } => heap.now(),
+        let probe = &mut probe;
+        let end = match schedule {
+            Schedule::Oblivious(scheduler) => {
+                scheduler.clear();
+                if scheduler.is_global_fifo() {
+                    drive_under(
+                        fault, &hot, &mut state, fused, nodes, wakes, step_limit, probe,
+                    )
+                } else {
+                    let mut split = SplitQueue {
+                        scheduler,
+                        links,
+                        link_dirty,
+                        link_touched,
+                    };
+                    drive_under(
+                        fault, &hot, &mut state, &mut split, nodes, wakes, step_limit, probe,
+                    )
+                }
+            }
+            Schedule::Timed { heap, net, seed } => {
+                heap.begin_trial(net, hot.edges.len(), seed);
+                drive_under(
+                    fault, &hot, &mut state, heap, nodes, wakes, step_limit, probe,
+                )
+            }
         };
 
-        out.outcome = outcome_of(&*state.outputs, !hit_limit);
+        out.outcome = outcome_of(&*state.outputs, !end.hit_limit);
         out.outputs.clear();
         out.outputs.extend_from_slice(&*state.outputs);
-        out.stats.steps = steps;
-        out.stats.delivered = delivered;
+        out.stats.steps = end.steps;
+        out.stats.delivered = end.delivered;
         out.stats.sent.clear();
         out.stats.sent.extend_from_slice(&*state.sent);
         out.stats.received.clear();
         out.stats.received.extend_from_slice(&*state.received);
-        fault.settle_into(clock, out);
-        self.hwm_events = steps.max(self.hwm_events / 2);
+        fault.settle_into(end.last_clock, out);
+        self.hwm_events = end.steps.max(self.hwm_events / 2);
     }
 
     /// Resolves the edge id of the link `me → to` — O(1) through the dense
@@ -669,9 +649,8 @@ impl<M> ProbeHook<M> for DynProbeHook<'_, M> {
 }
 
 /// Per-event crash check, monomorphized like [`ProbeHook`] so fault-free
-/// runs compile the check away entirely. `clock` is the loop's clock:
-/// deliveries completed so far on the untimed paths, the virtual time on
-/// the timed path.
+/// runs compile the check away entirely. `clock` is the queue's clock
+/// ([`EventQueue::clock`]).
 trait FaultHook {
     fn is_down(&self, node: NodeId, clock: u64) -> bool;
 }
@@ -696,33 +675,85 @@ impl FaultHook for PlanFaults<'_> {
     }
 }
 
-/// The three-way loop dispatch (fused global-FIFO stream, split
-/// token/link path, timed heap), factored out of
-/// [`session_core`](Engine::session_core) so it instantiates once per
-/// [`FaultHook`] without spelling the arms twice at the call site.
-#[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive_dispatch<M: Clone, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
-    hot: &Hot<'_>,
-    state: &mut RunState<'_, M>,
-    links: &mut [VecDeque<M>],
-    fused: &mut VecDeque<FusedEvent<M>>,
-    nodes: &mut [N],
-    wakes: &[NodeId],
-    schedule: &mut Schedule<'_, M, S>,
-    step_limit: u64,
-    probe: &mut P,
-    faults: &F,
-) -> (u64, u64, bool) {
-    match schedule {
-        Schedule::Oblivious(scheduler) if scheduler.is_global_fifo() => {
-            drive_fused(hot, state, fused, nodes, wakes, step_limit, probe, faults)
+/// Where [`drive`]'s events come from and where its sends go: the one
+/// thing the fused stream, the split token/link path and the timed heap
+/// do differently.
+pub(crate) trait EventQueue<M> {
+    /// Schedules a spontaneous wake-up of `node`.
+    fn wake(&mut self, node: NodeId);
+    /// Takes the next event, or `None` once the run is quiescent.
+    fn pop(&mut self) -> Option<Event<M>>;
+    /// Queues `msg` for delivery along `edge`.
+    fn send(&mut self, edge: EdgeId, msg: M);
+    /// The clock crash instants are measured on, read at the event just
+    /// popped: `delivered`, the deliveries completed before it, on the
+    /// oblivious paths; the virtual time on the heap.
+    fn clock(&self, delivered: u64) -> u64;
+}
+
+/// The fused global-FIFO stream: a delivery is one `pop_front` and a send
+/// one `push_back`, half the queue traffic of the split path.
+impl<M> EventQueue<M> for VecDeque<Event<M>> {
+    #[inline]
+    fn wake(&mut self, node: NodeId) {
+        self.push_back(Event::Wake(node));
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Event<M>> {
+        self.pop_front()
+    }
+
+    #[inline]
+    fn send(&mut self, edge: EdgeId, msg: M) {
+        self.push_back(Event::Deliver(edge, msg));
+    }
+
+    #[inline]
+    fn clock(&self, delivered: u64) -> u64 {
+        delivered
+    }
+}
+
+/// The split token/link path of every oblivious scheduler that is not a
+/// global FIFO: the scheduler orders [`Token`]s, and each link keeps its
+/// messages in its own FIFO queue. Sends list their link in the engine's
+/// dirty list ([`Engine::reset`]).
+struct SplitQueue<'a, M, S: ?Sized> {
+    scheduler: &'a mut S,
+    links: &'a mut [VecDeque<M>],
+    link_dirty: &'a mut [bool],
+    link_touched: &'a mut Vec<EdgeId>,
+}
+
+impl<M, S: Scheduler + ?Sized> EventQueue<M> for SplitQueue<'_, M, S> {
+    fn wake(&mut self, node: NodeId) {
+        self.scheduler.push(Token::Wake(node));
+    }
+
+    fn pop(&mut self) -> Option<Event<M>> {
+        Some(match self.scheduler.pop()? {
+            Token::Wake(node) => Event::Wake(node),
+            Token::Deliver(edge) => {
+                let msg = self.links[edge]
+                    .pop_front()
+                    .expect("token implies a queued message");
+                Event::Deliver(edge, msg)
+            }
+        })
+    }
+
+    fn send(&mut self, edge: EdgeId, msg: M) {
+        if !self.link_dirty[edge] {
+            self.link_dirty[edge] = true;
+            self.link_touched.push(edge);
         }
-        Schedule::Oblivious(scheduler) => drive(
-            hot, state, links, nodes, wakes, *scheduler, step_limit, probe, faults,
-        ),
-        Schedule::Timed { heap, .. } => {
-            drive_timed(hot, state, heap, nodes, wakes, step_limit, probe, faults)
-        }
+        self.links[edge].push_back(msg);
+        self.scheduler.push(Token::Deliver(edge));
+    }
+
+    fn clock(&self, delivered: u64) -> u64 {
+        delivered
     }
 }
 
@@ -736,170 +767,110 @@ struct Hot<'e> {
     out_edge_of: &'e [Vec<(NodeId, EdgeId)>],
 }
 
-/// The engine's mutable per-run state, split off `Engine` as disjoint
-/// field borrows so the loop can hold the link storage `&mut` separately.
+/// The engine's mutable per-run counters and send buffer, split off
+/// `Engine` as disjoint field borrows so the loop can hold its queue
+/// `&mut` separately.
 struct RunState<'e, M> {
     outputs: &'e mut [Option<Option<u64>>],
     sent: &'e mut [u64],
     received: &'e mut [u64],
     sends: &'e mut SendBuf<M>,
-    link_dirty: &'e mut [bool],
-    link_touched: &'e mut Vec<EdgeId>,
 }
 
-/// The split token/link loop of every scheduler that is not a global
-/// FIFO: pops [`Token`]s, moves messages through the per-link FIFO
-/// queues, and activates nodes. One instantiation per (node storage,
-/// scheduler, probe hook, fault hook) combination. The [`RunState`] is
-/// flattened into plain single-level `&mut` locals up front.
+/// How [`drive`] ended a run.
+struct RunEnd {
+    steps: u64,
+    delivered: u64,
+    hit_limit: bool,
+    /// The clock of the last event the loop counted, `None` if it counted
+    /// none: the plan's crashes at or before it fired
+    /// ([`FaultPlan::fired_count`]).
+    last_clock: Option<u64>,
+}
+
+/// [`drive`] over `queue` with the fault hook `fault` calls for, chosen
+/// once, outside the loop: the empty plan instantiates [`NoFaults`], whose
+/// inline-false `is_down` vanishes, so no per-delivery fault check
+/// survives on the fault-free path.
 #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive<M, N: Node<M>, S: Scheduler + ?Sized, P: ProbeHook<M>, F: FaultHook>(
+fn drive_under<M, N: Node<M>, Q: EventQueue<M>, P: ProbeHook<M>>(
+    fault: &FaultPlan,
     hot: &Hot<'_>,
     state: &mut RunState<'_, M>,
-    links: &mut [VecDeque<M>],
+    queue: &mut Q,
     nodes: &mut [N],
     wakes: &[NodeId],
-    scheduler: &mut S,
     step_limit: u64,
     probe: &mut P,
-    faults: &F,
-) -> (u64, u64, bool) {
-    let RunState {
-        outputs,
-        sent,
-        received,
-        sends,
-        link_dirty,
-        link_touched,
-    } = state;
-    let outputs: &mut [Option<Option<u64>>] = outputs;
-    let sent: &mut [u64] = sent;
-    let received: &mut [u64] = received;
-    let sends: &mut SendBuf<M> = sends;
-    let link_dirty: &mut [bool] = link_dirty;
-    let link_touched: &mut Vec<EdgeId> = link_touched;
-
-    let mut delivered = 0u64;
-    let mut steps = 0u64;
-
-    for &w in wakes {
-        scheduler.push(Token::Wake(w));
+) -> RunEnd {
+    if fault.is_empty() {
+        drive(
+            hot, state, queue, nodes, wakes, step_limit, probe, &NoFaults,
+        )
+    } else {
+        drive(
+            hot,
+            state,
+            queue,
+            nodes,
+            wakes,
+            step_limit,
+            probe,
+            &PlanFaults(fault),
+        )
     }
-
-    let mut hit_limit = false;
-    while let Some(token) = scheduler.pop() {
-        if steps >= step_limit {
-            hit_limit = true;
-            break;
-        }
-        steps += 1;
-        match token {
-            Token::Wake(i) => {
-                if outputs[i].is_none() && !faults.is_down(i, delivered) {
-                    activate(
-                        hot,
-                        outputs,
-                        sent,
-                        sends,
-                        nodes,
-                        i,
-                        None,
-                        probe,
-                        |edge, msg| {
-                            if !link_dirty[edge] {
-                                link_dirty[edge] = true;
-                                link_touched.push(edge);
-                            }
-                            links[edge].push_back(msg);
-                            scheduler.push(Token::Deliver(edge));
-                        },
-                    );
-                }
-            }
-            Token::Deliver(edge) => {
-                let msg = links[edge]
-                    .pop_front()
-                    .expect("token implies a queued message");
-                let (from, to) = hot.edges[edge];
-                // A crashed receiver still consumes the message (the link
-                // worked; the processor did not), so the delivery counts —
-                // only the activation is suppressed.
-                let down = faults.is_down(to, delivered);
-                received[to] += 1;
-                delivered += 1;
-                probe.on_deliver(from, to, &msg, received);
-                if outputs[to].is_none() && !down {
-                    activate(
-                        hot,
-                        outputs,
-                        sent,
-                        sends,
-                        nodes,
-                        to,
-                        Some((from, msg)),
-                        probe,
-                        |edge, msg| {
-                            if !link_dirty[edge] {
-                                link_dirty[edge] = true;
-                                link_touched.push(edge);
-                            }
-                            links[edge].push_back(msg);
-                            scheduler.push(Token::Deliver(edge));
-                        },
-                    );
-                }
-            }
-        }
-    }
-    (steps, delivered, hit_limit)
 }
 
-/// The fused global-FIFO loop (see [`Scheduler::is_global_fifo`]): tokens
-/// and messages travel as one [`FusedEvent`] through a single `VecDeque`,
-/// so a delivery costs one `pop_front` and a send one `push_back` —
-/// half the queue traffic of the split token/link path. Link storage and
-/// dirty tracking are untouched (the stream carries the messages), and
-/// executions are bit-identical to [`drive`] under a FIFO schedule.
+/// The engine's one event loop: wakes `wakes` in order, then pops events
+/// off `queue` until it is empty or the step limit is hit. Each event is
+/// one step; a wake-up or delivery activates its receiver unless the
+/// receiver has terminated or `faults` has it down at the queue's clock,
+/// and every send goes back into `queue`. A delivery to a crashed
+/// receiver is still consumed and counted (the link worked; the processor
+/// did not) — only the activation is dropped. One instantiation per
+/// (node storage, queue, probe hook, fault hook) combination; the
+/// [`RunState`] is flattened into plain single-level `&mut` locals up
+/// front.
 #[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive_fused<M, N: Node<M>, P: ProbeHook<M>, F: FaultHook>(
+fn drive<M, N: Node<M>, Q: EventQueue<M>, P: ProbeHook<M>, F: FaultHook>(
     hot: &Hot<'_>,
     state: &mut RunState<'_, M>,
-    fused: &mut VecDeque<FusedEvent<M>>,
+    queue: &mut Q,
     nodes: &mut [N],
     wakes: &[NodeId],
     step_limit: u64,
     probe: &mut P,
     faults: &F,
-) -> (u64, u64, bool) {
+) -> RunEnd {
     let RunState {
         outputs,
         sent,
         received,
         sends,
-        ..
     } = state;
     let outputs: &mut [Option<Option<u64>>] = outputs;
     let sent: &mut [u64] = sent;
     let received: &mut [u64] = received;
     let sends: &mut SendBuf<M> = sends;
 
-    let mut delivered = 0u64;
-    let mut steps = 0u64;
-
     for &w in wakes {
-        fused.push_back(FusedEvent::Wake(w));
+        queue.wake(w);
     }
 
+    let (mut steps, mut delivered, mut clock) = (0u64, 0u64, 0u64);
     let mut hit_limit = false;
-    while let Some(event) = fused.pop_front() {
+    while let Some(event) = queue.pop() {
         if steps >= step_limit {
             hit_limit = true;
             break;
         }
         steps += 1;
+        // Read before this event's delivery counts: the `k`-th delivery
+        // happens at delivery clock `k - 1`.
+        clock = queue.clock(delivered);
         match event {
-            FusedEvent::Wake(i) => {
-                if outputs[i].is_none() && !faults.is_down(i, delivered) {
+            Event::Wake(i) => {
+                if outputs[i].is_none() && !faults.is_down(i, clock) {
                     activate(
                         hot,
                         outputs,
@@ -909,19 +880,16 @@ fn drive_fused<M, N: Node<M>, P: ProbeHook<M>, F: FaultHook>(
                         i,
                         None,
                         probe,
-                        |edge, msg| {
-                            fused.push_back(FusedEvent::Deliver(edge, msg));
-                        },
+                        |edge, msg| queue.send(edge, msg),
                     );
                 }
             }
-            FusedEvent::Deliver(edge, msg) => {
+            Event::Deliver(edge, msg) => {
                 let (from, to) = hot.edges[edge];
-                let down = faults.is_down(to, delivered);
                 received[to] += 1;
                 delivered += 1;
                 probe.on_deliver(from, to, &msg, received);
-                if outputs[to].is_none() && !down {
+                if outputs[to].is_none() && !faults.is_down(to, clock) {
                     activate(
                         hot,
                         outputs,
@@ -931,108 +899,24 @@ fn drive_fused<M, N: Node<M>, P: ProbeHook<M>, F: FaultHook>(
                         to,
                         Some((from, msg)),
                         probe,
-                        |edge, msg| {
-                            fused.push_back(FusedEvent::Deliver(edge, msg));
-                        },
+                        |edge, msg| queue.send(edge, msg),
                     );
                 }
             }
         }
     }
-    (steps, delivered, hit_limit)
-}
-
-/// The virtual-clock loop: pops the earliest `(time, seq)` event off the
-/// [`TimedScheduler`] heap and activates nodes exactly like
-/// [`drive_fused`]; sends flow through [`TimedScheduler::send`], which
-/// applies the link's loss coin, bandwidth queue, latency draw and
-/// duplication coin. Under the all-zero network profile every entry is
-/// stamped `t = 0` and the heap pops in sequence (= send) order, making
-/// this loop bit-identical to [`drive_fused`] by construction.
-#[allow(clippy::too_many_arguments)] // the split engine borrows, spelled out
-fn drive_timed<M: Clone, N: Node<M>, P: ProbeHook<M>, F: FaultHook>(
-    hot: &Hot<'_>,
-    state: &mut RunState<'_, M>,
-    timed: &mut TimedScheduler<M>,
-    nodes: &mut [N],
-    wakes: &[NodeId],
-    step_limit: u64,
-    probe: &mut P,
-    faults: &F,
-) -> (u64, u64, bool) {
-    let RunState {
-        outputs,
-        sent,
-        received,
-        sends,
-        ..
-    } = state;
-    let outputs: &mut [Option<Option<u64>>] = outputs;
-    let sent: &mut [u64] = sent;
-    let received: &mut [u64] = received;
-    let sends: &mut SendBuf<M> = sends;
-
-    let mut delivered = 0u64;
-    let mut steps = 0u64;
-
-    for &w in wakes {
-        timed.push_wake(w);
+    RunEnd {
+        steps,
+        delivered,
+        hit_limit,
+        last_clock: (steps > 0).then_some(clock),
     }
-
-    let mut hit_limit = false;
-    while let Some(event) = timed.pop() {
-        if steps >= step_limit {
-            hit_limit = true;
-            break;
-        }
-        steps += 1;
-        match event {
-            TimedEvent::Wake(i) => {
-                // Crash instants on this path are virtual-clock times.
-                if outputs[i].is_none() && !faults.is_down(i, timed.now()) {
-                    activate(
-                        hot,
-                        outputs,
-                        sent,
-                        sends,
-                        nodes,
-                        i,
-                        None,
-                        probe,
-                        |edge, msg| timed.send(edge, msg),
-                    );
-                }
-            }
-            TimedEvent::Deliver(edge, msg) => {
-                let (from, to) = hot.edges[edge];
-                let down = faults.is_down(to, timed.now());
-                received[to] += 1;
-                delivered += 1;
-                probe.on_deliver(from, to, &msg, received);
-                if outputs[to].is_none() && !down {
-                    activate(
-                        hot,
-                        outputs,
-                        sent,
-                        sends,
-                        nodes,
-                        to,
-                        Some((from, msg)),
-                        probe,
-                        |edge, msg| timed.send(edge, msg),
-                    );
-                }
-            }
-        }
-    }
-    (steps, delivered, hit_limit)
 }
 
 /// Runs one activation of node `me` (a wake-up when `incoming` is `None`,
 /// a delivery otherwise) and applies its buffered actions: each buffered
 /// send resolves its link and counters here, then flows into `emit` (the
-/// caller's queue shape: split token/link push or fused-stream push); a
-/// terminal output is recorded on the spot.
+/// run's [`EventQueue::send`]); a terminal output is recorded on the spot.
 ///
 /// The [`Ctx`] borrows the engine's persistent send buffer in place
 /// (disjoint-field borrows, no `mem::take` round-trip), so an activation

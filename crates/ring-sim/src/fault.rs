@@ -11,12 +11,13 @@
 //! (and, with recovery, resumes at `recover_at`). Instants are measured
 //! on the clock of whichever engine path runs the trial — the running
 //! **delivery count** on the untimed paths, **virtual nanoseconds** on
-//! the timed path. While a node is down it silently drops every delivery
-//! and wake-up (the message is still consumed and counted — the link is
-//! fine, the processor is not) and sends nothing; recovery restores the
-//! node exactly as it was at the crash instant (crash-stop with
-//! state-preserving restart — deliveries that arrived while it was down
-//! are lost for good).
+//! the timed path — and a fault counts as fired once the run reaches its
+//! instant ([`FaultPlan::fired_count`]). While a node is down it
+//! silently drops every delivery and wake-up (the message is still
+//! consumed and counted — the link is fine, the processor is not) and
+//! sends nothing; recovery restores the node exactly as it was at the
+//! crash instant (crash-stop with state-preserving restart — deliveries
+//! that arrived while it was down are lost for good).
 //!
 //! Determinism: [`FaultPlan::draw_into`] derives every victim and instant
 //! from the trial seed through [`FAULT_STREAM_SALT`], a stream disjoint
@@ -41,6 +42,7 @@
 use crate::engine::Execution;
 use crate::outcome::{FailReason, Outcome};
 use crate::rng::SplitMix64;
+use crate::timed::clock_add;
 use crate::topology::NodeId;
 
 /// Domain-separation salt for the per-trial crash-fault stream (victim
@@ -113,9 +115,6 @@ pub struct CrashFault {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: Vec<CrashFault>,
-    /// `true` when instants are virtual-clock nanoseconds (affects only
-    /// the boundary semantics of [`FaultPlan::fired_count`]).
-    timed: bool,
 }
 
 impl FaultPlan {
@@ -133,7 +132,6 @@ impl FaultPlan {
     /// Drops every fault in place, keeping the allocation.
     pub fn clear(&mut self) {
         self.faults.clear();
-        self.timed = false;
     }
 
     /// The plan's faults (sorted by draw order, not by node).
@@ -152,13 +150,6 @@ impl FaultPlan {
         self
     }
 
-    /// Marks the plan's instants as virtual-clock nanoseconds (drawn
-    /// plans inherit this from [`FaultConfig::window`]).
-    pub fn with_timed(mut self, timed: bool) -> Self {
-        self.timed = timed;
-        self
-    }
-
     /// Redraws this plan for one trial, in place (the per-worker reuse
     /// form): `cfg.crashes` *distinct* victims uniform over `0..n`, each
     /// with an instant uniform in `[0, cfg.window.bound())`, all from the
@@ -173,7 +164,6 @@ impl FaultPlan {
     /// Panics if `n == 0` while `cfg.crashes > 0`.
     pub fn draw_into(&mut self, cfg: &FaultConfig, n: usize, trial_seed: u64) {
         self.faults.clear();
-        self.timed = cfg.window.is_timed();
         if cfg.crashes == 0 {
             return;
         }
@@ -192,7 +182,7 @@ impl FaultPlan {
                 }
             };
             let at = rng.next_below(bound);
-            let recover_at = cfg.recover_after.map(|d| at.saturating_add(d));
+            let recover_at = cfg.recover_after.map(|d| clock_add(at, d));
             self.faults.push(CrashFault {
                 node,
                 at,
@@ -211,25 +201,26 @@ impl FaultPlan {
             .any(|f| f.node == node && clock >= f.at && f.recover_at.is_none_or(|r| clock < r))
     }
 
-    /// How many of the plan's faults *fired* by the end of a run — i.e.
-    /// could have affected at least one event. `end` is the final clock
-    /// value: the total delivery count on the untimed paths (where event
-    /// clocks range over `0..end`, so a fault fires iff `at < end`) or
-    /// the final virtual time on the timed path (event clocks reach `end`
-    /// inclusive, so `at <= end`).
-    pub fn fired_count(&self, end: u64) -> u64 {
-        self.faults
-            .iter()
-            .filter(|f| if self.timed { f.at <= end } else { f.at < end })
-            .count() as u64
+    /// How many of the plan's faults *fired* during a run, i.e. the run
+    /// reached their instant. `last` is the clock reading of the last
+    /// event the run counted, `None` if it counted none: a fault fired iff
+    /// its instant is at or before `last`. The rule is the same on both
+    /// clocks, since each event reads the clock before it counts (a
+    /// delivery clock's `k`-th delivery reads `k - 1`, a wake-up after
+    /// the last delivery reads the delivery total).
+    pub fn fired_count(&self, last: Option<u64>) -> u64 {
+        last.map_or(0, |last| {
+            self.faults.iter().filter(|f| f.at <= last).count() as u64
+        })
     }
 
     /// Writes a finished run's fault accounting into `out`: the faults
-    /// that fired by the run's end clock `end` ([`FaultPlan::fired_count`]),
-    /// and the diagnosis of a quiescence after a fired crash. The scalar
-    /// and the lockstep engine both settle a run through this.
-    pub(crate) fn settle_into(&self, end: u64, out: &mut Execution) {
-        out.stats.crashes = self.fired_count(end);
+    /// that fired up to the clock of its last counted event `last`
+    /// ([`FaultPlan::fired_count`]), and the diagnosis of a quiescence
+    /// after a fired crash. The scalar and the lockstep engine both settle
+    /// a run through this.
+    pub(crate) fn settle_into(&self, last: Option<u64>, out: &mut Execution) {
+        out.stats.crashes = self.fired_count(last);
         if out.stats.crashes > 0 && out.outcome == Outcome::Fail(FailReason::Deadlock) {
             // Quiescence with live non-terminated nodes downstream of a
             // fired crash: the fault partitioned the election, which is a
@@ -305,13 +296,32 @@ mod tests {
     }
 
     #[test]
-    fn fired_count_boundary_differs_by_clock_kind() {
-        let untimed = FaultPlan::none().with_crash(0, 10, None);
-        assert_eq!(untimed.fired_count(10), 0, "no delivery clock reached 10");
-        assert_eq!(untimed.fired_count(11), 1);
-        let timed = FaultPlan::none().with_crash(0, 10, None).with_timed(true);
-        assert_eq!(timed.fired_count(10), 1, "virtual time reached 10");
-        assert_eq!(timed.fired_count(9), 0);
+    fn fired_count_boundary_is_the_same_on_both_clocks() {
+        // A fault fires iff the last counted event read its instant or a
+        // later one, on the delivery clock and the virtual clock alike.
+        let plan = FaultPlan::none()
+            .with_crash(0, 10, None)
+            .with_crash(1, 0, Some(3));
+        assert_eq!(plan.fired_count(None), 0, "no event ran");
+        assert_eq!(plan.fired_count(Some(0)), 1, "an event read instant 0");
+        assert_eq!(plan.fired_count(Some(9)), 1);
+        assert_eq!(plan.fired_count(Some(10)), 2, "the last event read 10");
+        assert_eq!(plan.fired_count(Some(u64::MAX)), 2);
+    }
+
+    /// A recovery instant past the 64-bit clock trips the same debug check
+    /// as the timed clock additions (`SweepSpec::validate` rejects such
+    /// specs; a direct engine caller gets this panic, not a saturated
+    /// instant).
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "clock overflow")]
+    fn recovery_instant_overflow_is_checked() {
+        let window = CrashInstant::Deliveries(u64::MAX);
+        let mut plan = FaultPlan::none();
+        plan.draw_into(&cfg(1, window, None), 4, 0);
+        assert!(plan.faults()[0].at > 0, "seed 0 draws an instant above 0");
+        plan.draw_into(&cfg(1, window, Some(u64::MAX)), 4, 0);
     }
 
     #[test]

@@ -21,10 +21,11 @@
 //!   [`Outcome`] and per-node statistics.
 //! * [`Engine`] is the reusable batch-trial variant of the same run loop:
 //!   it keeps the per-topology working set alive across trials (used by
-//!   `fle-harness` to run thousands of trials per second per worker). A
-//!   global FIFO runs on one fused event stream; every other oblivious
-//!   schedule runs the plain split path, [`Token`]s through the scheduler
-//!   and one FIFO queue per link.
+//!   `fle-harness` to run thousands of trials per second per worker). One
+//!   event loop runs every trial over one of three queues: a global
+//!   FIFO's fused event stream, the plain split path of every other
+//!   oblivious schedule ([`Token`]s through the scheduler and one FIFO
+//!   queue per link), or the timed heap ([`TimedScheduler`]).
 //! * [`EnumerativeScheduler`] and [`for_each_schedule`] exhaustively
 //!   enumerate every oblivious schedule of a small instance — a model
 //!   checker for schedule-independence claims.

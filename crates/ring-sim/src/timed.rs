@@ -30,6 +30,7 @@
 //! links, so reordering runs probe robustness beyond the model rather
 //! than the model itself.
 
+use crate::engine::{Event, EventQueue};
 use crate::rng::SplitMix64;
 use crate::topology::{EdgeId, NodeId};
 use std::cmp::Reverse;
@@ -183,27 +184,17 @@ impl TimedNetConfig {
     }
 }
 
-/// `t + d` on the virtual clock, saturating at `u64::MAX` like every
-/// clock addition of the timed paths. Spec-driven runs cannot get there
-/// (`SweepSpec::validate` bounds the largest virtual time a run can
-/// reach), so a debug build asserts that the addition did not saturate:
-/// tied saturated arrivals would silently pop in send order.
+/// `t + d` on a run's clock, saturating at `u64::MAX` like every clock
+/// addition of the timed paths and of crash recovery instants.
+/// Spec-driven runs cannot get there (`SweepSpec::validate` bounds the
+/// largest virtual time a run can reach, and a crash window plus its
+/// recovery), so a debug build asserts that the addition did not
+/// saturate: tied saturated arrivals would silently pop in send order,
+/// and a saturated recovery would never come.
 #[inline]
 pub(crate) fn clock_add(t: u64, d: u64) -> u64 {
-    debug_assert!(
-        t.checked_add(d).is_some(),
-        "virtual clock overflow: {t} + {d} ns"
-    );
+    debug_assert!(t.checked_add(d).is_some(), "clock overflow: {t} + {d}");
     t.saturating_add(d)
-}
-
-/// One pending simulation event: a spontaneous wake-up or a message
-/// arriving on a link.
-pub(crate) enum TimedEvent<M> {
-    /// Wake node `NodeId` spontaneously.
-    Wake(NodeId),
-    /// Deliver `M` along link `EdgeId`.
-    Deliver(EdgeId, M),
 }
 
 /// A heap key packs `(time, seq)` into one `u128` — `time` in the high 64
@@ -230,7 +221,7 @@ pub struct TimedScheduler<M> {
     heap: BinaryHeap<Reverse<u128>>,
     /// Event payloads indexed by sequence number; popped slots are taken,
     /// so a slot is `Some` exactly while its key sits in the heap.
-    events: Vec<Option<TimedEvent<M>>>,
+    events: Vec<Option<Event<M>>>,
     /// Events pushed this trial; doubles as the unique tie-break sequence.
     seq: u64,
     /// The virtual clock: the timestamp of the last popped event.
@@ -297,20 +288,7 @@ impl<M> TimedScheduler<M> {
         self.next_free.resize(edges, 0);
     }
 
-    /// Schedules a spontaneous wake-up at the current virtual time.
-    pub(crate) fn push_wake(&mut self, node: NodeId) {
-        let time = self.now;
-        self.push_at(time, TimedEvent::Wake(node));
-    }
-
-    /// Pops the earliest pending event and advances the clock to it.
-    pub(crate) fn pop(&mut self) -> Option<TimedEvent<M>> {
-        let Reverse(key) = self.heap.pop()?;
-        self.now = (key >> 64) as u64;
-        self.events[key as u64 as usize].take()
-    }
-
-    fn push_at(&mut self, time: u64, event: TimedEvent<M>) {
+    fn push_at(&mut self, time: u64, event: Event<M>) {
         let seq = self.seq;
         self.seq += 1;
         debug_assert_eq!(seq as usize, self.events.len());
@@ -319,7 +297,21 @@ impl<M> TimedScheduler<M> {
     }
 }
 
-impl<M: Clone> TimedScheduler<M> {
+/// The virtual-clock queue of the engine's timed runs.
+impl<M: Clone> EventQueue<M> for TimedScheduler<M> {
+    /// Schedules a spontaneous wake-up at the current virtual time.
+    fn wake(&mut self, node: NodeId) {
+        let time = self.now;
+        self.push_at(time, Event::Wake(node));
+    }
+
+    /// Pops the earliest pending event and advances the clock to it.
+    fn pop(&mut self) -> Option<Event<M>> {
+        let Reverse(key) = self.heap.pop()?;
+        self.now = (key >> 64) as u64;
+        self.events[key as u64 as usize].take()
+    }
+
     /// Sends `msg` on `edge` at the current virtual time, applying the
     /// link's profile: a loss coin first (a lost message consumes nothing
     /// further), then the bandwidth queue (departure is serialized behind
@@ -328,7 +320,7 @@ impl<M: Clone> TimedScheduler<M> {
     /// latency from the same departure. Draw order is fixed so a trial is
     /// an exact function of `(seed, schedule)` — lossy and duplicating
     /// runs replay bit-identically.
-    pub(crate) fn send(&mut self, edge: EdgeId, msg: M) {
+    fn send(&mut self, edge: EdgeId, msg: M) {
         let p = self.profiles[edge];
         if p.loss_permille > 0 && self.rng.next_below(1000) < p.loss_permille as u64 {
             return;
@@ -349,11 +341,16 @@ impl<M: Clone> TimedScheduler<M> {
             Some(dup) => {
                 // The original keeps the lower sequence number, so an
                 // exact-tie duplicate delivers second.
-                self.push_at(arrive, TimedEvent::Deliver(edge, msg.clone()));
-                self.push_at(dup, TimedEvent::Deliver(edge, msg));
+                self.push_at(arrive, Event::Deliver(edge, msg.clone()));
+                self.push_at(dup, Event::Deliver(edge, msg));
             }
-            None => self.push_at(arrive, TimedEvent::Deliver(edge, msg)),
+            None => self.push_at(arrive, Event::Deliver(edge, msg)),
         }
+    }
+
+    /// Crash instants on the timed path are virtual-clock times.
+    fn clock(&self, _delivered: u64) -> u64 {
+        self.now
     }
 }
 
@@ -364,7 +361,7 @@ mod tests {
     fn drain_times(sched: &mut TimedScheduler<u64>) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         while let Some(ev) = sched.pop() {
-            if let TimedEvent::Deliver(_, m) = ev {
+            if let Event::Deliver(_, m) = ev {
                 out.push((sched.now(), m));
             }
         }

@@ -294,6 +294,43 @@ fn severed_ring_fails_as_crash_partition() {
     assert_eq!(exec.stats.crashes, 1, "the fault must count as fired");
 }
 
+/// A crash that drops the origin's only wake-up fired: the wake-up read
+/// the crash instant. With every crash at instant 0 (what `fle_lab sweep
+/// --protocol alead|phase --n 4 --trials 400 --seed 1 --crash 1@1
+/// [--recover 5]` runs), every trial is crash-partitioned and counts its
+/// crash — the trials whose victim is the origin, which deliver nothing,
+/// included.
+#[test]
+fn crash_dropping_the_only_wake_up_counts_as_fired() {
+    for protocol in [ProtocolKind::ALeadUni, ProtocolKind::PhaseAsyncLead] {
+        for recover in [None, Some(5)] {
+            let report = run_sweep(&SweepSpec::Honest(HonestSweep {
+                protocol,
+                n: 4,
+                fn_key: 0,
+                batch: BatchConfig {
+                    trials: 400,
+                    base_seed: 1,
+                    threads: 2,
+                },
+                batch_width: 0,
+                schedule: ScheduleSpec::Fifo,
+                fault: Some(FaultSpec {
+                    crashes: 1,
+                    window: CrashInstant::Deliveries(1),
+                    recover,
+                }),
+            }))
+            .expect("valid spec");
+            let case = format!("{protocol:?} recover {recover:?}");
+            assert_eq!(report.fails.crash_partition, 400, "{case}");
+            assert_eq!(report.fails.deadlock, 0, "{case}");
+            let crashed = report.fault.map(|f| f.crashed_trials);
+            assert_eq!(crashed, Some(400), "{case}");
+        }
+    }
+}
+
 /// Recovery monotonically restores survival: the faster a crashed node
 /// restarts, the fewer deliveries are dropped, the more elections
 /// complete. The counts are exact — the whole pipeline is deterministic —

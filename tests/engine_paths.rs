@@ -7,10 +7,12 @@
 //! arena-pooled `run_ring_honest_pooled_into` batch loop, and the
 //! `run_with_in`/`TrialCache` attack fast path. Each protocol also runs
 //! through the split token/link loop under a FIFO that the engine does
-//! not recognize as one, against the fused global-FIFO stream. Every pair
-//! must produce *identical* `Execution`s — outcome, per-node outputs, and
-//! every counter — for every protocol, ring size and seed. These property
-//! tests are the oracle that keeps the fast paths honest.
+//! not recognize as one, against the fused global-FIFO stream, and the
+//! engine's one event loop is compared across its three queues (fused,
+//! split, all-zero timed) under crash plans with a recording probe. Every
+//! pair must produce *identical* `Execution`s — outcome, per-node
+//! outputs, and every counter — for every protocol, ring size and seed.
+//! These property tests are the oracle that keeps the fast paths honest.
 
 use fle_attacks::{
     BasicSingleAttack, BasicSingleCache, PhaseGuessAttack, PhaseRushingAttack, PhaseRushingCache,
@@ -652,9 +654,7 @@ fn assert_lane_faults_match<P: LockstepProtocol>(label: &str, p: &P, base: u64) 
                 .collect();
             let after_end = width > 1 && latency.is_none();
             if width > 1 {
-                plans[0] = FaultPlan::none()
-                    .with_crash(0, 0, Some(recover))
-                    .with_timed(latency.is_some());
+                plans[0] = FaultPlan::none().with_crash(0, 0, Some(recover));
             }
             if after_end {
                 let (node, delivered) = first_terminator(p, seeds[width - 1]);
@@ -885,4 +885,177 @@ fn split_path_executions_are_pinned() {
         fle_harness::sha256_hex(log.as_bytes()),
         "38ade6277ee985ebd7877e82b962c3a72b49bbc1cadc2e1499e711757d6e6a04"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Queue shapes: the engine's one event loop over the fused global-FIFO
+// stream, the split token/link path and the all-zero timed heap, under
+// crash plans and a recording probe.
+
+/// Logs every send, delivery and termination with the counters after it.
+#[derive(Default)]
+struct EventLog(Vec<String>);
+
+impl<M: std::fmt::Debug> Probe<M> for EventLog {
+    fn on_send(&mut self, from: NodeId, to: NodeId, msg: &M, sent: &[u64]) {
+        self.0.push(format!("send {from}->{to} {msg:?} {sent:?}"));
+    }
+
+    fn on_deliver(&mut self, from: NodeId, to: NodeId, msg: &M, received: &[u64]) {
+        self.0
+            .push(format!("deliver {from}->{to} {msg:?} {received:?}"));
+    }
+
+    fn on_terminate(&mut self, node: NodeId, output: Option<u64>) {
+        self.0.push(format!("terminate {node} {output:?}"));
+    }
+}
+
+/// `p`'s honest trial seeded `seed` under `plan` on `schedule`, with its
+/// probe log.
+fn logged_run<P: RingProtocol, S: Scheduler + ?Sized>(
+    p: &P,
+    seed: u64,
+    plan: &FaultPlan,
+    schedule: Schedule<'_, P::Msg, S>,
+) -> (Execution, Vec<String>)
+where
+    P::Msg: std::fmt::Debug,
+{
+    let n = p.n();
+    let q = p.seeded(seed);
+    let mut arena = TrialArena::new();
+    let mut nodes: Vec<P::Node> = (0..n)
+        .map(|id| q.honest_ring_node_in(id, &mut arena))
+        .collect();
+    let mut engine = Engine::new(Topology::ring(n));
+    engine.set_fault_plan(plan);
+    let (mut log, mut out) = (EventLog::default(), Execution::default());
+    let limit = default_step_limit(n);
+    let wakes = P::WAKES.ids(n);
+    engine.run_into(
+        &mut nodes,
+        &wakes,
+        schedule,
+        limit,
+        Some(&mut log),
+        &mut out,
+    );
+    (out, log.0)
+}
+
+/// Fused FIFO against the split path under [`SplitFifo`], with a crash of
+/// `victim` at a delivery clock in `1..` the fault-free delivery count
+/// (so it fires mid-run), crash-stop and recovering; then fused FIFO
+/// against the all-zero timed net, with no plan and with a crash-stop at
+/// instant 0 of a node other than the origin and of the origin. Each
+/// pair must give equal `Execution`s and equal probe logs.
+fn assert_queue_shapes_agree<P: RingProtocol>(
+    p: &P,
+    seed: u64,
+    victim: NodeId,
+    at: u64,
+    recover: u64,
+) where
+    P::Msg: std::fmt::Debug,
+{
+    let n = p.n();
+    let fifo = |plan: &FaultPlan| {
+        logged_run(
+            p,
+            seed,
+            plan,
+            Schedule::Oblivious(&mut FifoScheduler::new()),
+        )
+    };
+    let delivered = fifo(&FaultPlan::none()).0.stats.delivered;
+    let at = 1 + at % (delivered - 1);
+    for recover_at in [None, Some(at + 1 + recover)] {
+        let plan = FaultPlan::none().with_crash(victim % n, at, recover_at);
+        let fused = fifo(&plan);
+        assert_eq!(fused.0.stats.crashes, 1, "{plan:?} must fire mid-run");
+        let split = logged_run(
+            p,
+            seed,
+            &plan,
+            Schedule::Oblivious(&mut SplitFifo::default()),
+        );
+        assert_eq!(split, fused, "split path vs fused stream under {plan:?}");
+    }
+    let zero = TimedNetConfig::default();
+    let plans = [
+        FaultPlan::none(),
+        FaultPlan::none().with_crash(1 + victim % (n - 1), 0, None),
+        // On an origin-paced ring this drops the only wake-up: nothing is
+        // ever delivered, yet the crash fired at the wake-up's instant 0.
+        FaultPlan::none().with_crash(0, 0, None),
+    ];
+    for plan in plans {
+        let mut heap = TimedScheduler::new();
+        let timed = logged_run::<P, FifoScheduler>(
+            p,
+            seed,
+            &plan,
+            Schedule::Timed {
+                heap: &mut heap,
+                net: &zero,
+                seed,
+            },
+        );
+        assert_eq!(
+            timed,
+            fifo(&plan),
+            "all-zero timed net vs fused stream under {plan:?}"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn queue_shapes_agree_basic(
+        seed in any::<u64>(),
+        n in 2usize..14,
+        victim in any::<usize>(),
+        at in any::<u64>(),
+        recover in 0u64..32,
+    ) {
+        assert_queue_shapes_agree(&BasicLead::new(n), seed, victim, at, recover);
+    }
+
+    #[test]
+    fn queue_shapes_agree_a_lead_uni(
+        seed in any::<u64>(),
+        n in 2usize..14,
+        victim in any::<usize>(),
+        at in any::<u64>(),
+        recover in 0u64..32,
+    ) {
+        assert_queue_shapes_agree(&ALeadUni::new(n), seed, victim, at, recover);
+    }
+
+    #[test]
+    fn queue_shapes_agree_phase_async(
+        seed in any::<u64>(),
+        key in any::<u64>(),
+        n in 4usize..14,
+        victim in any::<usize>(),
+        at in any::<u64>(),
+        recover in 0u64..32,
+    ) {
+        let p = PhaseAsyncLead::new(n).with_fn_key(key);
+        assert_queue_shapes_agree(&p, seed, victim, at, recover);
+    }
+
+    #[test]
+    fn queue_shapes_agree_phase_sum(
+        seed in any::<u64>(),
+        n in 4usize..14,
+        victim in any::<usize>(),
+        at in any::<u64>(),
+        recover in 0u64..32,
+    ) {
+        assert_queue_shapes_agree(&PhaseSumLead::new(n), seed, victim, at, recover);
+    }
 }
