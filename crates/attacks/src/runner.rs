@@ -9,7 +9,9 @@
 //! the success predicate, and a single runner owns the victim's
 //! [`TrialCache`]. [`build_runner`] resolves an [`AttackKind`] plus a
 //! coalition layout into that boxed runner — built once per worker
-//! thread, then allocation-free per trial in steady state.
+//! thread, then allocation-free per trial in steady state. The kinds
+//! whose victim's messages are plain `u64`s also run `k` trials at once
+//! in lockstep lanes ([`AttackRunner::run_group`]).
 
 use crate::{
     cubic_distances, AttackError, BasicSingleAttack, CubicAttack, CubicPlan, PhaseBurstAttack,
@@ -17,8 +19,8 @@ use crate::{
     RushingAttack, WaitAndCancel, WakeupIdLieAttack, WakeupMaskAttack,
 };
 use fle_core::protocols::{
-    ALeadUni, BasicLead, PhaseAsyncLead, PhaseMsg, PhaseSumLead, RingProtocol, TrialCache,
-    WakeLead, WakeMsg,
+    ALeadUni, BasicLead, LockstepProtocol, PhaseAsyncLead, PhaseMsg, PhaseSumLead, RingProtocol,
+    TrialCache, WakeLead, WakeMsg,
 };
 use fle_core::{Coalition, Execution, Node, NodeId};
 use std::str::FromStr;
@@ -104,6 +106,22 @@ impl AttackKind {
             AttackKind::PhaseRushing | AttackKind::PhaseGuess | AttackKind::PhaseBurst
         )
     }
+
+    /// Bytes one lockstep lane of this kind's groups
+    /// ([`AttackRunner::run_group`]) holds on a ring of `n`: the victim's
+    /// [`LockstepProtocol::lane_bytes`]. `None` for the kinds whose trials
+    /// always run scalar: the phase kinds, where node logic rather than
+    /// engine relay dominates a delivery, and the wake-up kinds, whose
+    /// honest nodes branch on ids.
+    pub fn lane_bytes(self, n: usize) -> Option<u64> {
+        match self {
+            AttackKind::BasicSingle => Some(BasicLead::lane_bytes(n)),
+            AttackKind::Rushing | AttackKind::Cubic | AttackKind::RandomLocated => {
+                Some(ALeadUni::lane_bytes(n))
+            }
+            _ => None,
+        }
+    }
 }
 
 impl std::fmt::Display for AttackKind {
@@ -152,6 +170,11 @@ pub struct AttackTrialResult<'a> {
 /// for [`AttackKind::WakeupMask`], and ignored by
 /// [`AttackKind::PhaseGuess`] / [`AttackKind::WakeupIdLie`] whose
 /// success predicates do not name a winner.
+///
+/// [`AttackRunner::run_group`] runs several trials at once in lockstep
+/// lanes ([`TrialCache::run_group`]) for the kinds with
+/// [`AttackKind::lane_bytes`]; every lane's result equals its
+/// [`AttackRunner::run_trial`].
 pub trait AttackRunner {
     /// Runs one trial.
     ///
@@ -165,6 +188,23 @@ pub trait AttackRunner {
         fn_key: u64,
         target: u64,
     ) -> Result<AttackTrialResult<'_>, AttackError>;
+
+    /// Runs one trial per `(seed, fn_key, target)` of `trials` as one
+    /// lockstep group, each lane with the arguments
+    /// [`AttackRunner::run_trial`] takes, and calls `lane` with every
+    /// trial's result in order: the same execution and verdict as its
+    /// `run_trial`.
+    ///
+    /// Returns `false`, having called `lane` for no trial, when the kind
+    /// does not batch ([`AttackKind::lane_bytes`] is `None`), when some
+    /// trial is infeasible (found before anything runs), when a timed
+    /// network or crash faults are installed, or when the lanes diverged.
+    /// The caller then runs each trial through `run_trial`.
+    fn run_group(
+        &mut self,
+        trials: &[(u64, u64, u64)],
+        lane: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) -> bool;
 
     /// Installs (or clears) a timed network on the runner's trial cache:
     /// subsequent trials run on the engine's virtual-clock path under
@@ -181,7 +221,8 @@ pub trait AttackRunner {
 }
 
 /// Builds the cached runner for `kind` on a ring of `n` with the given
-/// coalition layout.
+/// coalition layout. It runs single trials and, for the kinds with
+/// [`AttackKind::lane_bytes`], lockstep groups of them.
 ///
 /// # Errors
 ///
@@ -265,9 +306,24 @@ trait Deviation {
     fn success(&self, _protocol: &Self::Protocol, target: u64, exec: &Execution) -> bool {
         exec.outcome.elected() == Some(target)
     }
+
+    /// Runs one lockstep group on `cache` ([`TrialCache::run_group`]).
+    /// Only victims whose messages are plain `u64`s can, so the kinds
+    /// with [`AttackKind::lane_bytes`] override this; the rest never
+    /// form a group.
+    fn run_group(
+        cache: &mut Cache<Self>,
+        protocols: &[Self::Protocol],
+        overrides: impl Iterator<Item = Overrides<Self>>,
+    ) -> bool {
+        let _ = (cache, protocols, overrides);
+        false
+    }
 }
 
-type Deviants<A> = Result<Vec<(NodeId, <A as Deviation>::Deviant)>, AttackError>;
+type Overrides<A> = Vec<(NodeId, <A as Deviation>::Deviant)>;
+
+type Deviants<A> = Result<Overrides<A>, AttackError>;
 
 type Cache<A> = TrialCache<
     <<A as Deviation>::Protocol as RingProtocol>::Msg,
@@ -277,11 +333,14 @@ type Cache<A> = TrialCache<
 
 /// The one [`AttackRunner`]: the attack's layout, its victim's base
 /// instance (memoized by `fn_key` for the kinds that use one, built once
-/// for the rest) and the trial cache.
+/// for the rest), the trial cache, and a group's seeded victims and
+/// override lists.
 struct Runner<A: Deviation> {
     attack: A,
     base: Option<(u64, A::Protocol)>,
     cache: Cache<A>,
+    protocols: Vec<A::Protocol>,
+    overrides: Vec<Overrides<A>>,
 }
 
 fn runner<A: Deviation + 'static>(attack: A, n: usize) -> Box<dyn AttackRunner> {
@@ -289,7 +348,21 @@ fn runner<A: Deviation + 'static>(attack: A, n: usize) -> Box<dyn AttackRunner> 
         attack,
         base: None,
         cache: TrialCache::ring(n),
+        protocols: Vec::new(),
+        overrides: Vec::new(),
     })
+}
+
+impl<A: Deviation> Runner<A> {
+    /// The victim seeded with `seed` under random-function key `fn_key`.
+    fn protocol(&mut self, seed: u64, fn_key: u64) -> A::Protocol {
+        let key = if A::KIND.uses_fn_key() { fn_key } else { 0 };
+        if !matches!(&self.base, Some((k, _)) if *k == key) {
+            self.base = Some((key, A::base(self.cache.n(), key)));
+        }
+        let (_, base) = self.base.as_ref().expect("base was just set");
+        base.seeded(seed)
+    }
 }
 
 impl<A: Deviation> AttackRunner for Runner<A> {
@@ -299,17 +372,38 @@ impl<A: Deviation> AttackRunner for Runner<A> {
         fn_key: u64,
         target: u64,
     ) -> Result<AttackTrialResult<'_>, AttackError> {
-        let key = if A::KIND.uses_fn_key() { fn_key } else { 0 };
-        if !matches!(&self.base, Some((k, _)) if *k == key) {
-            self.base = Some((key, A::base(self.cache.n(), key)));
-        }
-        let (_, base) = self.base.as_ref().expect("base was just set");
-        let protocol = base.seeded(seed);
+        let protocol = self.protocol(seed, fn_key);
         let deviants = self.attack.deviants(&protocol, target)?;
         self.cache.set_trial_seed(seed);
         let exec = protocol.run_with_in(deviants, &mut self.cache);
         let success = self.attack.success(&protocol, target, exec);
         Ok(AttackTrialResult { exec, success })
+    }
+
+    fn run_group(
+        &mut self,
+        trials: &[(u64, u64, u64)],
+        lane: &mut dyn FnMut(AttackTrialResult<'_>),
+    ) -> bool {
+        self.protocols.clear();
+        self.overrides.clear();
+        for &(seed, fn_key, target) in trials {
+            let protocol = self.protocol(seed, fn_key);
+            let Ok(deviants) = self.attack.deviants(&protocol, target) else {
+                return false;
+            };
+            self.protocols.push(protocol);
+            self.overrides.push(deviants);
+        }
+        if !A::run_group(&mut self.cache, &self.protocols, self.overrides.drain(..)) {
+            return false;
+        }
+        for (l, (protocol, &(_, _, target))) in self.protocols.iter().zip(trials).enumerate() {
+            let exec = self.cache.lane_execution(l);
+            let success = self.attack.success(protocol, target, exec);
+            lane(AttackTrialResult { exec, success });
+        }
+        true
     }
 
     fn set_timed_net(&mut self, net: Option<&ring_sim::TimedNetConfig>) {
@@ -341,6 +435,14 @@ impl Deviation for BasicSingle {
             BasicSingleAttack::new(self.0, target).adversary_ring_node(protocol)?
         ])
     }
+
+    fn run_group(
+        cache: &mut Cache<Self>,
+        protocols: &[BasicLead],
+        overrides: impl Iterator<Item = Overrides<Self>>,
+    ) -> bool {
+        cache.run_group(protocols, overrides)
+    }
 }
 
 struct Rushing(Coalition);
@@ -356,6 +458,14 @@ impl Deviation for Rushing {
 
     fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
         RushingAttack::new(target).adversary_ring_nodes(protocol, &self.0)
+    }
+
+    fn run_group(
+        cache: &mut Cache<Self>,
+        protocols: &[ALeadUni],
+        overrides: impl Iterator<Item = Overrides<Self>>,
+    ) -> bool {
+        cache.run_group(protocols, overrides)
     }
 }
 
@@ -373,6 +483,14 @@ impl Deviation for Cubic {
     fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
         CubicAttack::new(target).adversary_nodes(protocol, &self.0)
     }
+
+    fn run_group(
+        cache: &mut Cache<Self>,
+        protocols: &[ALeadUni],
+        overrides: impl Iterator<Item = Overrides<Self>>,
+    ) -> bool {
+        cache.run_group(protocols, overrides)
+    }
 }
 
 struct RandomLocated(Coalition);
@@ -388,6 +506,14 @@ impl Deviation for RandomLocated {
 
     fn deviants(&self, protocol: &ALeadUni, target: u64) -> Deviants<Self> {
         RandomLocatedAttack::new(target, RANDOM_LOCATED_WINDOW).adversary_nodes(protocol, &self.0)
+    }
+
+    fn run_group(
+        cache: &mut Cache<Self>,
+        protocols: &[ALeadUni],
+        overrides: impl Iterator<Item = Overrides<Self>>,
+    ) -> bool {
+        cache.run_group(protocols, overrides)
     }
 }
 
@@ -683,7 +809,7 @@ mod tests {
         ];
         for (kind, coalition, targets) in accepted {
             let mut runner = build_runner(kind, coalition.n(), &coalition).unwrap();
-            let mut successes = 0;
+            let (mut successes, mut groups) = (0, 0);
             for seed in 0..16u64 {
                 // Phase kinds see each key twice in a row, then a new one.
                 let fn_key = if kind.uses_fn_key() { seed / 2 } else { 0 };
@@ -694,7 +820,19 @@ mod tests {
                 assert_eq!(cached.exec, &exec, "{kind} seed {seed}");
                 assert_eq!(cached.success, success, "{kind} seed {seed}");
                 successes += u32::from(success);
+                // The same trial as a one-lane group, where the kind batches.
+                let mut lanes = Vec::new();
+                let trial = [(seed, fn_key, target)];
+                if runner.run_group(&trial, &mut |r| lanes.push((r.exec.clone(), r.success))) {
+                    assert_eq!(lanes, [(exec, success)], "{kind} seed {seed} as a group");
+                    groups += 1;
+                }
             }
+            assert_eq!(
+                groups > 0,
+                kind.lane_bytes(coalition.n()).is_some(),
+                "{kind}: groups run exactly for the kinds with lane bytes"
+            );
             // The layouts are ones where the attack mostly works (the
             // guess and the doomed burst aside), so the verdicts are not
             // all trivially false.

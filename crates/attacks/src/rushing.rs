@@ -151,9 +151,8 @@ impl RushingAttack {
         Ok(active
             .positions()
             .iter()
-            .enumerate()
-            .map(|(idx, &pos)| {
-                let l = active.distances()[idx];
+            .zip(active.distances())
+            .map(|(&pos, l)| {
                 (
                     pos,
                     Rusher {

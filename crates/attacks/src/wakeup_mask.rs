@@ -226,8 +226,8 @@ impl WakeupMaskAttack {
         let n = protocol.n();
         let k = coalition.k();
         let mut nodes: DeviationNodes<WakeMsg> = Vec::with_capacity(k);
-        for (idx, &pos) in coalition.positions().iter().enumerate() {
-            let l = coalition.distances()[idx];
+        let distances = coalition.distances();
+        for (idx, (&pos, &l)) in coalition.positions().iter().zip(&distances).enumerate() {
             // The ids of this adversary's successor segment, which it
             // must deliver unmasked for wake-ups to complete.
             let mut succ_ids = Vec::with_capacity(l);

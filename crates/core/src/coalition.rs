@@ -215,11 +215,10 @@ impl Coalition {
     /// The honest segments `I_j`, one per adversary, in sorted adversary
     /// order (paper Def. 3.1 / Figure 1).
     pub fn segments(&self) -> Vec<HonestSegment> {
-        let k = self.k();
-        (0..k)
-            .map(|j| {
-                let a = self.positions[j];
-                let l = self.distances()[j];
+        self.positions
+            .iter()
+            .zip(self.distances())
+            .map(|(&a, l)| {
                 let members = (1..=l).map(|step| (a + step) % self.n).collect();
                 HonestSegment { after: a, members }
             })

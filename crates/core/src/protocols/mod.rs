@@ -37,7 +37,7 @@ pub use sync_lead::{SyncFixedValue, SyncLead, SyncWaitAndCancel};
 pub use sync_ring::{SyncRingCorruptor, SyncRingLead, SyncRingNode, SyncRingWaiter};
 pub use wakeup::{WakeLead, WakeMsg, WakeNode};
 
-use ring_sim::batch::LockstepEngine;
+use ring_sim::batch::{LockstepEngine, NodeLanes};
 use ring_sim::rng::SplitMix64;
 use ring_sim::{
     default_step_limit, ArenaBacked, Engine, Execution, FaultConfig, FaultPlan, FifoScheduler,
@@ -426,7 +426,8 @@ impl<N: ArenaBacked, D> ArenaBacked for MixNode<N, D> {
 /// honest sweeps get from their per-worker state: hold one `TrialCache`
 /// per worker thread and call [`RingProtocol::run_with_in`] per trial.
 /// The attacks crate's cached runner (`fle_attacks::build_runner`) owns
-/// one of these.
+/// one of these. On `u64` protocols, [`TrialCache::run_group`] runs `k`
+/// such trials at once in lockstep lanes.
 ///
 /// # Examples
 ///
@@ -465,7 +466,14 @@ pub struct TrialCache<M, N, D = Box<dyn Node<M>>> {
     fault_cfg: Option<FaultConfig>,
     /// Reused buffer for the per-trial fault draw.
     fault_plan: FaultPlan,
+    /// The lockstep engine of [`TrialCache::run_group`] and each
+    /// position's lanes of the last group: created by the first group,
+    /// and boxed so caches that never form one stay their size.
+    lanes: Option<Box<Lanes<N, D>>>,
 }
+
+/// A [`LockstepEngine`] and one [`NodeLanes`] per ring position.
+type Lanes<N, D> = (LockstepEngine, Vec<NodeLanes<MixNode<N, D>>>);
 
 impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
     /// Creates the cache for a unidirectional ring of `n` nodes.
@@ -482,6 +490,7 @@ impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
             net_seed: 0,
             fault_cfg: None,
             fault_plan: FaultPlan::none(),
+            lanes: None,
         }
     }
 
@@ -550,6 +559,7 @@ impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
             net_seed,
             fault_cfg,
             fault_plan,
+            ..
         } = self;
         match fault_cfg {
             Some(cfg) => {
@@ -587,6 +597,91 @@ impl<M: Clone, N: Node<M> + ArenaBacked, D: Node<M>> TrialCache<M, N, D> {
     /// The last trial's [`Execution`] (all zeros/failed before any run).
     pub fn execution(&self) -> &Execution {
         &self.exec
+    }
+
+    /// Lane `lane`'s [`Execution`] of the last [`TrialCache::run_group`],
+    /// in the cache's reused buffer. Meaningful only after that group
+    /// returned `true`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no group has run or `lane` is out of its range.
+    pub fn lane_execution(&mut self, lane: usize) -> &Execution {
+        let (engine, _) = self.lanes.as_deref().expect("no lockstep group has run");
+        engine.execution_into(lane, &mut self.exec);
+        &self.exec
+    }
+}
+
+impl<N: Node<u64> + ArenaBacked, D: Node<u64>> TrialCache<u64, N, D> {
+    /// Runs one trial per entry of `protocols` as one lockstep group:
+    /// lane `l` runs `protocols[l]` with the `l`-th override list. Each
+    /// position holds its lanes in one [`NodeLanes`], filled through the
+    /// override merge [`TrialCache::run`] uses; honest nodes are drawn
+    /// from and reclaimed into the cache's arena. The [`LockstepEngine`]
+    /// is created by the first group.
+    ///
+    /// Returns `false` when a timed network or a fault configuration is
+    /// installed (nothing runs), or when the lanes diverged: run the
+    /// trials through [`TrialCache::run`] instead. After `true`, lane
+    /// `l`'s [`Execution`], equal to its [`TrialCache::run`], is
+    /// [`TrialCache::lane_execution`]`(l)`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`TrialCache::run`], and if `protocols` is empty or the
+    /// override lists are not one per protocol.
+    pub fn run_group<P: RingProtocol<Msg = u64, Node = N>>(
+        &mut self,
+        protocols: &[P],
+        overrides: impl IntoIterator<Item = Vec<(NodeId, D)>>,
+    ) -> bool {
+        if self.net.is_some() || self.fault_cfg.is_some() {
+            return false;
+        }
+        let n = self.n();
+        let Self {
+            arena,
+            all_ids,
+            lanes,
+            ..
+        } = self;
+        let (engine, lanes) = &mut **lanes.get_or_insert_with(|| {
+            let positions = (0..n).map(|id| NodeLanes::new(id, n)).collect();
+            Box::new((LockstepEngine::new(n), positions))
+        });
+        arena.reset();
+        for position in lanes.iter_mut() {
+            position.nodes_mut().clear();
+        }
+        let mut width = 0;
+        for (protocol, overrides) in protocols.iter().zip(overrides) {
+            assert_eq!(
+                n,
+                protocol.n(),
+                "cache ring size must match the protocol's ring size"
+            );
+            merge_ring_overrides(n, overrides, |id, deviant| {
+                lanes[id].nodes_mut().push(match deviant {
+                    Some(node) => MixNode::Deviant(node),
+                    None => MixNode::Honest(protocol.honest_ring_node_in(id, arena)),
+                })
+            });
+            width += 1;
+        }
+        assert!(
+            width > 0 && width == protocols.len(),
+            "need one override list per protocol"
+        );
+        let wakes = match P::WAKES {
+            Wakes::Origin => ORIGIN_WAKES,
+            Wakes::All => &all_ids[..],
+        };
+        let ran = engine.run(width, lanes, wakes, default_step_limit(n));
+        for node in lanes.iter_mut().flat_map(|p| p.nodes_mut().iter_mut()) {
+            node.reclaim(arena);
+        }
+        ran
     }
 }
 

@@ -1,20 +1,62 @@
 //! Attack-grid execution: [`AttackSweep`] specs dispatched onto
-//! per-worker [`AttackRunner`](fle_attacks::AttackRunner) caches.
+//! per-worker [`AttackRunner`] caches, in lockstep groups where the
+//! attack kind batches.
 
 use crate::partial::ReportPartial;
 use crate::spec::AttackSweep;
-use crate::{run_batch_range, TrialOutcome, TrialReport};
-use fle_attacks::build_runner;
+use crate::sweep::{fit_lane_width, DEFAULT_BATCH_WIDTH};
+use crate::{run_batch_range_grouped, trial_seed, TrialOutcome, TrialReport};
+use fle_attacks::{build_runner, AttackRunner, AttackTrialResult};
 use ring_sim::TimedNetConfig;
+
+impl AttackSweep {
+    /// The lockstep width this sweep's trials run with: the rule of
+    /// [`HonestSweep::resolved_batch_width`](crate::HonestSweep::resolved_batch_width)
+    /// from [`DEFAULT_BATCH_WIDTH`], with the victim's lane bytes
+    /// ([`AttackKind::lane_bytes`](fle_attacks::AttackKind::lane_bytes)).
+    /// It is 1 (every trial scalar) on any timed net, under any fault
+    /// spec, and for kinds whose trials do not batch.
+    pub fn resolved_batch_width(&self) -> usize {
+        match self.attack.lane_bytes(self.n) {
+            Some(bytes) if self.schedule.timed_net().is_none() && self.fault.is_none() => {
+                fit_lane_width(DEFAULT_BATCH_WIDTH, &self.batch, bytes)
+            }
+            _ => 1,
+        }
+    }
+
+    /// The `(seed, fn_key, target)` of global trial `index`, whose
+    /// derived seed is `derived`.
+    fn trial_args(&self, index: u64, derived: u64) -> (u64, u64, u64) {
+        let seed = self.seed_mode.resolve(index, derived);
+        (
+            seed,
+            self.fn_key.resolve(seed),
+            self.target.resolve(seed, self.n),
+        )
+    }
+}
+
+/// A trial that ran, as the partial records it: its outcome, its verdict
+/// and whether a planned crash fired (an infeasible trial records
+/// `(None, false, false)`).
+fn recorded(r: AttackTrialResult<'_>) -> (Option<TrialOutcome>, bool, bool) {
+    (
+        Some(TrialOutcome::of(r.exec)),
+        r.success,
+        r.exec.stats.crashes > 0,
+    )
+}
 
 /// Runs an attack sweep on an explicit (possibly asymmetric, per-edge)
 /// [`TimedNetConfig`] instead of the uniform net implied by
 /// `cfg.schedule` — the one case a [`ScheduleSpec`](crate::ScheduleSpec)
 /// cannot express. This is the entry point for experiments that place
 /// slow links *relative to the coalition* (e.g. adversary placement vs.
-/// asymmetric latency); everything else — batching, seed streams, report
-/// aggregation, thread-count invariance — is identical to
-/// [`run_sweep`](crate::run_sweep).
+/// asymmetric latency); everything else — worker batching, seed streams,
+/// report aggregation, thread-count invariance — is identical to
+/// [`run_sweep`](crate::run_sweep), and the trials run scalar, as on any
+/// timed net.
 ///
 /// # Errors
 ///
@@ -35,7 +77,11 @@ pub fn run_attack_sweep_with_net(
 /// Each worker thread builds one cached runner
 /// ([`fle_attacks::build_runner`]): protocol base, engine, scheduler,
 /// arena and result buffers are all reused, so steady-state trials are
-/// allocation-free. Trials whose per-instance preconditions fail count as
+/// allocation-free. Where [`AttackSweep::resolved_batch_width`] (1 on
+/// any `net`) exceeds 1, the worker runs its trials in lockstep groups
+/// of that width ([`AttackRunner::run_group`]) and reruns scalar the
+/// groups that cannot run or diverge, so the partial is the same at
+/// every width. Trials whose per-instance preconditions fail count as
 /// `infeasible` (and never as successes); panicking trials are contained
 /// as recorded faults. A malformed spec is a `Result`, never a worker
 /// panic, so a long-running multi-sweep process survives it.
@@ -50,30 +96,38 @@ pub(crate) fn attack_partial(
     let coalition = cfg.coalition.resolve(cfg.n)?;
     build_runner(cfg.attack, cfg.n, &coalition).map_err(|e| e.to_string())?;
     let fcfg = cfg.fault.map(|f| f.config());
-    let results = run_batch_range(
+    let width = if net.is_some() {
+        1
+    } else {
+        cfg.resolved_batch_width()
+    };
+    let base_seed = cfg.batch.base_seed;
+    let results = run_batch_range_grouped(
         &cfg.batch,
         start,
         end,
+        width,
         || {
             let mut runner =
                 build_runner(cfg.attack, cfg.n, &coalition).expect("layout validated above");
             runner.set_timed_net(net);
             runner.set_faults(fcfg.as_ref());
-            runner
+            (runner, Vec::with_capacity(width))
         },
-        |runner, index, derived| {
-            let seed = cfg.seed_mode.resolve(index, derived);
-            let fn_key = cfg.fn_key.resolve(seed);
-            let target = cfg.target.resolve(seed, cfg.n);
-            match runner.run_trial(seed, fn_key, target) {
-                // Infeasible trials never ran, so they never crashed.
-                Ok(r) => (
-                    Some(TrialOutcome::of(r.exec)),
-                    r.success,
-                    r.exec.stats.crashes > 0,
-                ),
-                Err(_) => (None, false, false),
-            }
+        |(runner, trials): &mut (Box<dyn AttackRunner>, Vec<_>), gstart, out| {
+            trials.clear();
+            trials.extend(
+                (gstart..gstart + width as u64)
+                    .map(|index| cfg.trial_args(index, trial_seed(base_seed, index))),
+            );
+            runner.run_group(trials, &mut |r| out.push(Some(recorded(r))));
+        },
+        |(runner, _), index, derived| {
+            let (seed, fn_key, target) = cfg.trial_args(index, derived);
+            // Infeasible trials never ran, so they never crashed.
+            runner
+                .run_trial(seed, fn_key, target)
+                .map_or((None, false, false), recorded)
         },
     );
     let label = format!("{}:{}", cfg.attack.protocol_name(), cfg.attack.name());
@@ -208,5 +262,53 @@ mod tests {
         assert_eq!(arm.successes, 0);
         assert_eq!(report.trials, 10);
         assert_eq!(report.elected(), 0);
+    }
+
+    /// The attack width follows the honest width rule (8·n² + 32·n bytes
+    /// per A-LEADuni lane, under 256 MiB over every thread) and is 1
+    /// wherever attack lanes cannot run.
+    #[test]
+    fn attack_width_follows_the_lane_memory_rule() {
+        use crate::spec::FaultSpec;
+        use ring_sim::{CrashInstant, LatencySpec};
+        let sweep = |threads, n| AttackSweep {
+            n,
+            batch: BatchConfig {
+                trials: 64,
+                base_seed: 0,
+                threads,
+            },
+            ..rushing_sweep(threads, SeedMode::Derived)
+        };
+        assert_eq!(sweep(1, 16).resolved_batch_width(), 8);
+        assert_eq!(sweep(1, 2048).resolved_batch_width(), 7);
+        assert_eq!(sweep(2, 2048).resolved_batch_width(), 3);
+        let timed = AttackSweep {
+            schedule: ScheduleSpec::Timed {
+                latency: LatencySpec::ZERO,
+                loss_permille: 0,
+                dup_permille: 0,
+            },
+            ..sweep(1, 16)
+        };
+        let faulty = AttackSweep {
+            fault: Some(FaultSpec {
+                crashes: 1,
+                window: CrashInstant::Deliveries(10),
+                recover: Some(5),
+            }),
+            ..sweep(1, 16)
+        };
+        let phase = AttackSweep {
+            attack: AttackKind::PhaseRushing,
+            ..sweep(1, 16)
+        };
+        let wakeup = AttackSweep {
+            attack: AttackKind::WakeupMask,
+            ..sweep(1, 16)
+        };
+        for cfg in [timed, faulty, phase, wakeup] {
+            assert_eq!(cfg.resolved_batch_width(), 1, "{cfg:?}");
+        }
     }
 }

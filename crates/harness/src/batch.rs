@@ -122,7 +122,7 @@ pub fn run_batch_range<W, T: Send>(
 static BATCHED_TRIALS: AtomicU64 = AtomicU64::new(0);
 
 /// The process-wide number of trials served by lockstep groups so far
-/// (see `BATCHED_TRIALS` above).
+/// (see `BATCHED_TRIALS` above): honest lanes and attack lanes alike.
 pub fn batched_trials() -> u64 {
     BATCHED_TRIALS.load(Ordering::Relaxed)
 }

@@ -149,11 +149,18 @@ impl HonestSweep {
             0 => DEFAULT_BATCH_WIDTH,
             w => w,
         };
-        let per_lane = (self.batch.resolved_threads() as u64)
-            .saturating_mul(self.protocol.lane_bytes(self.n))
-            .max(1);
-        width.min((LANE_MEMORY_CEILING / per_lane).max(1) as usize)
+        fit_lane_width(width, &self.batch, self.protocol.lane_bytes(self.n))
     }
+}
+
+/// The memory rule every lockstep sweep's width follows: `width`, lowered
+/// until the batch's threads × width × `lane_bytes` fits
+/// [`LANE_MEMORY_CEILING`], down to 1.
+pub(crate) fn fit_lane_width(width: usize, batch: &BatchConfig, lane_bytes: u64) -> usize {
+    let per_lane = (batch.resolved_threads() as u64)
+        .saturating_mul(lane_bytes)
+        .max(1);
+    width.min((LANE_MEMORY_CEILING / per_lane).max(1) as usize)
 }
 
 /// Per-worker state of one honest protocol sweep: the hoisted protocol
@@ -320,9 +327,13 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
 /// [`TrialCache`] (engine, queues, arena and result buffers), directly
 /// for honest sweeps and inside one cached runner
 /// ([`fle_attacks::build_runner`]) for attack grids — so steady-state
-/// trials are allocation-free. Attack trials whose per-instance preconditions fail
-/// count as `infeasible`; panicking trials are contained as recorded
-/// faults.
+/// trials are allocation-free. Honest trials run in lockstep groups of
+/// [`HonestSweep::resolved_batch_width`], attack trials in groups of
+/// [`AttackSweep::resolved_batch_width`](crate::AttackSweep::resolved_batch_width);
+/// a group that cannot run in lockstep reruns its trials scalar, so the
+/// partial is the same at every width. Attack trials whose per-instance
+/// preconditions fail count as `infeasible`; panicking trials are
+/// contained as recorded faults.
 ///
 /// # Errors
 ///

@@ -42,11 +42,23 @@
 //! the caller re-runs the hit lanes scalar. As in the scalar engine, the
 //! run dispatches once on whether plans are installed: the fault-free
 //! instantiation keeps no clock and checks nothing per event.
+//!
+//! **Ordinary nodes per lane.** [`NodeLanes`] is a [`LockstepNode`] over
+//! `k` ordinary [`Node<u64>`] values, one per lane, so the engine also
+//! runs rings that have no structure-of-arrays node: attacked rings of
+//! honest and deviant nodes, for one. Its activation calls each lane's
+//! node in turn and checks that the lanes agree on the number of sends
+//! and on terminating; lane uniformity is still checked, not assumed,
+//! and a disagreement diverges the group as above.
+//!
+//! [`Node<u64>`]: crate::Node
 
 use crate::engine::Execution;
 use crate::fault::FaultPlan;
+use crate::node::{Ctx, Node, SendBuf};
 use crate::outcome::outcome_of;
 use crate::timed::clock_add;
+use crate::topology::NodeId;
 use std::collections::VecDeque;
 
 /// The event tag reserved for wake-ups in the fused stream. Protocol
@@ -95,6 +107,9 @@ pub enum LaneClock {
 /// termination) for all lanes; whenever a lane would force a different
 /// branch — any condition that aborts a scalar honest run — they must
 /// call [`LaneCtx::diverge`] instead of guessing.
+///
+/// Hand-written structure-of-arrays nodes implement this directly;
+/// [`NodeLanes`] implements it for `k` ordinary [`crate::Node`]s.
 pub trait LockstepNode {
     /// Called on the node's spontaneous wake-up.
     fn on_wake(&mut self, ctx: &mut LaneCtx<'_>);
@@ -160,6 +175,107 @@ impl LaneCtx<'_> {
     /// re-run these trials through the scalar path.
     pub fn diverge(&mut self) {
         self.diverged = true;
+    }
+}
+
+/// One ring position's processor in every lane of a group, as `k`
+/// ordinary [`Node<u64>`] values: lane `l` runs the `l`-th node.
+///
+/// An activation runs lane `l`'s node on lane `l`'s payload through a
+/// real [`Ctx`], whose only out-neighbour is the ring successor and whose
+/// sender is the ring predecessor, with one reused send buffer for every
+/// lane. Lane `l`'s sends fill lane `l` of the activation's payload slots
+/// and its output fills lane `l` of the output slots. Lane 0 sets the
+/// shape of the activation; a lane that makes another number of sends or
+/// differs on terminating, and any `⊥` output (lane outputs are `u64`s),
+/// calls [`LaneCtx::diverge`], so the caller reruns the group's trials
+/// scalar. Every message carries tag 0.
+///
+/// Fill [`NodeLanes::nodes_mut`] with exactly as many nodes as the run
+/// has lanes.
+///
+/// [`Node<u64>`]: crate::Node
+pub struct NodeLanes<N> {
+    me: NodeId,
+    pred: NodeId,
+    succ: [NodeId; 1],
+    nodes: Vec<N>,
+    sends: SendBuf<u64>,
+}
+
+impl<N> NodeLanes<N> {
+    /// Position `me` of a unidirectional ring of `n` processors, with no
+    /// lanes yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n < 2` or `me >= n`.
+    pub fn new(me: NodeId, n: usize) -> Self {
+        assert!(n >= 2 && me < n, "position {me} of a ring of {n}");
+        Self {
+            me,
+            pred: (me + n - 1) % n,
+            succ: [(me + 1) % n],
+            nodes: Vec::new(),
+            sends: SendBuf::default(),
+        }
+    }
+
+    /// The lanes' nodes, lane `l` at index `l`.
+    pub fn nodes_mut(&mut self) -> &mut Vec<N> {
+        &mut self.nodes
+    }
+}
+
+impl<N: Node<u64>> NodeLanes<N> {
+    /// Runs every lane's node on its wake-up (`incoming` is `None`) or on
+    /// its lane of the delivered payload.
+    fn activate(&mut self, incoming: Option<&[u64]>, ctx: &mut LaneCtx<'_>) {
+        let lanes = ctx.lanes;
+        assert_eq!(self.nodes.len(), lanes, "one node per lane");
+        // The activation's sends start here in the payload arena: lane 0
+        // makes them, and lane `l` fills slot `l` of each.
+        let base = ctx.payloads.len();
+        let mut shape = (0, false);
+        for (lane, node) in self.nodes.iter_mut().enumerate() {
+            let mut node_ctx = Ctx::new(self.me, &self.succ, &mut self.sends);
+            match incoming {
+                Some(payload) => node.on_message(self.pred, payload[lane], &mut node_ctx),
+                None => node.on_wake(&mut node_ctx),
+            }
+            let output = node_ctx.output;
+            let mut sends = 0;
+            self.sends.drain_with(|_, msg| {
+                if lane == 0 {
+                    ctx.send(0);
+                }
+                // Past lane 0's last send there is no slot: the lanes
+                // disagree, which the check below catches.
+                if let Some(slot) = ctx.payloads.get_mut(base + sends * lanes + lane) {
+                    *slot = msg;
+                }
+                sends += 1;
+            });
+            if lane == 0 {
+                shape = (sends, output.is_some());
+            }
+            if (sends, output.is_some()) != shape || output == Some(None) {
+                return ctx.diverge();
+            }
+            if let Some(Some(v)) = output {
+                ctx.terminate()[lane] = v;
+            }
+        }
+    }
+}
+
+impl<N: Node<u64>> LockstepNode for NodeLanes<N> {
+    fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
+        self.activate(None, ctx);
+    }
+
+    fn on_message(&mut self, _tag: u8, lanes: &[u64], ctx: &mut LaneCtx<'_>) {
+        self.activate(Some(lanes), ctx);
     }
 }
 
@@ -565,7 +681,7 @@ impl LockstepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Outcome;
+    use crate::{FnNode, Outcome};
 
     /// A k-lane ping-pong: the origin sends per-lane counters around a
     /// 2-ring until they reach a bound, then both nodes elect the bound.
@@ -747,6 +863,126 @@ mod tests {
         assert_eq!(exec.stats.received[1], 2);
         assert_eq!(exec.stats.steps, 3);
         assert!(exec.outcome.is_fail());
+    }
+
+    /// A `Node<u64>` whose sends and termination follow `sends(lane's
+    /// received count)` and `stop`, so tests can make lanes disagree.
+    fn scripted(
+        lane: u64,
+        sends: impl Fn(u64) -> u64,
+        stop: impl Fn(u64) -> Option<Option<u64>>,
+    ) -> impl Node<u64> {
+        let mut count = 0;
+        FnNode::new(move |_from, msg: u64, ctx: &mut Ctx<'_, u64>| {
+            count += 1;
+            for j in 0..sends(count) {
+                ctx.send(msg + j);
+            }
+            if let Some(output) = stop(count) {
+                ctx.terminate(output);
+            }
+        })
+        .on_wake(move |ctx| ctx.send(lane))
+    }
+
+    /// Runs `lanes` lanes of [`scripted`] nodes on a ring of 3, lane `l`
+    /// at position 1 built by `at_one(l)`, and returns whether the group
+    /// stayed in lockstep.
+    fn scripted_group<N: Node<u64>>(lanes: u64, at_one: impl Fn(u64) -> N) -> bool {
+        let n = 3;
+        let mut rows: Vec<NodeLanes<Box<dyn Node<u64>>>> =
+            (0..n).map(|me| NodeLanes::new(me, n)).collect();
+        for lane in 0..lanes {
+            for (me, row) in rows.iter_mut().enumerate() {
+                let node: Box<dyn Node<u64>> = if me == 1 {
+                    Box::new(at_one(lane))
+                } else {
+                    Box::new(scripted(lane, |_| 1, |c| (c == 2).then_some(Some(c))))
+                };
+                row.nodes_mut().push(node);
+            }
+        }
+        LockstepEngine::new(n).run(lanes as usize, &mut rows, &[0], 1000)
+    }
+
+    #[test]
+    fn node_lanes_diverge_on_any_lane_disagreement_or_abort() {
+        // Position 1 forwards each message once and elects 9 on its second.
+        let once = |_| 1;
+        let stop = |c| (c == 2).then_some(Some(9));
+        assert!(scripted_group(3, |lane| scripted(lane, once, stop)));
+        // Lane 2 sends twice on its first message, the others once.
+        let sends = |lane| scripted(lane, move |c| 1 + u64::from(lane == 2 && c == 1), stop);
+        assert!(!scripted_group(3, sends));
+        // Lane 1 terminates a message earlier than lane 0.
+        let early = |lane| scripted(lane, once, move |c| (c == 2 - lane).then_some(Some(9)));
+        assert!(!scripted_group(2, early));
+        // The lanes agree on every shape, but lane 1 outputs ⊥.
+        let abort = |lane| {
+            scripted(lane, once, move |c| {
+                (c == 2).then_some((lane != 1).then_some(9))
+            })
+        };
+        assert!(!scripted_group(2, abort));
+        // A single lane that outputs ⊥ diverges on its own.
+        let bottom = |c| (c == 2).then_some(None);
+        assert!(!scripted_group(1, |lane| scripted(lane, once, bottom)));
+    }
+
+    #[test]
+    fn uniform_node_lanes_equal_scalar_runs() {
+        use crate::{default_step_limit, Engine, FifoScheduler, Schedule, Topology};
+        // Every node forwards each message twice on its first delivery and
+        // once after, mixing in its id and its sender's, and terminates
+        // with the payload on its third delivery: per-lane data, one shape.
+        fn node(lane: u64) -> impl Node<u64> {
+            let mut count = 0u64;
+            FnNode::new(move |from, msg: u64, ctx: &mut Ctx<'_, u64>| {
+                count += 1;
+                let mixed = msg.wrapping_mul(31) + (from * 7 + ctx.me()) as u64;
+                ctx.send(mixed);
+                if count == 1 {
+                    ctx.send(mixed ^ lane);
+                }
+                if count == 3 {
+                    ctx.terminate(Some(msg % 1000));
+                }
+            })
+            .on_wake(move |ctx| ctx.send(lane * 1_000_003))
+        }
+        let (n, lanes) = (5, 7);
+        let wakes = [0, 3];
+        let mut rows: Vec<_> = (0..n).map(|me| NodeLanes::new(me, n)).collect();
+        for lane in 0..lanes {
+            for row in &mut rows {
+                row.nodes_mut().push(node(lane as u64));
+            }
+        }
+        let mut lockstep = LockstepEngine::new(n);
+        assert!(lockstep.run(lanes, &mut rows, &wakes, default_step_limit(n)));
+        let mut engine = Engine::new(Topology::ring(n));
+        let (mut scalar, mut lane_exec) = (Execution::default(), Execution::default());
+        let mut outputs = std::collections::HashSet::new();
+        for lane in 0..lanes {
+            let mut nodes: Vec<_> = (0..n).map(|_| node(lane as u64)).collect();
+            let schedule = Schedule::Oblivious(&mut FifoScheduler::new());
+            engine.run_into(
+                &mut nodes,
+                &wakes,
+                schedule,
+                default_step_limit(n),
+                None,
+                &mut scalar,
+            );
+            lockstep.execution_into(lane, &mut lane_exec);
+            assert_eq!(lane_exec, scalar, "lane {lane}");
+            outputs.insert(scalar.outputs.clone());
+        }
+        assert_eq!(outputs.len(), lanes, "every lane elects its own outputs");
+        assert!(
+            scalar.stats.sent.iter().all(|&s| s > 1),
+            "every node forwarded"
+        );
     }
 
     #[test]

@@ -718,6 +718,189 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Attack lanes: `AttackRunner::run_group` runs one ordinary node per lane
+// and ring position through the lockstep engine. Every lane must equal
+// its `run_trial`, and grouped attack sweeps must equal a `run_trial`
+// loop over any trial range.
+
+use fle_attacks::{
+    build_runner, cubic_distances, AttackKind, RandomLocatedAttack, RANDOM_LOCATED_WINDOW,
+};
+use fle_harness::{
+    AttackSweep, CoalitionSpec, FnKeySpec, ReportPartial, SeedMode, TargetSpec, TrialOutcome,
+};
+
+/// Runs groups of every width in [`BATCH_WIDTHS`] through one runner of
+/// `kind` on `coalition`, trial `i` with seed `trial_seed(base, i)` and
+/// the `seed_product` target `seed × multiplier mod n`, so lanes aim at
+/// different leaders. Every lane of a group that runs must equal the same
+/// runner's `run_trial` of its arguments, in execution and verdict; a
+/// group that does not run reports no lane, and with `must_run` every
+/// group runs. A group with one infeasible lane runs nothing. Returns the
+/// number of groups that ran.
+fn assert_attack_lanes_match(
+    kind: AttackKind,
+    coalition: &Coalition,
+    base: u64,
+    multiplier: u64,
+    must_run: bool,
+) -> usize {
+    let n = coalition.n();
+    let mut runner = build_runner(kind, n, coalition).expect("accepted layout");
+    let (mut next, mut ran) = (0, 0);
+    for width in BATCH_WIDTHS {
+        let trials: Vec<(u64, u64, u64)> = (next..next + width as u64)
+            .map(|i| {
+                let seed = trial_seed(base, i);
+                (seed, 0, seed.wrapping_mul(multiplier) % n as u64)
+            })
+            .collect();
+        next += width as u64;
+        let mut lanes = Vec::new();
+        let grouped = runner.run_group(&trials, &mut |r| lanes.push((r.exec.clone(), r.success)));
+        assert!(
+            grouped || !must_run,
+            "{kind} width {width}: the group did not run"
+        );
+        assert_eq!(lanes.len(), if grouped { width } else { 0 }, "{kind}");
+        ran += usize::from(grouped);
+        for (lane, ((exec, success), &(seed, fn_key, target))) in
+            lanes.iter().zip(&trials).enumerate()
+        {
+            let scalar = runner.run_trial(seed, fn_key, target).expect("feasible");
+            assert_eq!(exec, scalar.exec, "{kind} width {width} lane {lane}");
+            assert_eq!(*success, scalar.success, "{kind} width {width} lane {lane}");
+        }
+    }
+    let mut infeasible = [(base, 0, 0), (base ^ 1, 0, n as u64)];
+    infeasible[0].2 = base.wrapping_mul(multiplier) % n as u64;
+    let mut called = false;
+    assert!(
+        !runner.run_group(&infeasible, &mut |_| called = true),
+        "{kind}"
+    );
+    assert!(!called, "{kind}: an infeasible group reported a lane");
+    ran
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn batch_vs_scalar_attack_basic_single(
+        base in any::<u64>(),
+        multiplier in any::<u64>(),
+        n in 2usize..24,
+        position in 0usize..24,
+    ) {
+        let lone = Coalition::new(n, vec![position % n]).expect("valid layout");
+        assert_attack_lanes_match(AttackKind::BasicSingle, &lone, base, multiplier, true);
+    }
+
+    #[test]
+    fn batch_vs_scalar_attack_rushing(
+        base in any::<u64>(),
+        multiplier in any::<u64>(),
+        n in 16usize..40,
+        offset in 0usize..8,
+    ) {
+        // k = ⌈√n⌉ + 1 equally spaced adversaries: every segment fits
+        // unless the origin, which behaves honestly, is one of them.
+        let k = (n as f64).sqrt().ceil() as usize + 1;
+        let coalition = Coalition::equally_spaced(n, k, offset).expect("valid layout");
+        prop_assume!(RushingAttack::new(0).plan(&ALeadUni::new(n), &coalition).is_ok());
+        assert_attack_lanes_match(AttackKind::Rushing, &coalition, base, multiplier, true);
+    }
+
+    #[test]
+    fn batch_vs_scalar_attack_cubic(
+        base in any::<u64>(),
+        multiplier in any::<u64>(),
+        n in 6usize..64,
+    ) {
+        let coalition = cubic_distances(n).expect("n >= 6").coalition();
+        assert_attack_lanes_match(AttackKind::Cubic, &coalition, base, multiplier, true);
+    }
+
+    #[test]
+    fn batch_vs_scalar_attack_random_located(
+        base in any::<u64>(),
+        multiplier in any::<u64>(),
+        layout_seed in 0u64..32,
+    ) {
+        // About half these layouts are unfavourable, so nearly every trial
+        // aborts and its group diverges and reports nothing; on the
+        // favourable ones groups run, and every lane must match.
+        let coalition = Coalition::random_k(49, 14, layout_seed).expect("valid layout");
+        let favourable = RandomLocatedAttack::new(0, RANDOM_LOCATED_WINDOW)
+            .layout_is_favourable(&coalition);
+        let kind = AttackKind::RandomLocated;
+        let ran = assert_attack_lanes_match(kind, &coalition, base, multiplier, false);
+        prop_assert!(ran > 0 || !favourable, "no group ran on a favourable layout");
+    }
+
+    /// Grouped attack sweeps over arbitrary sub-ranges against the partial
+    /// a `run_trial` loop records, on `seed_product` targets: ragged
+    /// tails; a rushing layout and a favourable random-located one, whose
+    /// groups all run; an all-infeasible rushing layout, whose groups
+    /// return before running; and a random-located layout on which 76 of
+    /// the 80 trials abort, so its groups diverge.
+    #[test]
+    fn batched_attack_partial_matches_scalar_over_arbitrary_ranges(
+        start in 0u64..40,
+        len in 0u64..40,
+        threads in 1usize..4,
+        layout in 0usize..4,
+    ) {
+        let random = |k, layout_seed| CoalitionSpec::RandomLocated { k, layout_seed };
+        let (attack, n, coalition) = match layout {
+            0 => (AttackKind::Rushing, 16, CoalitionSpec::EquallySpaced { k: 7, offset: 1 }),
+            1 => (AttackKind::Rushing, 36, CoalitionSpec::EquallySpaced { k: 5, offset: 1 }),
+            2 => (AttackKind::RandomLocated, 49, random(14, 0)),
+            _ => (AttackKind::RandomLocated, 49, random(12, 18)),
+        };
+        let cfg = AttackSweep {
+            attack,
+            n,
+            fn_key: FnKeySpec::Fixed(0),
+            batch: BatchConfig {
+                trials: 80,
+                base_seed: 1,
+                threads,
+            },
+            coalition,
+            target: TargetSpec::SeedProduct { multiplier: 7 },
+            seed_mode: SeedMode::Derived,
+            schedule: ScheduleSpec::Fifo,
+            fault: None,
+        };
+        let width = cfg.resolved_batch_width();
+        prop_assert_eq!(width, 8);
+        let label = format!("{}:{}", attack.protocol_name(), attack.name());
+        let mut scalar = ReportPartial::new_attack(&label, n, 1, 80);
+        let mut runner = build_runner(attack, n, &cfg.coalition.resolve(n).expect("resolves"))
+            .expect("accepted layout");
+        for index in start..start + len {
+            let seed = trial_seed(1, index);
+            match runner.run_trial(seed, 0, cfg.target.resolve(seed, n)) {
+                Ok(r) => scalar.record_attack(index, Some(TrialOutcome::of(r.exec)), r.success),
+                Err(_) => scalar.record_attack(index, None, false),
+            }
+        }
+        let before = batched_trials();
+        let batched = run_sweep_partial(&cfg.clone().into(), start, start + len).expect("valid");
+        if layout == 0 || layout == 2 {
+            // Every full group of each worker's piece ran in lockstep.
+            let chunk = len.div_ceil(threads.clamp(1, len.max(1) as usize) as u64).max(1);
+            let pieces = (0..len).step_by(chunk as usize).map(|a| (len - a).min(chunk));
+            let grouped: u64 = pieces.map(|piece| piece / 8 * 8).sum();
+            prop_assert!(batched_trials() >= before + grouped);
+        }
+        prop_assert_eq!(batched, scalar);
+    }
+}
+
 /// A full batched sweep must serialize byte-identically to the scalar
 /// sweep — for every protocol, at a width (7) that leaves a ragged tail —
 /// and the lockstep path must actually have run (not silently fallen back
