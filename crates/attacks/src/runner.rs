@@ -9,7 +9,9 @@
 //! the success predicate, and a single runner owns the victim's
 //! [`TrialCache`]. [`build_runner`] resolves an [`AttackKind`] plus a
 //! coalition layout into that boxed runner — built once per worker
-//! thread, then allocation-free per trial in steady state. The kinds
+//! thread, after which a trial allocates only its coalition's nodes and
+//! their override list (rushing, say, builds its active layout and one
+//! `Rusher` with its tail buffer per coalition member). The kinds
 //! whose victim's messages are plain `u64`s also run `k` trials at once
 //! in lockstep lanes ([`AttackRunner::run_group`]).
 
@@ -19,8 +21,8 @@ use crate::{
     RushingAttack, WaitAndCancel, WakeupIdLieAttack, WakeupMaskAttack,
 };
 use fle_core::protocols::{
-    ALeadUni, BasicLead, LockstepProtocol, PhaseAsyncLead, PhaseMsg, PhaseSumLead, RingProtocol,
-    TrialCache, WakeLead, WakeMsg,
+    ALeadUni, BasicLead, PhaseAsyncLead, PhaseMsg, PhaseSumLead, RingProtocol, TrialCache,
+    WakeLead, WakeMsg,
 };
 use fle_core::{Coalition, Execution, Node, NodeId};
 use std::str::FromStr;
@@ -108,19 +110,29 @@ impl AttackKind {
     }
 
     /// Bytes one lockstep lane of this kind's groups
-    /// ([`AttackRunner::run_group`]) holds on a ring of `n`: the victim's
-    /// [`LockstepProtocol::lane_bytes`]. `None` for the kinds whose trials
+    /// ([`AttackRunner::run_group`]) holds on a ring of `n`: 8·n² + 32·n,
+    /// a payload slot for each of the honest run's n² sends plus the
+    /// nodes' registers. Unlike the honest lane bytes
+    /// ([`LockstepProtocol::lane_bytes`](fle_core::protocols::LockstepProtocol::lane_bytes)),
+    /// this keeps a slot per send: a deviant's bursts can keep as many
+    /// groups in flight as it likes. `None` for the kinds whose trials
     /// always run scalar: the phase kinds, where node logic rather than
     /// engine relay dominates a delivery, and the wake-up kinds, whose
     /// honest nodes branch on ids.
     pub fn lane_bytes(self, n: usize) -> Option<u64> {
-        match self {
-            AttackKind::BasicSingle => Some(BasicLead::lane_bytes(n)),
-            AttackKind::Rushing | AttackKind::Cubic | AttackKind::RandomLocated => {
-                Some(ALeadUni::lane_bytes(n))
-            }
-            _ => None,
-        }
+        let n = n as u64;
+        let batches = matches!(
+            self,
+            AttackKind::BasicSingle
+                | AttackKind::Rushing
+                | AttackKind::Cubic
+                | AttackKind::RandomLocated
+        );
+        batches.then(|| {
+            n.saturating_mul(n)
+                .saturating_mul(8)
+                .saturating_add(n.saturating_mul(32))
+        })
     }
 }
 
@@ -159,9 +171,11 @@ pub struct AttackTrialResult<'a> {
     pub success: bool,
 }
 
-/// A reusable per-thread attack executor: protocol bases hoisted,
-/// engine/scheduler/arena cached, allocation-free per trial in steady
-/// state.
+/// A reusable per-thread attack executor: protocol bases hoisted and
+/// engine, scheduler and arena cached, so a trial allocates only what
+/// the attack builds for it: its coalition's nodes and their override
+/// list (for rushing, the active layout and one `Rusher` and tail buffer
+/// per member).
 ///
 /// `seed` is the protocol instance seed, `fn_key` selects the random
 /// function for phase protocols (ignored elsewhere — see

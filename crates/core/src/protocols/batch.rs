@@ -32,7 +32,7 @@ use super::{
     LockstepProtocol, PhaseAsyncLead, PhaseSumLead, ORIGIN_WAKES,
 };
 use crate::randfn::{EvalTable, PhaseParams};
-use ring_sim::batch::{LaneCtx, LockstepEngine, LockstepNode};
+use ring_sim::batch::{engine_lane_bytes, LaneCtx, LockstepEngine, LockstepNode};
 use ring_sim::{default_step_limit, Execution, NodeId};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -733,9 +733,11 @@ impl PhaseSumLead {
 
 /// Implements [`LockstepProtocol`] by delegating to the protocol's
 /// inherent batch entry and lending its cache's engine. A lane holds
-/// `$sq·n² + $lin·n` bytes.
+/// `$sq·n² + $lin·n` bytes of its own node state plus the engine's share
+/// for a run with at most `$in_flight(n)` groups in flight
+/// ([`engine_lane_bytes`]).
 macro_rules! lockstep_protocol {
-    ($protocol:ty, $cache:ty, $sq:literal, $lin:literal) => {
+    ($protocol:ty, $cache:ty, $sq:literal, $lin:literal, $in_flight:expr) => {
         impl LockstepProtocol for $protocol {
             type BatchCache = $cache;
 
@@ -744,6 +746,7 @@ macro_rules! lockstep_protocol {
                 n.saturating_mul(n)
                     .saturating_mul($sq)
                     .saturating_add(n.saturating_mul($lin))
+                    .saturating_add(engine_lane_bytes(n, ($in_flight)(n)))
             }
 
             fn batch_cache(n: usize) -> $cache {
@@ -761,14 +764,23 @@ macro_rules! lockstep_protocol {
     };
 }
 
-// Basic-LEAD and A-LEADuni: two or three `u64` registers and the output
-// per node, and n² sends of one `u64` each.
-lockstep_protocol!(BasicLead, BasicBatchCache, 8, 32);
-lockstep_protocol!(ALeadUni, ALeadBatchCache, 8, 32);
-// The phase protocols: the (2n + 1)-slot store, three registers and the
-// output per node, 2n² sends of one `u64` each, and the shared snapshot.
-lockstep_protocol!(PhaseAsyncLead, PhaseBatchCache, 32, 64);
-lockstep_protocol!(PhaseSumLead, PhaseBatchCache, 32, 64);
+// Every `$lin` also carries half of the node struct each position keeps
+// for the whole group, so width × `lane_bytes` bounds a group of any width
+// from 2 up. The groups in flight are the peaks of an honest run.
+//
+// Basic-LEAD: two registers per node, half of a 64-byte node and of its
+// wake entry (52·n); every node keeps one group in flight until it
+// terminates.
+lockstep_protocol!(BasicLead, BasicBatchCache, 0, 56, |n| n);
+// A-LEADuni: three registers per node and half of a 96-byte node (72·n);
+// the one token keeps one group in flight.
+lockstep_protocol!(ALeadUni, ALeadBatchCache, 0, 72, |_| 1);
+// The phase protocols: the (2n + 1)-slot store (16·n² + 8·n), three
+// registers per node, the shared snapshot's two tables and half of a
+// 152-byte node (124·n); the data and validation waves keep two groups in
+// flight.
+lockstep_protocol!(PhaseAsyncLead, PhaseBatchCache, 16, 128, |_| 2);
+lockstep_protocol!(PhaseSumLead, PhaseBatchCache, 16, 128, |_| 2);
 
 #[cfg(test)]
 mod tests {
@@ -870,6 +882,59 @@ mod tests {
             assert!(p.run_honest_batch_into(&seeds, &mut cache));
             cache.execution_into(trial, &mut exec);
             assert_eq!(exec, p.with_seed(seeds[trial]).run_honest_in(&mut engine));
+        }
+    }
+
+    /// Heap bytes of `v` at its capacity.
+    fn heap<T>(v: &Vec<T>) -> u64 {
+        (v.capacity() * std::mem::size_of::<T>()) as u64
+    }
+
+    /// What one honest group of `k` lanes retains after its run at
+    /// n = 256, the engine's buffers and every node with its lane vectors
+    /// included, fits `k` × `lane_bytes`: for the narrowest group and for
+    /// the sweeps' default width. (The phase caches' `EvalTable` belongs to
+    /// the configuration, not to a lane.)
+    #[test]
+    fn a_group_retains_at_most_its_lanes_bytes() {
+        let n = 256;
+        for k in [2, 16] {
+            let seeds = seeds(3, k);
+            let check = |name: &str, engine: &LockstepEngine, group: u64, lane_bytes: u64| {
+                let held = engine.retained_bytes() as u64 + group;
+                let bound = k as u64 * lane_bytes;
+                assert!(held <= bound, "{name}, {k} lanes: {held} > {bound} bytes");
+            };
+            let mut c = BasicBatchCache::ring(n);
+            assert!(BasicLead::new(n).run_honest_batch_into(&seeds, &mut c));
+            let lanes: u64 = c.nodes.iter().map(|v| heap(&v.d) + heap(&v.sum)).sum();
+            let group = heap(&c.nodes) + heap(&c.wakes) + lanes;
+            check("Basic-LEAD", &c.engine, group, BasicLead::lane_bytes(n));
+
+            let mut c = ALeadBatchCache::ring(n);
+            assert!(ALeadUni::new(n).run_honest_batch_into(&seeds, &mut c));
+            let lanes: u64 = (c.nodes.iter())
+                .map(|v| heap(&v.basic.d) + heap(&v.basic.sum) + heap(&v.buffer))
+                .sum();
+            check(
+                "A-LEADuni",
+                &c.engine,
+                heap(&c.nodes) + lanes,
+                ALeadUni::lane_bytes(n),
+            );
+
+            let mut c = PhaseBatchCache::ring(n);
+            assert!(PhaseAsyncLead::new(n).run_honest_batch_into(&seeds, &mut c));
+            let lanes: u64 = (c.nodes.iter())
+                .map(|v| heap(&v.d) + heap(&v.v_own) + heap(&v.buffer) + heap(&v.store))
+                .sum();
+            let sh = c.shared.borrow();
+            let snapshot = std::mem::size_of::<PhaseShared>() as u64
+                + heap(&sh.outs)
+                + heap(&sh.data_snap)
+                + heap(&sh.vals_snap);
+            let group = heap(&c.nodes) + lanes + snapshot;
+            check("phase", &c.engine, group, PhaseAsyncLead::lane_bytes(n));
         }
     }
 

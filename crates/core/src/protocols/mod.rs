@@ -212,9 +212,10 @@ pub trait LockstepProtocol: RingProtocol {
     /// The reusable per-worker lane state.
     type BatchCache;
 
-    /// Bytes one lane of a group holds at the end of a run on a ring of
-    /// `n` processors: its share of the node registers, outputs and
-    /// payload arena. Sweeps size their lane width from it.
+    /// Bytes one lane of a group holds at most over a run on a ring of
+    /// `n` processors: its own node state and its share of the engine's
+    /// ([`ring_sim::batch::engine_lane_bytes`] for the groups an honest
+    /// run keeps in flight). Sweeps size their lane width from it.
     fn lane_bytes(n: usize) -> u64;
 
     /// Creates the batch cache for a ring of `n` processors.

@@ -43,10 +43,11 @@
 use fle_attacks::AttackKind;
 use fle_experiments::{find, EXPERIMENTS};
 use fle_harness::{
-    run_sweep_checkpointed, run_sweep_partial, set_default_threads, AttackSweep, BatchConfig,
-    CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec, ProtocolKind,
-    ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
+    read_input, run_sweep_checkpointed, run_sweep_partial, set_default_threads, AttackSweep,
+    BatchConfig, CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec,
+    ProtocolKind, ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
 };
+use std::path::Path;
 use std::str::FromStr;
 
 fn print_registry() {
@@ -199,7 +200,7 @@ const FLAGS: &[Flag] = &[
            class: Class::Field, set: |a, v| v.parse().map(|x| a.recover = Some(x)) },
     Flag { names: &["--protocol", "-p"], value: "basic|alead|phase|phasesum", default: "required",
            class: Class::Honest, set: |a, v| v.raw.parse().map(|x| a.protocol = Some(x)) },
-    Flag { names: &["--batch", "-b"], value: "K", default: "0 (8 lanes; 1 = scalar)",
+    Flag { names: &["--batch", "-b"], value: "K", default: "0 (16 lanes; 1 = scalar)",
            class: Class::Honest, set: |a, v| v.parse().map(|x| a.batch_width = x) },
     Flag { names: &["--attack", "-a"], value: "<kind>", default: "required",
            class: Class::Attack, set: |a, v| v.raw.parse().map(|x| a.attack = Some(x)) },
@@ -296,8 +297,7 @@ impl SweepArgs {
                      set it in {path} instead"
                 ));
             }
-            let src =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let src = read_input(Path::new(path))?;
             let mut spec = SweepSpec::parse_json(&src).map_err(|e| format!("{path}: {e}"))?;
             if let Some(t) = self.threads {
                 match &mut spec {
@@ -421,7 +421,7 @@ fn run_sweep_subcommand(sub: &str, args: &[String]) -> Result<(), String> {
     let partial = match &flags.checkpoint {
         Some(raw) => {
             let every = flags.checkpoint_every.unwrap_or(1_000);
-            let run = run_sweep_checkpointed(&spec, std::path::Path::new(raw), every, lo, hi)?;
+            let run = run_sweep_checkpointed(&spec, Path::new(raw), every, lo, hi)?;
             if let Some(at) = run.resumed_from {
                 eprintln!("  [sweep resumed from trial {at}]");
             }
@@ -515,8 +515,7 @@ fn run_merge_reports(args: &[String]) {
     }
     let mut merged: Option<ReportPartial> = None;
     for path in &files {
-        let src = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+        let src = read_input(Path::new(path)).unwrap_or_else(|e| fail(e));
         let partial =
             ReportPartial::parse_json(&src).unwrap_or_else(|e| fail(format!("{path}: {e}")));
         match &mut merged {

@@ -104,6 +104,75 @@ fn cli_shard_merge_matches_monolithic() {
     assert_eq!(merged.stdout, monolithic.stdout);
 }
 
+/// A partial's histograms hold one `[value,count]` pair per distinct
+/// message and step count, a number bounded by the trials rather than by
+/// any spec limit, so a long crash sweep can write partials and
+/// checkpoints past the 16 MiB the input readers take from a pipe. From a
+/// regular file they must read them whole: a synthetic honest partial of
+/// 360,000 trials, each with its own 20-digit message and step counts
+/// (over 17 MiB), must fold through `merge-reports` and resume from a
+/// checkpoint into its own report.
+#[test]
+fn partials_and_checkpoints_past_16_mib_round_trip() {
+    use fle_harness::{
+        run_sweep_partial, sha256_hex, write_checkpoint, BatchConfig, HonestSweep, ProtocolKind,
+        ScheduleSpec, SweepCheckpoint, SweepSpec, TrialOutcome,
+    };
+    const TRIALS: u64 = 360_000;
+    let spec = SweepSpec::Honest(HonestSweep {
+        protocol: ProtocolKind::PhaseAsyncLead,
+        n: 8,
+        fn_key: 9,
+        batch: BatchConfig {
+            trials: TRIALS,
+            base_seed: 1,
+            threads: 1,
+        },
+        batch_width: 0,
+        schedule: ScheduleSpec::Fifo,
+        fault: None,
+    });
+    let mut partial = run_sweep_partial(&spec, 0, 0).expect("valid spec");
+    for i in 0..TRIALS {
+        let count = 10_000_000_000_000_000_000 + i;
+        let outcome = TrialOutcome {
+            outcome: ring_sim::Outcome::Elected(i % 8),
+            messages: count,
+            steps: count,
+        };
+        partial.record(i, outcome);
+    }
+    let report = format!("{}\n", partial.finish().expect("complete").to_json());
+
+    let file = TempPath::new("large_partial");
+    std::fs::write(&file.0, partial.to_json()).expect("write partial");
+    let bytes = std::fs::metadata(&file.0).expect("partial written").len();
+    assert!(bytes > 17 << 20, "the partial is only {bytes} bytes");
+    let merged = run_ok(&["merge-reports", file.as_str()]);
+    assert_eq!(String::from_utf8_lossy(&merged.stdout), report);
+
+    let spec_file = TempPath::new("large_spec");
+    std::fs::write(&spec_file.0, spec.to_json()).expect("write spec");
+    let cp = TempPath::new("large_checkpoint");
+    let checkpoint = SweepCheckpoint {
+        spec_sha256: sha256_hex(spec.to_json().as_bytes()),
+        start: 0,
+        end: TRIALS,
+        partial,
+    };
+    write_checkpoint(&cp.0, &checkpoint).expect("write checkpoint");
+    let resumed = run_ok(&[
+        "sweep",
+        "--spec",
+        spec_file.as_str(),
+        "--checkpoint",
+        cp.as_str(),
+    ]);
+    assert_eq!(String::from_utf8_lossy(&resumed.stdout), report);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("resumed from trial 360000"), "{stderr}");
+}
+
 /// `merge-reports` over partials whose trial ranges overlap must fail
 /// naming the colliding ranges (never silently double-count), exit
 /// code 2. Shards `0/2` and `0/3` of the same sweep cover `[0,150)` and

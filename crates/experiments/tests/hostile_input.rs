@@ -2,7 +2,7 @@
 //! must end in exit code 2 and a named error, never a crash.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Output};
 
 /// A file under the temp dir holding `contents`, removed on drop.
 struct TempFile(PathBuf);
@@ -28,16 +28,35 @@ impl Drop for TempFile {
     }
 }
 
-/// Runs `fle_lab` with `args` and asserts exit code 2 with `needle` on
-/// stderr.
-fn assert_named_error(args: &[&str], needle: &str) {
-    let out = Command::new(env!("CARGO_BIN_EXE_fle_lab"))
-        .args(args)
-        .output()
-        .expect("spawn fle_lab");
+/// Runs `fle_lab` with `args`, under an address-space cap of `cap_kib`
+/// KiB (`ulimit -v`) when one is given.
+fn fle_lab(cap_kib: Option<u64>, args: &[&str]) -> Output {
+    let mut command = match cap_kib {
+        Some(cap) => {
+            let mut sh = Command::new("sh");
+            sh.arg("-c")
+                .arg(format!("ulimit -v {cap}; exec \"$0\" \"$@\""))
+                .arg(env!("CARGO_BIN_EXE_fle_lab"));
+            sh
+        }
+        None => Command::new(env!("CARGO_BIN_EXE_fle_lab")),
+    };
+    command.args(args).output().expect("spawn fle_lab")
+}
+
+/// Runs `fle_lab` with `args` (under `cap_kib` as in [`fle_lab`]) and
+/// asserts exit code 2 with `needle` on stderr.
+fn assert_named_error_under(cap_kib: Option<u64>, args: &[&str], needle: &str) {
+    let out = fle_lab(cap_kib, args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+/// Runs `fle_lab` with `args` and asserts exit code 2 with `needle` on
+/// stderr.
+fn assert_named_error(args: &[&str], needle: &str) {
+    assert_named_error_under(None, args, needle);
 }
 
 /// `[` nested 200,000 deep once overflowed the parser's stack. The spec,
@@ -67,6 +86,27 @@ fn deeply_nested_json_is_a_named_error() {
         let file = TempFile::new(name, &deep);
         let args = [&args[..], &[file.as_str()]].concat();
         assert_named_error(&args, "JSON nesting depth limit of 128");
+    }
+}
+
+/// The spec, partial-report and checkpoint readers read a file whole, so
+/// `sweep --spec /dev/zero` grew until it hit the address-space cap and
+/// exited with "cannot read /dev/zero: out of memory" (and without a cap
+/// it grew until the host ran out). Each reader must stop one byte past
+/// the 16 MiB limit on pipes and devices and exit 2 naming it, well inside
+/// the cap. (Regular files have no limit: see
+/// `checkpoint_resume.rs::partials_and_checkpoints_past_16_mib_round_trip`.)
+#[test]
+fn endless_input_files_are_named_errors() {
+    let limit = "runs past 16777216 bytes, the input size limit for pipes and devices";
+    let checkpoint = ["sweep", "--protocol", "phase", "--n", "8", "--trials", "10"];
+    let cases: [Vec<&str>; 3] = [
+        vec!["sweep", "--spec", "/dev/zero"],
+        vec!["merge-reports", "/dev/zero"],
+        [&checkpoint[..], &["--checkpoint", "/dev/zero"]].concat(),
+    ];
+    for args in cases {
+        assert_named_error_under(Some(300_000), &args, limit);
     }
 }
 
@@ -150,26 +190,22 @@ fn saturating_clock_specs_are_named_errors() {
 /// Runs `fle_lab` with `args` under an address-space cap of `cap_kib`
 /// KiB (`ulimit -v`), asserts exit 0, and returns the sha256 of stdout.
 fn capped_run_sha(cap_kib: u64, args: &[&str]) -> String {
-    let out = Command::new("sh")
-        .arg("-c")
-        .arg(format!("ulimit -v {cap_kib}; exec \"$0\" \"$@\""))
-        .arg(env!("CARGO_BIN_EXE_fle_lab"))
-        .args(args)
-        .output()
-        .expect("spawn sh");
+    let out = fle_lab(Some(cap_kib), args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
     fle_harness::sha256_hex(&out.stdout)
 }
 
-/// A phase lane holds about 32·n² bytes and `validate` admits 1,024
+/// A phase lane held about 32·n² bytes (its 16·n² store and a payload
+/// slot for each of the run's 2·n² sends) and `validate` admits 1,024
 /// lanes, so a lockstep group could pass every check and then fail to
 /// allocate: 256 lanes at n = 256 (537 MB) aborted under `ulimit -v
 /// 400000` with exit 134, "memory allocation … failed". The width now
-/// drops until the lanes fit the lane-memory ceiling, and the report is
-/// the `--batch 1` report byte for byte (each hash is of that stdout).
-/// The timed variant, one constant latency with recovering crashes, runs
-/// in lanes too and must fit the same ceiling.
+/// drops until the lanes fit the lane-memory ceiling (246 lanes of about
+/// 16·n² bytes each, the payload ring holding only the groups in flight),
+/// and the report is the `--batch 1` report byte for byte (each hash is
+/// of that stdout). The timed variant, one constant latency with
+/// recovering crashes, runs in lanes too and must fit the same ceiling.
 #[test]
 fn lane_memory_fits_the_ceiling_with_width_one_bytes() {
     let lanes = "sweep --protocol phase --n 256 --trials 256 --batch 256 --threads 1 --seed 1";

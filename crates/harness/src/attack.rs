@@ -76,11 +76,12 @@ pub fn run_attack_sweep_with_net(
 ///
 /// Each worker thread builds one cached runner
 /// ([`fle_attacks::build_runner`]): protocol base, engine, scheduler,
-/// arena and result buffers are all reused, so steady-state trials are
-/// allocation-free. Where [`AttackSweep::resolved_batch_width`] (1 on
-/// any `net`) exceeds 1, the worker runs its trials in lockstep groups
-/// of that width ([`AttackRunner::run_group`]) and reruns scalar the
-/// groups that cannot run or diverge, so the partial is the same at
+/// arena and result buffers are all reused, so a trial allocates only
+/// the coalition nodes its attack builds (see [`AttackRunner`]). Where
+/// [`AttackSweep::resolved_batch_width`] (1 on any `net`) exceeds 1, the
+/// worker runs its trials in lockstep groups of that width, the last one
+/// of its piece narrower ([`AttackRunner::run_group`]), and reruns scalar
+/// the groups that cannot run or diverge, so the partial is the same at
 /// every width. Trials whose per-instance preconditions fail count as
 /// `infeasible` (and never as successes); panicking trials are contained
 /// as recorded faults. A malformed spec is a `Result`, never a worker
@@ -114,7 +115,7 @@ pub(crate) fn attack_partial(
             runner.set_faults(fcfg.as_ref());
             (runner, Vec::with_capacity(width))
         },
-        |(runner, trials): &mut (Box<dyn AttackRunner>, Vec<_>), gstart, out| {
+        |(runner, trials): &mut (Box<dyn AttackRunner>, Vec<_>), gstart, width, out| {
             trials.clear();
             trials.extend(
                 (gstart..gstart + width as u64)
@@ -264,9 +265,9 @@ mod tests {
         assert_eq!(report.elected(), 0);
     }
 
-    /// The attack width follows the honest width rule (8·n² + 32·n bytes
-    /// per A-LEADuni lane, under 256 MiB over every thread) and is 1
-    /// wherever attack lanes cannot run.
+    /// The attack width follows the honest width rule from the default
+    /// of 16 (8·n² + 32·n bytes per A-LEADuni lane, under 256 MiB over
+    /// every thread) and is 1 wherever attack lanes cannot run.
     #[test]
     fn attack_width_follows_the_lane_memory_rule() {
         use crate::spec::FaultSpec;
@@ -280,7 +281,7 @@ mod tests {
             },
             ..rushing_sweep(threads, SeedMode::Derived)
         };
-        assert_eq!(sweep(1, 16).resolved_batch_width(), 8);
+        assert_eq!(sweep(1, 16).resolved_batch_width(), 16);
         assert_eq!(sweep(1, 2048).resolved_batch_width(), 7);
         assert_eq!(sweep(2, 2048).resolved_batch_width(), 3);
         let timed = AttackSweep {

@@ -111,7 +111,7 @@ pub fn run_batch_range<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
-    let no_group = |_: &mut W, _: u64, _: &mut Vec<Option<T>>| {};
+    let no_group = |_: &mut W, _: u64, _: usize, _: &mut Vec<Option<T>>| {};
     run_batch_range_grouped(cfg, start, end, 1, make_worker, no_group, trial)
 }
 
@@ -127,22 +127,23 @@ pub fn batched_trials() -> u64 {
     BATCHED_TRIALS.load(Ordering::Relaxed)
 }
 
-/// [`run_batch_range`] with a group fast path: within each worker's
-/// contiguous piece, full `width`-trial groups are attempted through
-/// `group` first, and only the trials the fast path cannot serve — a
-/// `None` lane, every lane of a group that panics or does not fill
-/// exactly `width` lanes (a diverged group fills none), and the ragged
-/// tail shorter than `width` — run through the scalar `trial` closure.
+/// [`run_batch_range`] with a group fast path: each worker's contiguous
+/// piece is cut into groups of `width` trials from its start, the last
+/// one narrower when the piece is not a multiple of `width`, and each
+/// group is attempted through `group` first. Only the trials the fast
+/// path cannot serve — a `None` lane, every lane of a group that panics
+/// or does not fill exactly its width (a diverged group fills none), and
+/// a lone last trial, which makes no group — run through the scalar
+/// `trial` closure.
 ///
-/// `group(worker, group_start, out)` pushes one entry per lane for global
-/// trials `group_start..group_start + width`, in order: `Some(result)`
-/// where the fast path served the trial, `None` where it must rerun
-/// scalar. Groups are aligned to each worker piece's start, and the
-/// pieces are the same chunks at every width — so for a given
-/// `(threads, start, end)` the scalar path serves exactly the same
-/// indices whether a checkpoint resume or shard split lands mid-chunk or
-/// not, and results are bit-identical to the all-scalar runner in every
-/// case.
+/// `group(worker, group_start, group_width, out)` pushes one entry per
+/// lane for global trials `group_start..group_start + group_width`, in
+/// order: `Some(result)` where the fast path served the trial, `None`
+/// where it must rerun scalar. Groups are aligned to each worker piece's
+/// start, and the pieces are the same chunks at every width — so for a
+/// given `(threads, start, end)` the groups are the same whether a
+/// checkpoint resume or shard split lands mid-chunk or not, and results
+/// are bit-identical to the all-scalar runner in every case.
 ///
 /// At a `width` of 0 or 1 every trial runs through `trial` and `group`
 /// is never called: that is [`run_batch_range`].
@@ -156,7 +157,7 @@ pub fn run_batch_range_grouped<W, T: Send>(
     end: u64,
     width: usize,
     make_worker: impl Fn() -> W + Sync,
-    group: impl Fn(&mut W, u64, &mut Vec<Option<T>>) + Sync,
+    group: impl Fn(&mut W, u64, usize, &mut Vec<Option<T>>) + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<Result<T, TrialFault>> {
     assert!(
@@ -192,9 +193,12 @@ pub fn run_batch_range_grouped<W, T: Send>(
         let mut i = 0usize;
         while i < piece.len() {
             let index = piece_start + i as u64;
-            if width > 1 && piece.len() - i >= width {
+            let width = width.min(piece.len() - i);
+            if width > 1 {
                 buf.clear();
-                let filled = catch_unwind(AssertUnwindSafe(|| group(&mut worker, index, &mut buf)));
+                let filled = catch_unwind(AssertUnwindSafe(|| {
+                    group(&mut worker, index, width, &mut buf)
+                }));
                 if filled.is_err() {
                     // A panicking group may have left the worker's cached
                     // state mid-trial; rebuild before the scalar re-run
@@ -222,7 +226,7 @@ pub fn run_batch_range_grouped<W, T: Send>(
                 }
                 i += width;
             } else {
-                // Scalar width, or a ragged tail shorter than the width.
+                // Scalar width, or a lone last trial.
                 let result = run_one(&mut worker, index);
                 if result.is_err() {
                     worker = make_worker();
@@ -476,7 +480,7 @@ mod tests {
             end,
             width,
             || (),
-            |(), gstart, out| {
+            |(), gstart, width, out| {
                 if panic_at.is_some_and(|p| (gstart..gstart + width as u64).contains(&p)) {
                     panic!("group panic");
                 }
@@ -505,32 +509,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ragged_tail_runs_scalar() {
-        // 10 trials at width 4, single thread: two full groups, then a
-        // 2-trial scalar tail.
-        let out = run_marked(10, 0, 10, 4, 1, None, None);
-        let tags: Vec<&str> = out.iter().map(|(_, t)| *t).collect();
-        assert_eq!(
-            tags,
-            ["batch"; 8]
-                .iter()
-                .chain(["scalar"; 2].iter())
-                .copied()
-                .collect::<Vec<_>>()
+    /// The `(start, width)` of every group one run hands to `group`, in
+    /// index order.
+    fn group_shapes(
+        trials: u64,
+        start: u64,
+        end: u64,
+        width: usize,
+        threads: usize,
+    ) -> Vec<(u64, usize)> {
+        let cfg = BatchConfig {
+            trials,
+            base_seed: 0,
+            threads,
+        };
+        let shapes = std::sync::Mutex::new(Vec::new());
+        run_batch_range_grouped(
+            &cfg,
+            start,
+            end,
+            width,
+            || (),
+            |(), gstart, width, out: &mut Vec<Option<()>>| {
+                shapes.lock().expect("no poison").push((gstart, width));
+                out.resize(width, Some(()));
+            },
+            |(), _, _| (),
         );
+        let mut shapes = shapes.into_inner().expect("no poison");
+        shapes.sort_unstable();
+        shapes
+    }
+
+    #[test]
+    fn ragged_tail_runs_as_one_narrower_group() {
+        // 10 trials at width 4, single thread: two full groups, then the
+        // 2-trial tail as one group of 2.
+        let out = run_marked(10, 0, 10, 4, 1, None, None);
+        assert!(out.iter().all(|(_, tag)| *tag == "batch"), "{out:?}");
+        assert_eq!(group_shapes(10, 0, 10, 4, 1), [(0, 4), (4, 4), (8, 2)]);
+        // A lone last trial makes no group: it runs scalar, as at width 1.
+        let out = run_marked(9, 0, 9, 4, 1, None, None);
+        assert_eq!(out[7], (7, "batch"));
+        assert_eq!(out[8], (8, "scalar"));
+        assert_eq!(group_shapes(9, 0, 9, 4, 1), [(0, 4), (4, 4)]);
     }
 
     #[test]
     fn mid_range_start_realigns_groups_to_the_piece() {
         // A checkpoint resume landing mid-chunk: the range 3..13 groups
-        // from 3 (3..7, 7..11) and runs 11..13 scalar — no group ever
-        // spans the resume point.
+        // from 3 (3..7, 7..11, then the tail 11..13 as a group of 2) — no
+        // group ever spans the resume point.
         let out = run_marked(20, 3, 13, 4, 1, None, None);
-        assert_eq!(out[0], (3, "batch"));
-        assert_eq!(out[7], (10, "batch"));
-        assert_eq!(out[8], (11, "scalar"));
+        assert!(out.iter().all(|(_, tag)| *tag == "batch"), "{out:?}");
+        assert_eq!(group_shapes(20, 3, 13, 4, 1), [(3, 4), (7, 4), (11, 2)]);
+        // Two workers split it into the pieces 3..8 and 8..13, and each
+        // piece groups from its own start, leaving trials 7 and 12 alone.
+        let out = run_marked(20, 3, 13, 4, 2, None, None);
+        assert_eq!(out[4], (7, "scalar"));
         assert_eq!(out[9], (12, "scalar"));
+        assert_eq!(group_shapes(20, 3, 13, 4, 2), [(3, 4), (8, 4)]);
     }
 
     #[test]
@@ -563,7 +601,7 @@ mod tests {
             16,
             8,
             || (),
-            |(), gstart, out| {
+            |(), gstart, _, out| {
                 out.extend((0..8u64).map(|j| (j != 1 && j != 6).then_some((gstart + j, "batch"))));
             },
             |(), i, _seed| (i, "scalar"),
@@ -607,7 +645,7 @@ mod tests {
             8,
             4,
             || (),
-            |(), _gstart, _out| {}, // force scalar everywhere
+            |(), _gstart, _width, _out| {}, // force scalar everywhere
             |(), i, _seed| {
                 assert!(i != 5, "boom at 5");
                 i
@@ -644,7 +682,7 @@ mod tests {
             6,
             1,
             || (),
-            |(), _g, _o| panic!("group path must not run at width 1"),
+            |(), _g, _w, _o| panic!("group path must not run at width 1"),
             |(), i, seed| i ^ seed,
         );
         let scalar = run_batch_range(&cfg, 0, 6, || (), |(), i, seed| i ^ seed);

@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use crate::json::Json;
+use crate::json::{read_input, Json};
 use crate::partial::ReportPartial;
 use crate::sha256_hex;
 use crate::spec::{check_keys, req, req_str, req_u64, require, SweepSpec};
@@ -189,8 +189,7 @@ pub fn run_sweep_checkpointed(
 ) -> Result<CheckpointedRun, String> {
     let spec_sha256 = sha256_hex(spec.to_json().as_bytes());
     let (mut partial, resumed_from) = if path.exists() {
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read checkpoint {}: {e}", path.display()))?;
+        let src = read_input(path).map_err(|e| format!("checkpoint: {e}"))?;
         let cp = SweepCheckpoint::parse_json(&src)
             .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
         require(

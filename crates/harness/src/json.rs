@@ -7,7 +7,52 @@
 //! layer needs exact `u64` round-trips, which `f64` cannot provide), and
 //! only integer accessors are exposed. Arrays and objects nest at most
 //! [`Json::MAX_DEPTH`] deep, so a hostile document is a named error
-//! rather than a stack overflow.
+//! rather than a stack overflow, and [`read_input`] reads at most 16 MiB
+//! from a pipe or device, so an endless input such as `/dev/zero` is one
+//! rather than an exhausted memory.
+
+use std::io::Read;
+use std::path::Path;
+
+/// The most bytes [`read_input`] reads from an input that is not a
+/// regular file: a pipe, or a device that may never end. A regular file's
+/// size is finite and known when it is opened, so it has no limit: the
+/// partials and checkpoints `fle_lab` writes hold one `[value,count]`
+/// pair per distinct message and step count, whose number grows with the
+/// trials of a crash sweep rather than with any spec limit.
+const MAX_STREAM_BYTES: u64 = 16 << 20;
+
+/// Reads the file at `path` as UTF-8 text: a regular file whole, any other
+/// input up to 16 MiB. A pipe or device that runs past that limit (say,
+/// `/dev/zero`) is refused once one byte past it has been read, before
+/// anything parses it.
+///
+/// # Errors
+///
+/// A message naming the file: it cannot be read, it is a pipe or device
+/// that runs past the limit, or it is not UTF-8.
+pub fn read_input(path: &Path) -> Result<String, String> {
+    let name = path.display();
+    let cannot = |e: std::io::Error| format!("cannot read {name}: {e}");
+    let mut file = std::fs::File::open(path).map_err(cannot)?;
+    let stream = !file.metadata().map_err(cannot)?.is_file();
+    let mut bytes = Vec::new();
+    if stream {
+        (&mut file)
+            .take(MAX_STREAM_BYTES + 1)
+            .read_to_end(&mut bytes)
+    } else {
+        file.read_to_end(&mut bytes)
+    }
+    .map_err(cannot)?;
+    if stream && bytes.len() as u64 > MAX_STREAM_BYTES {
+        return Err(format!(
+            "{name} is not a regular file and runs past {MAX_STREAM_BYTES} bytes, \
+             the input size limit for pipes and devices (16 MiB)"
+        ));
+    }
+    String::from_utf8(bytes).map_err(|e| format!("{name} is not UTF-8 text: {e}"))
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

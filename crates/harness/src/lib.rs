@@ -106,7 +106,7 @@ pub use checkpoint::{
     CHECKPOINT_VERSION,
 };
 pub use digest::sha256_hex;
-pub use json::Json;
+pub use json::{read_input, Json};
 pub use partial::{ReportPartial, PARTIAL_FORMAT, PARTIAL_VERSION};
 pub use report::{
     wilson_ci95, AttackSummary, FailCounts, FaultSummary, MetricSummary, TrialOutcome, TrialReport,

@@ -79,8 +79,9 @@ impl std::str::FromStr for ProtocolKind {
     }
 }
 
-/// The lockstep batch width [`HonestSweep::batch_width`] 0 resolves to.
-pub const DEFAULT_BATCH_WIDTH: usize = 8;
+/// The lockstep batch width [`HonestSweep::batch_width`] 0 resolves to,
+/// and the width attack sweeps run their batching kinds at.
+pub const DEFAULT_BATCH_WIDTH: usize = 16;
 
 /// The largest accepted [`HonestSweep::batch_width`]: beyond this the
 /// lane state stops fitting in cache and the fast path only gets slower.
@@ -89,8 +90,8 @@ pub const MAX_BATCH_WIDTH: usize = 1024;
 /// The bytes all lockstep lanes of a sweep may hold at once, over every
 /// worker thread: [`HonestSweep::resolved_batch_width`] lowers the width
 /// until threads × width × a lane's bytes fits, down to 1 (the scalar
-/// path, which holds no lanes). The default width of 8 fits phase rings
-/// of n = 64 on up to 248 threads.
+/// path, which holds no lanes). The default width of 16 fits phase rings
+/// of n = 64 on up to 219 threads.
 pub const LANE_MEMORY_CEILING: u64 = 256 << 20;
 
 /// One honest protocol sweep: which protocol, at what size, over which
@@ -107,11 +108,13 @@ pub struct HonestSweep {
     /// Trial count, base seed and worker threads.
     pub batch: BatchConfig,
     /// Lockstep batch width `k`: trials run `k` at a time through the
-    /// structure-of-arrays engine (`ring_sim::batch`). 0 resolves to
-    /// [`DEFAULT_BATCH_WIDTH`]; 1 forces the scalar path, which runs each
-    /// trial through a [`TrialCache`] with no coalition, as the attack
-    /// runners do. Schedules and faults the lanes cannot follow run
-    /// scalar, and the memory ceiling can lower the width (see
+    /// structure-of-arrays engine (`ring_sim::batch`), and the last
+    /// trials of each worker's piece as one narrower group (a lone last
+    /// trial runs scalar). 0 resolves to [`DEFAULT_BATCH_WIDTH`]; 1
+    /// forces the scalar path, which runs each trial through a
+    /// [`TrialCache`] with no coalition, as the attack runners do.
+    /// Schedules and faults the lanes cannot follow run scalar, and the
+    /// memory ceiling can lower the width (see
     /// [`HonestSweep::resolved_batch_width`]). Results are bit-identical
     /// for every width.
     pub batch_width: usize,
@@ -280,7 +283,7 @@ fn honest_partial<P: LockstepProtocol + Clone + Sync>(
         end,
         width,
         || HonestWorker::new(protocol.clone(), net.as_ref(), fault),
-        |w, gstart, out| w.group(base_seed, gstart, width, out),
+        |w, gstart, width, out| w.group(base_seed, gstart, width, out),
         |w, _i, seed| w.trial(seed),
     );
     let mut partial =
@@ -327,7 +330,8 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<TrialReport, String> {
 /// [`TrialCache`] (engine, queues, arena and result buffers), directly
 /// for honest sweeps and inside one cached runner
 /// ([`fle_attacks::build_runner`]) for attack grids — so steady-state
-/// trials are allocation-free. Honest trials run in lockstep groups of
+/// honest trials are allocation-free, and attack trials allocate only
+/// their coalition's nodes. Honest trials run in lockstep groups of
 /// [`HonestSweep::resolved_batch_width`], attack trials in groups of
 /// [`AttackSweep::resolved_batch_width`](crate::AttackSweep::resolved_batch_width);
 /// a group that cannot run in lockstep reruns its trials scalar, so the

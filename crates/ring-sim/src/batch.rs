@@ -66,20 +66,53 @@ use std::collections::VecDeque;
 const WAKE_TAG: u8 = u8::MAX;
 
 /// One fused event: a wake-up or a delivery of a `k`-lane payload.
+///
+/// A delivery names no payload: the stream is globally FIFO, so the
+/// `j`-th delivery popped carries the `j`-th payload group sent, the head
+/// of the engine's payload ring.
 #[derive(Debug, Clone, Copy)]
 struct Event {
     /// Message tag (protocol-defined), or [`WAKE_TAG`] for a wake-up.
     tag: u8,
     /// Receiving node.
     to: u32,
-    /// Payload group index: the lanes live at
-    /// `payloads[off * lanes .. (off + 1) * lanes]`. Unused for wakes.
-    off: u32,
 }
 
-// The fault-free loop moves 12-byte events; the latency clock keeps its
+// The fault-free loop moves 8-byte events; the latency clock keeps its
 // times beside the queue rather than in it.
-const _: () = assert!(std::mem::size_of::<Event>() == 12);
+const _: () = assert!(std::mem::size_of::<Event>() == 8);
+
+/// Delivered payload groups the ring keeps before it compacts: once its
+/// consumed prefix reaches this many groups, and at least the groups still
+/// in flight, [`LockstepEngine`] moves the in-flight groups to the front.
+/// The second bound keeps the moves to at most one per delivered lane
+/// however many groups are in flight.
+const COMPACT_GROUPS: usize = 16;
+
+/// Bytes per lane a [`LockstepEngine`] on a ring of `n` nodes holds at
+/// most over a run of two or more lanes that never keeps more than
+/// `in_flight` payload groups in flight; a protocol's lane adds its own
+/// node state to it. Each lane has its payload ring (which compacts once
+/// 16 groups are delivered, so it stays below 16 + 2 × `in_flight` groups
+/// of one `u64` per lane), its outputs (one `u64` per node) and its
+/// incoming slot. The group shares two counters, an output flag and a
+/// crash index per node and the event queue (up to `n` wake-ups and
+/// `in_flight` deliveries, with their arrival times), so half of those
+/// count per lane. Buffers that grow count at twice their longest length.
+/// The lanes' fault plans and their per-lane index, which grow with the
+/// crashes a trial draws rather than with `n`, are not counted.
+pub const fn engine_lane_bytes(n: u64, in_flight: u64) -> u64 {
+    let ring = in_flight
+        .saturating_mul(2)
+        .saturating_add(COMPACT_GROUPS as u64)
+        .saturating_mul(16);
+    let lane = ring.saturating_add(n.saturating_mul(16)).saturating_add(32);
+    let group = n
+        .saturating_mul(40)
+        .saturating_add(in_flight.saturating_mul(32))
+        .saturating_add(64);
+    lane.saturating_add(group / 2)
+}
 
 /// The clock a faulty lockstep run measures crash instants on: the clock
 /// of the scalar engine path whose runs the lanes stand in for.
@@ -147,13 +180,8 @@ impl LaneCtx<'_> {
     pub fn send(&mut self, tag: u8) -> &mut [u64] {
         assert!(tag != WAKE_TAG, "message tag {WAKE_TAG} is reserved");
         let start = self.payloads.len();
-        let off = (start / self.lanes) as u32;
         self.payloads.resize(start + self.lanes, 0);
-        self.queue.push_back(Event {
-            tag,
-            to: self.succ,
-            off,
-        });
+        self.queue.push_back(Event { tag, to: self.succ });
         self.sent += 1;
         &mut self.payloads[start..]
     }
@@ -233,8 +261,9 @@ impl<N: Node<u64>> NodeLanes<N> {
     fn activate(&mut self, incoming: Option<&[u64]>, ctx: &mut LaneCtx<'_>) {
         let lanes = ctx.lanes;
         assert_eq!(self.nodes.len(), lanes, "one node per lane");
-        // The activation's sends start here in the payload arena: lane 0
-        // makes them, and lane `l` fills slot `l` of each.
+        // The activation's sends start here, at the end of the payload
+        // ring (which never compacts during an activation): lane 0 makes
+        // them, and lane `l` fills slot `l` of each.
         let base = ctx.payloads.len();
         let mut shape = (0, false);
         for (lane, node) in self.nodes.iter_mut().enumerate() {
@@ -284,18 +313,26 @@ impl<N: Node<u64>> LockstepNode for NodeLanes<N> {
 ///
 /// Create once per worker with [`LockstepEngine::new`] and call
 /// [`LockstepEngine::run`] per trial group; all buffers (event queue,
-/// payload arena, counters, outputs, fault plans) retain their capacity
+/// payload ring, counters, outputs, fault plans) retain their capacity
 /// across runs, so steady-state groups allocate nothing.
 #[derive(Debug)]
 pub struct LockstepEngine {
     n: usize,
     lanes: usize,
     queue: VecDeque<Event>,
-    /// Append-only payload arena of the current run: group `g` occupies
-    /// `[g * lanes, (g + 1) * lanes)`. Slices are written once at send
-    /// time and read once at delivery time (into `incoming`).
+    /// The payload ring: the groups in flight, `lanes` slots each, in send
+    /// order from `head`. A send appends a group; a delivery reads the
+    /// head group (into `incoming`) and advances `head`, also when its
+    /// node has terminated. The delivered prefix `..head` is dropped when
+    /// the ring drains and compacted away after [`COMPACT_GROUPS`]
+    /// deliveries (see there), both between activations, so a run holds
+    /// about the groups in flight rather than every group it sent.
     payloads: Vec<u64>,
-    /// The popped event's payload, copied out of the arena so the node
+    /// Start of the head group in `payloads`.
+    head: usize,
+    /// Longest `payloads` of the current run: what the ring used.
+    peak_payloads: usize,
+    /// The popped event's payload, copied out of the ring so the node
     /// activation can append new sends while reading it.
     incoming: Vec<u64>,
     /// Per-lane outputs, node-major: node `i`'s lanes at
@@ -307,7 +344,7 @@ pub struct LockstepEngine {
     steps: u64,
     delivered: u64,
     diverged: bool,
-    /// High-water mark of the payload arena, driving the shrink-on-idle
+    /// High-water mark of the payload ring, driving the shrink-on-idle
     /// budget (retained capacity decays toward ×4 of the recent need,
     /// matching the scalar engine's policy).
     hwm_payloads: usize,
@@ -347,6 +384,8 @@ impl LockstepEngine {
             lanes: 0,
             queue: VecDeque::new(),
             payloads: Vec::new(),
+            head: 0,
+            peak_payloads: 0,
             incoming: Vec::new(),
             outputs: Vec::new(),
             has_output: vec![false; n],
@@ -439,7 +478,6 @@ impl LockstepEngine {
             self.queue.push_back(Event {
                 tag: WAKE_TAG,
                 to: w as u32,
-                off: 0,
             });
         }
         // One dispatch on the fault plans, outside the loop, as in the
@@ -450,6 +488,7 @@ impl LockstepEngine {
         } else {
             self.drive::<N, true>(nodes, step_limit)
         };
+        self.peak_payloads = self.peak_payloads.max(self.payloads.len());
         self.decay_capacity();
         ok
     }
@@ -488,14 +527,13 @@ impl LockstepEngine {
                 let to = event.to as usize;
                 self.received[to] += 1;
                 self.delivered += 1;
-                if !self.has_output[to] {
+                if self.has_output[to] {
+                    self.pop_payload(false);
+                } else {
                     if FAULTS && self.hit_lanes(to, clock) {
                         return false;
                     }
-                    let start = event.off as usize * self.lanes;
-                    self.incoming.clear();
-                    self.incoming
-                        .extend_from_slice(&self.payloads[start..start + self.lanes]);
+                    self.pop_payload(true);
                     let queued = self.queue.len();
                     self.activate(nodes, to, Some(event.tag));
                     if FAULTS {
@@ -508,6 +546,28 @@ impl LockstepEngine {
             }
         }
         true
+    }
+
+    /// Consumes the head payload group, the one the delivery just popped
+    /// carries, copying it into `incoming` when `read`. Then reclaims the
+    /// delivered prefix: all of the ring once it drains, else the prefix
+    /// once it spans [`COMPACT_GROUPS`] groups and at least the groups
+    /// still in flight. Called only between activations, so an
+    /// activation's sends always start at the ring's end.
+    fn pop_payload(&mut self, read: bool) {
+        let start = self.head;
+        self.head += self.lanes;
+        if read {
+            self.incoming.clear();
+            self.incoming
+                .extend_from_slice(&self.payloads[start..self.head]);
+        }
+        let len = self.payloads.len();
+        if self.head == len || (self.head >= COMPACT_GROUPS * self.lanes && 2 * self.head >= len) {
+            self.peak_payloads = self.peak_payloads.max(len);
+            self.payloads.drain(..self.head);
+            self.head = 0;
+        }
     }
 
     /// Advances the lanes' clock to the event just popped and returns it:
@@ -550,6 +610,27 @@ impl LockstepEngine {
             }
         }
         self.unhit == 0
+    }
+
+    /// Bytes the engine's buffers hold at their current capacities: the
+    /// event queue, the payload ring, outputs, per-node counters and the
+    /// per-lane crash bookkeeping (not the fault plans themselves). Tests
+    /// check it against [`engine_lane_bytes`]; it is not part of the API.
+    #[doc(hidden)]
+    pub fn retained_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let words = self.payloads.capacity()
+            + self.incoming.capacity()
+            + self.outputs.capacity()
+            + self.sent.capacity()
+            + self.received.capacity()
+            + self.times.capacity();
+        words * size_of::<u64>()
+            + self.queue.capacity() * size_of::<Event>()
+            + self.by_node.capacity() * size_of::<(u32, u32)>()
+            + self.first.capacity() * size_of::<u32>()
+            + self.has_output.capacity()
+            + self.hit.capacity()
     }
 
     /// `true` when the last run dropped, on lane `lane`'s fault plan, an
@@ -643,6 +724,8 @@ impl LockstepEngine {
         self.lanes = lanes;
         self.queue.clear();
         self.payloads.clear();
+        self.head = 0;
+        self.peak_payloads = 0;
         self.incoming.clear();
         self.outputs.clear();
         self.outputs.resize(self.n * lanes, 0);
@@ -665,9 +748,10 @@ impl LockstepEngine {
     /// Decays retained payload capacity toward a ×4 budget of the recent
     /// high-water need (the policy the scalar engine and timed scheduler
     /// adopted in the memory-budget work), so an oversized one-off group
-    /// does not pin its peak allocation forever.
+    /// does not pin its peak allocation forever. The need is the run's
+    /// peak ring length: a finished run's ring is drained.
     fn decay_capacity(&mut self) {
-        let used = self.payloads.len().max(64);
+        let used = self.peak_payloads.max(64);
         self.hwm_payloads = self.hwm_payloads.max(used);
         if self.payloads.capacity() > 4 * self.hwm_payloads {
             self.payloads.shrink_to(2 * self.hwm_payloads);
@@ -985,36 +1069,103 @@ mod tests {
         );
     }
 
+    /// Every node forwards each message once, mixing in its id and its
+    /// sender's, and terminates with the payload on its `stop`-th
+    /// delivery; the origin wakes with a burst of `burst` messages, which
+    /// keeps `burst` groups in flight until the first node stops.
+    fn burst_node(lane: u64, burst: u64, stop: u64) -> impl Node<u64> {
+        let mut count = 0u64;
+        FnNode::new(move |from, msg: u64, ctx: &mut Ctx<'_, u64>| {
+            count += 1;
+            ctx.send(msg.wrapping_mul(31) ^ (from * 7 + ctx.me()) as u64);
+            if count == stop {
+                ctx.terminate(Some(msg % 1000));
+            }
+        })
+        .on_wake(move |ctx| {
+            for j in 0..burst {
+                ctx.send(lane * 1_000_003 + j);
+            }
+        })
+    }
+
     #[test]
-    fn payload_capacity_decays_after_oversized_group() {
-        let mut engine = LockstepEngine::new(2);
-        struct Burst {
-            rounds: u64,
-        }
-        impl LockstepNode for Burst {
-            fn on_wake(&mut self, ctx: &mut LaneCtx<'_>) {
-                ctx.send(0);
-            }
-            fn on_message(&mut self, _t: u8, _l: &[u64], ctx: &mut LaneCtx<'_>) {
-                if self.rounds == 0 {
-                    ctx.terminate();
-                } else {
-                    self.rounds -= 1;
-                    ctx.send(0);
-                }
+    fn bursts_past_the_compaction_threshold_equal_scalar_runs() {
+        use crate::{default_step_limit, Engine, FifoScheduler, Schedule, Topology};
+        let (n, lanes) = (3, 5);
+        let burst = 2 * COMPACT_GROUPS as u64 + 5;
+        let stop = 2 * burst + 7;
+        let mut rows: Vec<_> = (0..n).map(|me| NodeLanes::new(me, n)).collect();
+        for lane in 0..lanes {
+            for row in &mut rows {
+                row.nodes_mut().push(burst_node(lane as u64, burst, stop));
             }
         }
-        let big = 512;
-        let mut nodes = vec![Burst { rounds: big }, Burst { rounds: big }];
-        assert!(engine.run(64, &mut nodes, &[0], u64::MAX));
-        let peak = engine.payloads.capacity();
-        for _ in 0..8 {
-            let mut nodes = vec![Burst { rounds: 2 }, Burst { rounds: 2 }];
-            assert!(engine.run(2, &mut nodes, &[0], u64::MAX));
+        let mut lockstep = LockstepEngine::new(n);
+        assert!(lockstep.run(lanes, &mut rows, &[0], default_step_limit(n)));
+        // The ring compacted while more groups than the threshold were in
+        // flight, so it never held all the groups the run sent, and the
+        // engine kept within its lanes' bytes for `burst` groups in flight.
+        let sent: u64 = lockstep.sent.iter().sum();
+        assert!(lockstep.peak_payloads >= burst as usize * lanes);
+        assert!(lockstep.peak_payloads < sent as usize * lanes);
+        let bound = lanes as u64 * engine_lane_bytes(n as u64, burst);
+        let held = lockstep.retained_bytes() as u64;
+        assert!(held <= bound, "{held} > {bound} bytes");
+        let mut engine = Engine::new(Topology::ring(n));
+        let (mut scalar, mut lane_exec) = (Execution::default(), Execution::default());
+        for lane in 0..lanes {
+            let mut nodes: Vec<_> = (0..n)
+                .map(|_| burst_node(lane as u64, burst, stop))
+                .collect();
+            let schedule = Schedule::Oblivious(&mut FifoScheduler::new());
+            engine.run_into(
+                &mut nodes,
+                &[0],
+                schedule,
+                default_step_limit(n),
+                None,
+                &mut scalar,
+            );
+            lockstep.execution_into(lane, &mut lane_exec);
+            assert_eq!(lane_exec, scalar, "lane {lane}");
         }
         assert!(
-            engine.payloads.capacity() < peak,
-            "payload capacity must decay: peak {peak}, now {}",
+            scalar.outputs.iter().all(Option::is_some),
+            "every node stopped"
+        );
+    }
+
+    #[test]
+    fn retained_capacity_of_the_payload_ring_decays_after_a_burst() {
+        // A burst of 2,048 groups of 16 lanes grows the ring to at least
+        // 32,768 slots; small groups afterwards must release it.
+        let burst = 2048;
+        let mut engine = LockstepEngine::new(2);
+        let mut rows: Vec<_> = (0..2).map(|me| NodeLanes::new(me, 2)).collect();
+        for lane in 0..16 {
+            for row in &mut rows {
+                row.nodes_mut().push(burst_node(lane, burst, burst));
+            }
+        }
+        assert!(engine.run(16, &mut rows, &[0], u64::MAX));
+        let peak = engine.payloads.capacity();
+        assert!(
+            peak >= 16 * burst as usize,
+            "the burst grew the ring to {peak}"
+        );
+        for _ in 0..32 {
+            let mut rows: Vec<_> = (0..2).map(|me| NodeLanes::new(me, 2)).collect();
+            for lane in 0..2 {
+                for row in &mut rows {
+                    row.nodes_mut().push(burst_node(lane, 2, 3));
+                }
+            }
+            assert!(engine.run(2, &mut rows, &[0], u64::MAX));
+        }
+        assert!(
+            engine.payloads.capacity() <= 1024,
+            "the payload ring retained {} of its peak {peak} slots",
             engine.payloads.capacity()
         );
     }

@@ -424,7 +424,7 @@ proptest! {
         let out = run_batch_range_grouped(
             &cfg, 0, trials, width,
             || (),
-            |(), gstart, buf: &mut Vec<Option<TrialOutcome>>| {
+            |(), gstart, width, buf: &mut Vec<Option<TrialOutcome>>| {
                 for j in 0..width as u64 {
                     let i = gstart + j;
                     assert!(i != poison, "poisoned group trial {i}");

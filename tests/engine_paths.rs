@@ -370,14 +370,14 @@ proptest! {
 
 use fle_core::protocols::{ALeadBatchCache, BasicBatchCache, PhaseBatchCache};
 use fle_harness::{
-    batched_trials, run_sweep_partial, trial_seed, BatchConfig, HonestSweep, ProtocolKind,
-    ScheduleSpec, SweepSpec,
+    batched_trials, run_sweep_partial, trial_seed, BatchConfig, FaultSpec, HonestSweep,
+    ProtocolKind, ScheduleSpec, SweepSpec,
 };
 
 /// Widths around the interesting boundaries: scalar-equivalent 1, the
-/// smallest real batch, a non-power-of-two, the default, and one wider
-/// than every ring under test.
-const BATCH_WIDTHS: [usize; 5] = [1, 2, 7, 8, 64];
+/// smallest real batch, a non-power-of-two, 8, the default 16, and one
+/// wider than every ring under test.
+const BATCH_WIDTHS: [usize; 6] = [1, 2, 7, 8, 16, 64];
 
 /// Runs `widths`-sized lockstep groups over consecutive derived seeds and
 /// asserts every lane equals its scalar reference `Execution` exactly.
@@ -492,14 +492,33 @@ proptest! {
     /// Arbitrary sub-ranges of the trial index space, batched vs scalar
     /// through the real sweep dispatch: the mid-chunk-resume shape. Ranges
     /// deliberately do not align to the batch width, so every case
-    /// exercises the group realignment and the scalar ragged tail.
+    /// exercises the group realignment and the narrower tail group. The
+    /// timed cases (what `--latency const:500 --crash 1@80000ns --recover
+    /// 500` runs) crash about half the trials, so groups, tail groups
+    /// included, hold hit lanes beside crashed unhit ones.
     #[test]
     fn batched_partial_matches_scalar_over_arbitrary_ranges(
         start in 0u64..40,
         len in 0u64..40,
         width in 1usize..12,
         threads in 1usize..4,
+        timed in any::<bool>(),
     ) {
+        let (schedule, fault) = if timed {
+            let schedule = ScheduleSpec::Timed {
+                latency: LatencySpec::Constant { ns: 500 },
+                loss_permille: 0,
+                dup_permille: 0,
+            };
+            let fault = FaultSpec {
+                crashes: 1,
+                window: CrashInstant::VirtualNs(80_000),
+                recover: Some(500),
+            };
+            (schedule, Some(fault))
+        } else {
+            (ScheduleSpec::Fifo, None)
+        };
         let spec = |batch_width| {
             SweepSpec::Honest(HonestSweep {
                 protocol: ProtocolKind::PhaseAsyncLead,
@@ -511,8 +530,8 @@ proptest! {
                     threads,
                 },
                 batch_width,
-                schedule: ScheduleSpec::Fifo,
-                fault: None,
+                schedule,
+                fault,
             })
         };
         let batched = run_sweep_partial(&spec(width), start, start + len).expect("valid range");
@@ -876,7 +895,7 @@ proptest! {
             fault: None,
         };
         let width = cfg.resolved_batch_width();
-        prop_assert_eq!(width, 8);
+        prop_assert_eq!(width, 16);
         let label = format!("{}:{}", attack.protocol_name(), attack.name());
         let mut scalar = ReportPartial::new_attack(&label, n, 1, 80);
         let mut runner = build_runner(attack, n, &cfg.coalition.resolve(n).expect("resolves"))
@@ -891,10 +910,11 @@ proptest! {
         let before = batched_trials();
         let batched = run_sweep_partial(&cfg.clone().into(), start, start + len).expect("valid");
         if layout == 0 || layout == 2 {
-            // Every full group of each worker's piece ran in lockstep.
+            // Every group of each worker's piece ran in lockstep, its
+            // narrower tail group too; only a lone last trial ran scalar.
             let chunk = len.div_ceil(threads.clamp(1, len.max(1) as usize) as u64).max(1);
             let pieces = (0..len).step_by(chunk as usize).map(|a| (len - a).min(chunk));
-            let grouped: u64 = pieces.map(|piece| piece / 8 * 8).sum();
+            let grouped: u64 = pieces.map(|piece| piece - u64::from(piece % 16 == 1)).sum();
             prop_assert!(batched_trials() >= before + grouped);
         }
         prop_assert_eq!(batched, scalar);
@@ -902,9 +922,9 @@ proptest! {
 }
 
 /// A full batched sweep must serialize byte-identically to the scalar
-/// sweep — for every protocol, at a width (7) that leaves a ragged tail —
-/// and the lockstep path must actually have run (not silently fallen back
-/// to scalar).
+/// sweep — for every protocol, at a width (7) that leaves a 5-trial
+/// ragged tail — and the lockstep path must actually have run every
+/// trial, the tail as a group of 5 (not silently fallen back to scalar).
 #[test]
 fn batched_sweeps_match_scalar_sweeps_bytewise() {
     let spec = |protocol, batch_width| {
@@ -931,7 +951,7 @@ fn batched_sweeps_match_scalar_sweeps_bytewise() {
         let before = batched_trials();
         let batched = fle_harness::run_sweep(&spec(protocol, 7)).expect("valid spec");
         assert!(
-            batched_trials() >= before + 56,
+            batched_trials() >= before + 61,
             "{protocol:?}: lockstep path did not run"
         );
         let scalar = fle_harness::run_sweep(&spec(protocol, 1)).expect("valid spec");
