@@ -16,10 +16,11 @@
 //! exactly `n` messages, and the origin does not forward its `n`-th
 //! (final) receive.
 
+use super::lanes::{one_and_k_lanes, Effects, Reg};
 use super::{
     fold_mod, node_rng, run_ring, wrap_sub, BasicNode, FleProtocol, RingProtocol, TrialCache, Wakes,
 };
-use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, Probe, TrialArena};
+use ring_sim::{ArenaBacked, Execution, Node, NodeId, Probe, TrialArena};
 
 /// [`TrialCache`] for `A-LEADuni`'s boxed coalition mixes.
 pub type ALeadTrialCache = TrialCache<u64, ALeadNode>;
@@ -85,10 +86,13 @@ impl ALeadUni {
         self.seed
     }
 
-    /// The pinned honest values installed by [`ALeadUni::with_values`],
-    /// if any — read by the batch-lockstep builder.
-    pub(crate) fn pinned_values(&self) -> Option<&[u64]> {
-        self.values.as_deref()
+    /// The secret processor `id` holds in a trial seeded `seed`: its
+    /// pinned value, else its node stream's first draw.
+    fn secret(&self, seed: u64, id: NodeId) -> u64 {
+        match &self.values {
+            Some(vs) => vs[id],
+            None => node_rng(seed, id).next_below(self.n as u64),
+        }
     }
 
     /// Builds the honest node for position `id` (origin at 0) as a boxed
@@ -98,25 +102,13 @@ impl ALeadUni {
     }
 
     /// Builds the honest node for position `id` as the concrete
-    /// [`ALeadNode`] enum — the monomorphized form the batch fast path
-    /// stores in a plain `Vec` (origin/normal dispatch is a branch, not a
+    /// [`ALeadNode`] — the monomorphized form the batch fast path stores
+    /// in a plain `Vec` (origin/normal dispatch is a branch, not a
     /// vtable).
     pub fn honest_ring_node(&self, id: NodeId) -> ALeadNode {
-        let d = match &self.values {
-            Some(vs) => vs[id],
-            None => node_rng(self.seed, id).next_below(self.n as u64),
-        };
-        if id == 0 {
-            ALeadNode::Origin(BasicNode::new(self.n as u64, d))
-        } else {
-            ALeadNode::Normal(Normal {
-                n: self.n as u64,
-                d,
-                buffer: d,
-                sum: 0,
-                round: 0,
-            })
-        }
+        let mut node = ALeadNode::default();
+        node.fill(self, id, &[self.seed]);
+        node
     }
 
     /// [`ALeadUni::honest_ring_node`] with the uniform arena-aware batch
@@ -185,72 +177,74 @@ impl FleProtocol for ALeadUni {
     }
 }
 
-/// An honest `A-LEADuni` processor as a concrete type: the origin or a
-/// normal (buffering) processor.
+/// An honest `A-LEADuni` processor: the origin or a normal (buffering)
+/// processor.
 ///
-/// Built by [`ALeadUni::honest_ring_node`]; honest sweeps store a
-/// `Vec<ALeadNode>`, so the engine's activation dispatch is a two-way
-/// branch instead of a `Box<dyn Node>` vtable call.
-#[derive(Debug, Clone)]
-pub enum ALeadNode {
-    /// The spontaneously-waking origin (processor 0). It is a `Basic-LEAD`
-    /// processor: it sends its secret at wake-up, then forwards `n − 1`
-    /// incoming messages immediately ("behaves like a pipe"), and its
-    /// `n`-th receive must be its own secret coming full circle.
-    Origin(BasicNode),
-    /// A normal processor with the one-round delay buffer.
-    Normal(Normal),
+/// `ALeadNode` is the one-lane node the scalar engine runs, built by
+/// [`ALeadUni::honest_ring_node`]; honest sweeps store a `Vec<ALeadNode>`,
+/// so the engine's activation dispatch is a two-way branch instead of a
+/// `Box<dyn Node>` vtable call. `ALeadNode<Vec<u64>>` runs the same
+/// transition in `k` lockstep lanes.
+#[derive(Debug, Clone, Default)]
+pub struct ALeadNode<R = [u64; 1]> {
+    /// The `Basic-LEAD` registers. The spontaneously-waking origin
+    /// (processor 0) is a `Basic-LEAD` processor: it sends its secret at
+    /// wake-up, then forwards `n − 1` incoming messages immediately
+    /// ("behaves like a pipe"), and its `n`-th receive must be its own
+    /// secret coming full circle.
+    pub(super) basic: BasicNode<R>,
+    /// A normal processor's one-round delay buffer, which starts holding
+    /// its secret: on each receive it sends the buffer and stores the new
+    /// message — the delay that forces commitment before knowledge.
+    pub(super) buffer: R,
+    origin: bool,
 }
 
-/// `ALeadNode` keeps only scalar state — nothing to reclaim.
-impl ArenaBacked for ALeadNode {}
+impl<R: Reg> ALeadNode<R> {
+    /// Readies position `id` of `protocol`'s ring with one lane per seed.
+    pub(super) fn fill(&mut self, protocol: &ALeadUni, id: NodeId, seeds: &[u64]) {
+        let n = protocol.n as u64;
+        self.basic.fill(n, seeds, |seed| protocol.secret(seed, id));
+        self.origin = id == 0;
+        self.buffer.set_lanes(seeds.len());
+        self.buffer.as_mut().copy_from_slice(self.basic.d.as_ref());
+    }
 
-impl Node<u64> for ALeadNode {
-    fn on_wake(&mut self, ctx: &mut Ctx<'_, u64>) {
-        match self {
-            ALeadNode::Origin(o) => o.on_wake(ctx),
-            ALeadNode::Normal(p) => p.on_wake(ctx),
+    fn wake(&mut self, fx: &mut impl Effects) {
+        if self.origin {
+            self.basic.wake(fx);
         }
     }
 
-    #[inline]
-    fn on_message(&mut self, from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        match self {
-            ALeadNode::Origin(o) => o.on_message(from, msg, ctx),
-            ALeadNode::Normal(p) => p.on_message(from, msg, ctx),
+    fn receive(&mut self, tag: u8, lanes: &[u64], fx: &mut impl Effects) {
+        if self.origin {
+            return self.basic.receive(tag, lanes, fx);
         }
-    }
-}
-
-/// A normal processor: starts with its secret in the buffer; on each
-/// receive it sends the buffer and stores the new message — the one-round
-/// delay that forces commitment before knowledge.
-#[derive(Debug, Clone)]
-pub struct Normal {
-    n: u64,
-    d: u64,
-    buffer: u64,
-    sum: u64,
-    round: u64,
-}
-
-impl Node<u64> for Normal {
-    fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        let m = fold_mod(msg, self.n);
-        ctx.send(self.buffer);
-        self.buffer = m;
-        self.round += 1;
-        self.sum = wrap_sub(self.sum + m, self.n);
-        if self.round == self.n {
-            if m == self.d {
-                ctx.terminate(Some(self.sum));
+        let BasicNode { n, round, d, sum } = &mut self.basic;
+        let n = *n;
+        fx.send(0, |out| out.copy_from_slice(self.buffer.as_ref()));
+        *round += 1;
+        for ((b, s), &x) in self.buffer.as_mut().iter_mut().zip(sum.as_mut()).zip(lanes) {
+            let m = fold_mod(x, n);
+            *b = m;
+            *s = wrap_sub(*s + m, n);
+        }
+        if *round == n {
+            // The n-th value, now in the buffer, must be our own secret.
+            if self.buffer.as_ref() == d.as_ref() {
+                fx.terminate(|out| out.copy_from_slice(sum.as_ref()));
             } else {
                 // Validation failed (paper line 13): abort with ⊥.
-                ctx.abort();
+                fx.fail();
             }
         }
     }
 }
+
+one_and_k_lanes!(u64, ALeadNode, ALeadNode<Vec<u64>>);
+
+/// `ALeadNode` keeps only scalar state — nothing to reclaim.
+impl ArenaBacked for ALeadNode {}
 
 #[cfg(test)]
 mod tests {

@@ -6,8 +6,9 @@
 //! waiting for the other `n − 1` values before "choosing" its own
 //! (Claim B.1, reproduced in `fle-attacks::basic_single`).
 
+use super::lanes::{one_and_k_lanes, Effects, Reg};
 use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
-use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, TrialArena};
+use ring_sim::{ArenaBacked, Execution, Node, NodeId, TrialArena};
 
 /// [`TrialCache`] for `Basic-LEAD`'s boxed coalition mixes.
 pub type BasicTrialCache = TrialCache<u64, BasicNode>;
@@ -73,10 +74,13 @@ impl BasicLead {
         self.seed
     }
 
-    /// The pinned honest values installed by [`BasicLead::with_values`],
-    /// if any — read by the batch-lockstep builder.
-    pub(crate) fn pinned_values(&self) -> Option<&[u64]> {
-        self.values.as_deref()
+    /// The secret processor `id` holds in a trial seeded `seed`: its
+    /// pinned value, else its node stream's first draw.
+    pub(super) fn secret(&self, seed: u64, id: NodeId) -> u64 {
+        match &self.values {
+            Some(vs) => vs[id],
+            None => node_rng(seed, id).next_below(self.n as u64),
+        }
     }
 
     /// Builds the honest node for position `id` as a boxed trait object
@@ -89,11 +93,9 @@ impl BasicLead {
     /// monomorphized form the batch fast path stores in a plain `Vec`
     /// (no `Box`, no vtable per activation).
     pub fn honest_ring_node(&self, id: NodeId) -> BasicNode {
-        let d = match &self.values {
-            Some(vs) => vs[id],
-            None => node_rng(self.seed, id).next_below(self.n as u64),
-        };
-        BasicNode::new(self.n as u64, d)
+        let mut node = BasicNode::default();
+        node.fill(self.n as u64, &[self.seed], |seed| self.secret(seed, id));
+        node
     }
 
     /// [`BasicLead::honest_ring_node`] with the uniform arena-aware batch
@@ -150,52 +152,68 @@ impl FleProtocol for BasicLead {
 /// Honest `Basic-LEAD` processor: broadcast own value, forward `n − 1`
 /// others, validate that the own value returns last, output the sum.
 ///
-/// Built by [`BasicLead::honest_ring_node`]; exposed as a concrete type so
-/// honest sweeps store nodes in a plain `Vec<BasicNode>` and the engine
-/// dispatches to it statically.
-#[derive(Debug, Clone)]
-pub struct BasicNode {
-    n: u64,
-    d: u64,
-    sum: u64,
-    round: u64,
+/// `BasicNode` is the one-lane node the scalar engine runs, built by
+/// [`BasicLead::honest_ring_node`] and stored by honest sweeps in a plain
+/// `Vec<BasicNode>`, so the engine dispatches to it statically.
+/// `BasicNode<Vec<u64>>` runs the same transition in `k` lockstep lanes
+/// (`round` is shared by the lanes: the lockstep invariant).
+#[derive(Debug, Clone, Default)]
+pub struct BasicNode<R = [u64; 1]> {
+    pub(super) n: u64,
+    pub(super) round: u64,
+    pub(super) d: R,
+    pub(super) sum: R,
 }
 
-impl BasicNode {
-    /// A fresh processor on a ring of `n` holding the secret `d`.
-    /// `A-LEADuni`'s origin is this processor too.
-    pub(crate) fn new(n: u64, d: u64) -> Self {
-        BasicNode {
-            n,
-            d,
-            sum: 0,
-            round: 0,
+impl<R: Reg> BasicNode<R> {
+    /// Readies the processor for a run on a ring of `n` with one lane per
+    /// seed, lane `l` holding the secret `secret(seeds[l])`.
+    pub(super) fn fill(&mut self, n: u64, seeds: &[u64], secret: impl Fn(u64) -> u64) {
+        self.n = n;
+        self.round = 0;
+        self.d.set_lanes(seeds.len());
+        self.sum.set_lanes(seeds.len());
+        for ((d, s), &seed) in self.d.as_mut().iter_mut().zip(self.sum.as_mut()).zip(seeds) {
+            *d = secret(seed);
+            *s = 0;
+        }
+    }
+
+    pub(super) fn wake(&mut self, fx: &mut impl Effects) {
+        fx.send(0, |out| out.copy_from_slice(self.d.as_ref()));
+    }
+
+    pub(super) fn receive(&mut self, _tag: u8, lanes: &[u64], fx: &mut impl Effects) {
+        let n = self.n;
+        self.round += 1;
+        if self.round < n {
+            return fx.send(0, |out| {
+                for ((o, s), &x) in out.iter_mut().zip(self.sum.as_mut()).zip(lanes) {
+                    let m = fold_mod(x, n);
+                    *s = wrap_sub(*s + m, n);
+                    *o = m;
+                }
+            });
+        }
+        let mut all_own = true;
+        for ((s, &d), &x) in self.sum.as_mut().iter_mut().zip(self.d.as_ref()).zip(lanes) {
+            let m = fold_mod(x, n);
+            *s = wrap_sub(*s + m, n);
+            all_own &= m == d;
+        }
+        if all_own {
+            fx.terminate(|out| out.copy_from_slice(self.sum.as_ref()));
+        } else {
+            // Validation failed: the value that came full circle is not ours.
+            fx.fail();
         }
     }
 }
+
+one_and_k_lanes!(u64, BasicNode, BasicNode<Vec<u64>>);
 
 /// `BasicNode` keeps only scalar state — nothing to reclaim.
 impl ArenaBacked for BasicNode {}
-
-impl Node<u64> for BasicNode {
-    fn on_wake(&mut self, ctx: &mut Ctx<'_, u64>) {
-        ctx.send(self.d);
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        let m = fold_mod(msg, self.n);
-        self.round += 1;
-        self.sum = wrap_sub(self.sum + m, self.n);
-        if self.round < self.n {
-            ctx.send(m);
-        } else if m == self.d {
-            ctx.terminate(Some(self.sum));
-        } else {
-            // Validation failed: the value that came full circle is not ours.
-            ctx.abort();
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

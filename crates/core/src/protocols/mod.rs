@@ -19,6 +19,7 @@
 mod a_lead_uni;
 mod basic_lead;
 mod batch;
+mod lanes;
 mod phase;
 mod phase_indexed;
 mod sync_lead;
@@ -27,10 +28,7 @@ mod wakeup;
 
 pub use a_lead_uni::{ALeadNode, ALeadTrialCache, ALeadUni};
 pub use basic_lead::{BasicLead, BasicNode, BasicTrialCache};
-pub use batch::{
-    run_ring_honest_batch_into, ALeadBatchCache, BasicBatchCache, BatchALeadNode, BatchBasicNode,
-    BatchPhaseNode, PhaseBatchCache,
-};
+pub use batch::{ALeadBatchCache, BasicBatchCache, LaneCache, PhaseBatchCache};
 pub use phase::{phase_async_builds, PhaseAsyncLead, PhaseMsg, PhaseNode, PhaseSumLead};
 pub use phase_indexed::{IndexedMsg, IndexedPhaseLead};
 pub use sync_lead::{SyncFixedValue, SyncLead, SyncWaitAndCancel};
@@ -206,8 +204,8 @@ pub trait RingProtocol: FleProtocol + Sized {
 }
 
 /// A [`RingProtocol`] with a lockstep batch path: `k` honest trials run
-/// at once through the structure-of-arrays engine (`ring_sim::batch`),
-/// bit-identical to `k` scalar runs.
+/// at once through the lockstep engine (`ring_sim::batch`), the honest
+/// transition at `k` lanes, bit-identical to `k` scalar runs.
 pub trait LockstepProtocol: RingProtocol {
     /// The reusable per-worker lane state.
     type BatchCache;
@@ -688,9 +686,6 @@ impl<N: Node<u64> + ArenaBacked, D: Node<u64>> TrialCache<u64, N, D> {
 
 /// [`TrialCache`] for the phase protocols' boxed coalition mixes.
 pub type PhaseTrialCache = TrialCache<PhaseMsg, PhaseNode>;
-
-/// [`TrialCache`] for `WakeLead`'s boxed coalition mixes.
-pub type WakeTrialCache = TrialCache<WakeMsg, WakeNode>;
 
 /// The one override-merge loop every ring path shares: walks positions
 /// `0..n` in order, calling `emit(id, Some(deviant))` for coalition

@@ -27,9 +27,11 @@
 //! used by the proofs: every processor sends exactly `n` data plus `n`
 //! validation messages and receives the same.
 
+use super::batch::PhaseSnapshot;
+use super::lanes::{one_and_k_lanes, Effects, LaneMsg, Reg};
 use super::{fold_mod, node_rng, run_ring, wrap_sub_usize, FleProtocol, RingProtocol, Wakes};
 use crate::randfn::{PhaseParams, RandomFn};
-use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, Probe, TrialArena};
+use ring_sim::{ArenaBacked, Execution, Node, NodeId, Probe, TrialArena};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of [`PhaseAsyncLead::new`] calls — instrumentation
@@ -56,9 +58,10 @@ pub enum PhaseMsg {
     Val(u64),
 }
 
-/// How the terminal output is computed from the collected values.
+/// How a one-lane phase node computes its output from the collected
+/// values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutputRule {
+pub enum OutputRule {
     /// `f(d̂, v̂_1..v̂_{n−l})` — `PhaseAsyncLead`.
     Random(RandomFn),
     /// `Σ d̂ (mod n)` — `PhaseSumLead`.
@@ -151,11 +154,12 @@ impl PhaseAsyncLead {
     }
 
     /// Builds the honest node for position `id` as the concrete
-    /// [`PhaseNode`] enum — the monomorphized form the batch fast path
-    /// stores in a plain `Vec` (origin/normal dispatch is a branch, not a
+    /// [`PhaseNode`] — the monomorphized form the batch fast path stores
+    /// in a plain `Vec` (origin/normal dispatch is a branch, not a
     /// vtable).
     pub fn honest_ring_node(&self, id: NodeId) -> PhaseNode {
-        make_honest_node(self.params, self.seed, OutputRule::Random(self.f), id)
+        let rule = OutputRule::Random(self.f);
+        make_honest_node(self.params, self.seed, rule, id, Vec::new())
     }
 
     /// [`PhaseAsyncLead::honest_ring_node`] with the node's packed
@@ -164,12 +168,13 @@ impl PhaseAsyncLead {
     /// is bit-identical in behaviour; reclaim its store with
     /// [`ArenaBacked::reclaim`] after the trial.
     pub fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
-        make_honest_node_with_store(
+        let store = arena.alloc_u64s(2 * self.params.n);
+        make_honest_node(
             self.params,
             self.seed,
             OutputRule::Random(self.f),
             id,
-            arena.alloc_u64s(2 * self.params.n + 1),
+            store,
         )
     }
 
@@ -286,21 +291,16 @@ impl PhaseSumLead {
     }
 
     /// Builds the honest node for position `id` as the concrete
-    /// [`PhaseNode`] enum (see [`PhaseAsyncLead::honest_ring_node`]).
+    /// [`PhaseNode`] (see [`PhaseAsyncLead::honest_ring_node`]).
     pub fn honest_ring_node(&self, id: NodeId) -> PhaseNode {
-        make_honest_node(self.params, self.seed, OutputRule::Sum, id)
+        make_honest_node(self.params, self.seed, OutputRule::Sum, id, Vec::new())
     }
 
     /// [`PhaseSumLead::honest_ring_node`] with the node's store drawn from
     /// `arena` (see [`PhaseAsyncLead::honest_ring_node_in`]).
     pub fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
-        make_honest_node_with_store(
-            self.params,
-            self.seed,
-            OutputRule::Sum,
-            id,
-            arena.alloc_u64s(2 * self.params.n + 1),
-        )
+        let store = arena.alloc_u64s(2 * self.params.n);
+        make_honest_node(self.params, self.seed, OutputRule::Sum, id, store)
     }
 
     /// Only the origin wakes spontaneously.
@@ -348,247 +348,242 @@ impl FleProtocol for PhaseSumLead {
     }
 }
 
-fn make_honest_node(params: PhaseParams, seed: u64, rule: OutputRule, id: NodeId) -> PhaseNode {
-    let store = vec![0; 2 * params.n + 1];
-    make_honest_node_with_store(params, seed, rule, id, store)
-}
-
-/// [`make_honest_node`] over a caller-provided (typically arena-drawn)
-/// store. `store` must be `2n + 1` zeros — exactly what
-/// [`TrialArena::alloc_u64s`] hands out.
-fn make_honest_node_with_store(
+/// Builds position `id`'s one-lane node of an instance seeded `seed`
+/// around `store`, which [`PhaseNode::fill`] sizes to `2n` slots.
+fn make_honest_node(
     params: PhaseParams,
     seed: u64,
     rule: OutputRule,
     id: NodeId,
     store: Vec<u64>,
 ) -> PhaseNode {
-    debug_assert_eq!(store.len(), 2 * params.n + 1);
-    debug_assert!(store.iter().all(|&x| x == 0));
-    let mut rng = node_rng(seed, id);
-    let d = rng.next_below(params.n as u64);
-    let common = PhaseState {
-        params,
-        id,
-        rule,
-        d,
-        v_own: 0,
-        buffer: d,
-        round: 0,
-        expect_data: true,
-        store,
-        rng,
-    };
-    if id == 0 {
-        PhaseNode::Origin(PhaseOrigin { s: common })
-    } else {
-        PhaseNode::Normal(PhaseNormal { s: common })
+    let mut node = PhaseNode::new(params, store, rule);
+    node.fill(id, params, &[seed]);
+    node
+}
+
+/// Message tag of the data wave ([`PhaseMsg::Data`]).
+const DATA: u8 = 0;
+/// Message tag of the validation wave ([`PhaseMsg::Val`]).
+const VAL: u8 = 1;
+
+impl LaneMsg for PhaseMsg {
+    #[inline(always)]
+    fn split(self) -> (u8, u64) {
+        match self {
+            PhaseMsg::Data(x) => (DATA, x),
+            PhaseMsg::Val(y) => (VAL, y),
+        }
+    }
+
+    #[inline(always)]
+    fn join(tag: u8, x: u64) -> Self {
+        if tag == DATA {
+            PhaseMsg::Data(x)
+        } else {
+            PhaseMsg::Val(x)
+        }
     }
 }
 
-/// An honest phase processor as a concrete type: the pacing origin or a
-/// normal processor. Shared by [`PhaseAsyncLead`] and [`PhaseSumLead`]
-/// (which differ only in the output rule carried inside).
+/// How a phase node turns its collected tables into its output.
+pub trait PhaseOutput {
+    /// Terminates the node in every lane with the leader its tables
+    /// elect: `data` holds the `n` collected data values and `vals` the
+    /// validation values `f` reads, slot-major over the lanes.
+    fn finish(&self, n: usize, data: &[u64], vals: &[u64], fx: &mut impl Effects);
+}
+
+/// A one-lane node evaluates its rule on its own tables.
+impl PhaseOutput for OutputRule {
+    fn finish(&self, n: usize, data: &[u64], vals: &[u64], fx: &mut impl Effects) {
+        fx.terminate(|out| {
+            out[0] = match self {
+                OutputRule::Random(f) => f.eval(data, vals),
+                OutputRule::Sum => data.iter().sum::<u64>() % n as u64,
+            }
+        });
+    }
+}
+
+/// An honest phase processor: the pacing origin (`id == 0`) or a normal
+/// processor. Shared by [`PhaseAsyncLead`] and [`PhaseSumLead`], which
+/// differ only in the output rule `O`.
 ///
-/// Built by [`PhaseAsyncLead::honest_ring_node`] /
-/// [`PhaseSumLead::honest_ring_node`]; honest sweeps store a
-/// `Vec<PhaseNode>`, so the engine's activation dispatch is a two-way
-/// branch instead of a `Box<dyn Node>` vtable call.
-pub enum PhaseNode {
-    /// The spontaneously-waking origin (processor 0) that paces rounds.
-    Origin(PhaseOrigin),
-    /// A normal processor (`id ≥ 1`).
-    Normal(PhaseNormal),
-}
-
-impl Node<PhaseMsg> for PhaseNode {
-    fn on_wake(&mut self, ctx: &mut Ctx<'_, PhaseMsg>) {
-        match self {
-            PhaseNode::Origin(o) => o.on_wake(ctx),
-            PhaseNode::Normal(p) => p.on_wake(ctx),
-        }
-    }
-
-    #[inline]
-    fn on_message(&mut self, from: NodeId, msg: PhaseMsg, ctx: &mut Ctx<'_, PhaseMsg>) {
-        match self {
-            PhaseNode::Origin(o) => o.on_message(from, msg, ctx),
-            PhaseNode::Normal(p) => p.on_message(from, msg, ctx),
-        }
-    }
-}
-
-impl ArenaBacked for PhaseNode {
-    fn reclaim(&mut self, arena: &mut TrialArena) {
-        let s = match self {
-            PhaseNode::Origin(o) => &mut o.s,
-            PhaseNode::Normal(p) => &mut p.s,
-        };
-        arena.reclaim_u64s(std::mem::take(&mut s.store));
-    }
-}
-
-/// State shared by origin and normal phase processors.
-struct PhaseState {
-    params: PhaseParams,
+/// `PhaseNode` is the one-lane node the scalar engine runs, built by
+/// [`PhaseAsyncLead::honest_ring_node`] / [`PhaseSumLead::honest_ring_node`];
+/// honest sweeps store a `Vec<PhaseNode>`, so the engine's activation
+/// dispatch is static. The lockstep lanes run the same transition as
+/// `PhaseNode<Vec<u64>, _>`, whose output rule is the group's shared
+/// snapshot.
+pub struct PhaseNode<R = [u64; 1], O = OutputRule> {
     id: NodeId,
-    rule: OutputRule,
-    d: u64,
-    v_own: u64,
-    buffer: u64,
-    /// Completed data rounds (1-based round currently being processed).
+    params: PhaseParams,
+    /// Completed data rounds (1-based round currently being processed),
+    /// shared by the lanes.
     round: usize,
     expect_data: bool,
-    /// The `n` collected data values `d̂` followed by the `n + 1` (1-based)
-    /// validation values `v̂`, packed into one allocation so building a
-    /// node costs a single heap allocation instead of two.
-    store: Vec<u64>,
-    rng: ring_sim::rng::SplitMix64,
+    pub(super) d: R,
+    /// The validation value, drawn at setup: it is the node stream's
+    /// second draw wherever it is drawn.
+    pub(super) v_own: R,
+    pub(super) buffer: R,
+    /// The collected data values `d̂` (slots `0..n`) and validation values
+    /// `v̂_1..v̂_n` (slots `n..2n`), packed into one allocation and
+    /// slot-major over the lanes: slot `i`'s lanes are
+    /// `store[i·k..(i + 1)·k]`. A run writes every slot before reading it.
+    pub(super) store: Vec<u64>,
+    out: O,
 }
 
-impl PhaseState {
-    /// The round this processor validates: 0-indexed processor `p`
-    /// validates round `p + 1` (the paper's 1-indexed "processor `i`
-    /// validates round `i`").
-    fn validator_round(&self) -> usize {
-        self.id + 1
+impl<R: Reg, O> PhaseNode<R, O> {
+    /// An unfilled node around `store` and the output rule `out`.
+    pub(super) fn new(params: PhaseParams, store: Vec<u64>, out: O) -> Self {
+        PhaseNode {
+            id: 0,
+            params,
+            round: 0,
+            expect_data: true,
+            d: R::default(),
+            v_own: R::default(),
+            buffer: R::default(),
+            store,
+            out,
+        }
     }
 
-    /// Records the collected data value of processor `i`.
-    #[inline]
-    fn set_data(&mut self, i: usize, x: u64) {
-        self.store[i] = x;
-    }
-
-    /// Records round `r`'s validation value.
-    #[inline]
-    fn set_val(&mut self, r: usize, y: u64) {
-        self.store[self.params.n + r] = y;
-    }
-
-    fn output(&self) -> u64 {
-        let (data, vals) = self.store.split_at(self.params.n);
-        match self.rule {
-            OutputRule::Random(f) => f.eval(data, &vals[1..=self.params.vals_in_f()]),
-            OutputRule::Sum => data.iter().sum::<u64>() % self.params.n as u64,
+    /// Readies position `id` for a run of `params` with one lane per
+    /// seed: lane `l` draws its data value, then its validation value,
+    /// from `node_rng(seeds[l], id)`.
+    pub(super) fn fill(&mut self, id: NodeId, params: PhaseParams, seeds: &[u64]) {
+        let k = seeds.len();
+        self.id = id;
+        self.params = params;
+        self.round = 0;
+        self.expect_data = true;
+        self.d.set_lanes(k);
+        self.v_own.set_lanes(k);
+        self.buffer.set_lanes(k);
+        for (((d, v), b), &seed) in (self.d.as_mut().iter_mut())
+            .zip(self.v_own.as_mut())
+            .zip(self.buffer.as_mut())
+            .zip(seeds)
+        {
+            let mut rng = node_rng(seed, id);
+            *d = rng.next_below(params.n as u64);
+            *v = rng.next_below(params.m);
+            *b = *d;
+        }
+        // Size (never zero) the store: every slot the run reads is written
+        // first, so stale lanes of an earlier group are harmless.
+        if self.store.len() != 2 * params.n * k {
+            self.store.clear();
+            self.store.resize(2 * params.n * k, 0);
         }
     }
 }
 
-/// A normal phase processor (`id >= 1`).
-pub struct PhaseNormal {
-    s: PhaseState,
-}
+impl<R: Reg, O: PhaseOutput> PhaseNode<R, O> {
+    /// The origin's wake-up: record its own data value, open round 1 and
+    /// emit `Data(d_0)` and `Val(v_1)`.
+    fn wake(&mut self, fx: &mut impl Effects) {
+        if self.id != 0 {
+            return;
+        }
+        let d = self.d.as_ref();
+        self.store[..d.len()].copy_from_slice(d);
+        self.round = 1;
+        fx.send(DATA, |out| out.copy_from_slice(d));
+        fx.send(VAL, |out| out.copy_from_slice(self.v_own.as_ref()));
+    }
 
-impl Node<PhaseMsg> for PhaseNormal {
-    fn on_message(&mut self, _from: NodeId, msg: PhaseMsg, ctx: &mut Ctx<'_, PhaseMsg>) {
-        let s = &mut self.s;
-        let n = s.params.n;
-        match msg {
-            PhaseMsg::Data(x) if s.expect_data => {
-                s.expect_data = false;
-                let x = fold_mod(x, n as u64);
-                s.round += 1;
-                // Buffered secret sharing, exactly as in A-LEADuni.
-                ctx.send(PhaseMsg::Data(s.buffer));
-                s.buffer = x;
-                // Round r delivers the data value of processor id − r (mod n).
-                // `round ∈ 1..=n` and `id < n`, so both reductions are
-                // single conditional subtracts, not divisions.
-                let r = if s.round < n { s.round } else { s.round % n };
-                s.set_data(wrap_sub_usize(s.id + n - r, n), x);
-                if s.round == s.validator_round() {
-                    s.v_own = s.rng.next_below(s.params.m);
-                    ctx.send(PhaseMsg::Val(s.v_own));
+    fn receive(&mut self, tag: u8, lanes: &[u64], fx: &mut impl Effects) {
+        let (n, k) = (self.params.n, lanes.len());
+        let origin = self.id == 0;
+        match (tag, self.expect_data) {
+            (DATA, true) => {
+                self.expect_data = false;
+                if !origin {
+                    // Buffered secret sharing, exactly as in A-LEADuni:
+                    // forward the buffer, keep the new value.
+                    self.round += 1;
+                    fx.send(DATA, |out| out.copy_from_slice(self.buffer.as_ref()));
                 }
-                if s.round == n && x != s.d {
+                // Round r delivers the data value of processor id − r (mod
+                // n). `round ∈ 1..=n` and `id < n`, so both reductions are
+                // single conditional subtracts, not divisions.
+                let r = if self.round < n {
+                    self.round
+                } else {
+                    self.round % n
+                };
+                let base = wrap_sub_usize(self.id + n - r, n) * k;
+                let slots = self.store[base..base + k].iter_mut();
+                for ((slot, b), &raw) in slots.zip(self.buffer.as_mut()).zip(lanes) {
+                    let x = fold_mod(raw, n as u64);
+                    *slot = x;
+                    *b = x;
+                }
+                // 0-indexed processor p validates round p + 1; the origin
+                // emitted round 1's value at wake-up.
+                if !origin && self.round == self.id + 1 {
+                    fx.send(VAL, |out| out.copy_from_slice(self.v_own.as_ref()));
+                }
+                if self.round == n && self.buffer.as_ref() != self.d.as_ref() {
                     // The value that came full circle is not our secret.
-                    ctx.abort();
+                    fx.fail();
                 }
             }
-            PhaseMsg::Val(y) if !s.expect_data => {
-                s.expect_data = true;
-                let y = fold_mod(y, s.params.m);
-                if s.round == s.validator_round() {
-                    if y != s.v_own {
+            (VAL, false) => {
+                self.expect_data = true;
+                let m = self.params.m;
+                let base = (n + self.round - 1) * k;
+                let slots = &mut self.store[base..base + k];
+                if self.round == self.id + 1 {
+                    // Our own validation value after a full circle: absorb
+                    // it, do not forward.
+                    let mut intact = true;
+                    for ((slot, &own), &raw) in slots.iter_mut().zip(self.v_own.as_ref()).zip(lanes)
+                    {
+                        intact &= fold_mod(raw, m) == own;
+                        *slot = own;
+                    }
+                    if !intact {
                         // Phase validation failed: someone desynchronized
                         // the ring or guessed our value wrong.
-                        ctx.abort();
-                        return;
+                        return fx.fail();
                     }
-                    s.set_val(s.round, s.v_own); // absorb; do not forward
                 } else {
-                    s.set_val(s.round, y);
-                    ctx.send(PhaseMsg::Val(y));
+                    fx.send(VAL, |out| {
+                        for ((slot, o), &raw) in slots.iter_mut().zip(out).zip(lanes) {
+                            let y = fold_mod(raw, m);
+                            *slot = y;
+                            *o = y;
+                        }
+                    });
                 }
-                if s.round == n {
-                    ctx.terminate(Some(s.output()));
+                if self.round == n {
+                    let (data, vals) = self.store.split_at(n * k);
+                    let vals = &vals[..self.params.vals_in_f() * k];
+                    self.out.finish(n, data, vals, fx);
+                } else if origin {
+                    // Launch the next round's data wave.
+                    fx.send(DATA, |out| out.copy_from_slice(self.buffer.as_ref()));
+                    self.round += 1;
                 }
             }
             // Parity violation: a data message where a validation message
             // was due, or vice versa.
-            _ => ctx.abort(),
+            _ => fx.fail(),
         }
     }
 }
 
-/// The origin (`id == 0`): wakes spontaneously, emits `Data(d_0)` and
-/// `Val(v_1)`, and thereafter launches round `r + 1`'s data wave only
-/// after forwarding round `r`'s validation value — the pacing that keeps
-/// the ring synchronized.
-pub struct PhaseOrigin {
-    s: PhaseState,
-}
+one_and_k_lanes!(PhaseMsg, PhaseNode, PhaseNode<Vec<u64>, PhaseSnapshot>);
 
-impl Node<PhaseMsg> for PhaseOrigin {
-    fn on_wake(&mut self, ctx: &mut Ctx<'_, PhaseMsg>) {
-        let s = &mut self.s;
-        s.set_data(0, s.d);
-        s.round = 1;
-        ctx.send(PhaseMsg::Data(s.d));
-        s.v_own = s.rng.next_below(s.params.m);
-        ctx.send(PhaseMsg::Val(s.v_own));
-    }
-
-    fn on_message(&mut self, _from: NodeId, msg: PhaseMsg, ctx: &mut Ctx<'_, PhaseMsg>) {
-        let s = &mut self.s;
-        let n = s.params.n;
-        match msg {
-            PhaseMsg::Data(x) if s.expect_data => {
-                s.expect_data = false;
-                let x = fold_mod(x, n as u64);
-                // Round r delivers the data value of processor n − r (mod n)
-                // (`round ∈ 1..=n`, so these are conditional subtracts).
-                let r = if s.round < n { s.round } else { s.round % n };
-                s.set_data(wrap_sub_usize(n - r, n), x);
-                s.buffer = x;
-                if s.round == n && x != s.d {
-                    ctx.abort();
-                }
-            }
-            PhaseMsg::Val(y) if !s.expect_data => {
-                s.expect_data = true;
-                let y = fold_mod(y, s.params.m);
-                if s.round == 1 {
-                    if y != s.v_own {
-                        ctx.abort();
-                        return;
-                    }
-                    s.set_val(1, s.v_own); // absorb own validation value
-                } else {
-                    s.set_val(s.round, y);
-                    ctx.send(PhaseMsg::Val(y));
-                }
-                if s.round == n {
-                    ctx.terminate(Some(s.output()));
-                } else {
-                    // Launch the next round's data wave.
-                    ctx.send(PhaseMsg::Data(s.buffer));
-                    s.round += 1;
-                }
-            }
-            _ => ctx.abort(),
-        }
+impl ArenaBacked for PhaseNode {
+    fn reclaim(&mut self, arena: &mut TrialArena) {
+        arena.reclaim_u64s(std::mem::take(&mut self.store));
     }
 }
 

@@ -45,7 +45,7 @@ use fle_experiments::{find, EXPERIMENTS};
 use fle_harness::{
     read_input, run_sweep_checkpointed, run_sweep_partial, set_default_threads, AttackSweep,
     BatchConfig, CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, HonestSweep, LatencySpec,
-    ProtocolKind, ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
+    ProtocolKind, ReportPartial, ScheduleSpec, SeedMode, SweepSpec, TargetSpec, MAX_THREADS,
 };
 use std::path::Path;
 use std::str::FromStr;
@@ -105,6 +105,18 @@ fn parse_arg<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
         eprintln!("invalid value '{raw}' for {flag}");
         std::process::exit(2);
     })
+}
+
+/// Parses the global `--threads N` (or `-j N`) value at `args[i]` and makes
+/// it the process-wide default worker count; more than [`MAX_THREADS`]
+/// exits 2.
+fn set_global_threads(args: &[String], i: usize) {
+    let threads: usize = parse_arg(args, i, "--threads");
+    if threads > MAX_THREADS {
+        eprintln!("--threads must be at most {MAX_THREADS}, got {threads}");
+        std::process::exit(2);
+    }
+    set_default_threads(threads);
 }
 
 /// Validates an output format up front — a typo must not cost a full
@@ -689,8 +701,7 @@ fn main() {
         .filter(|&pos| pos == 0 || (pos == 2 && (args[0] == "--threads" || args[0] == "-j")));
     if let Some(pos) = sub_pos {
         if pos == 2 {
-            let threads: usize = parse_arg(&args, 1, "--threads");
-            set_default_threads(threads);
+            set_global_threads(&args, 1);
         }
         if let Err(e) = run_sweep_subcommand(&args[pos], &args[pos + 1..]) {
             eprintln!("{e}");
@@ -701,8 +712,7 @@ fn main() {
 
     // Global `--threads N` (applies to every experiment's worker pool).
     if let Some(pos) = args.iter().position(|a| a == "--threads" || a == "-j") {
-        let threads: usize = parse_arg(&args, pos + 1, "--threads");
-        set_default_threads(threads);
+        set_global_threads(&args, pos + 1);
         args.drain(pos..pos + 2);
     }
 

@@ -157,6 +157,29 @@ fn size_and_lane_limits_are_named_errors() {
     }
 }
 
+/// `--threads` once took any count, after the subcommand or before it
+/// (`fle_lab --threads N sweep …`), and a sweep of as many trials asked
+/// the OS for that many threads. Past 1,024 each must be an exit-2 error
+/// naming the limit, before any thread starts; with one trial the old
+/// binary clamped both to one worker and exited 0.
+#[test]
+fn thread_counts_past_the_cap_are_named_errors() {
+    let sweep = ["sweep", "--protocol", "alead", "--n", "4", "--trials", "1"];
+    let cases: [(Vec<&str>, &str); 2] = [
+        (
+            [&sweep[..], &["--threads", "1025"]].concat(),
+            "\"threads\" must be at most 1024",
+        ),
+        (
+            [&["--threads", "1025"], &sweep[..]].concat(),
+            "--threads must be at most 1024",
+        ),
+    ];
+    for (args, needle) in cases {
+        assert_named_error(&args, needle);
+    }
+}
+
 /// The timed clock saturates at `u64::MAX`, and tied arrivals pop in send
 /// order. So `--latency uniform:0:18446744073709551615` once "elected" 88
 /// of these 200 trials, which `uniform:0:1000` deadlocks, and a crash at

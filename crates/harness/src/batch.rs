@@ -8,6 +8,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// 0. Itself 0 means "ask [`std::thread::available_parallelism`]".
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
+/// The most worker threads a batch may ask for: `SweepSpec::validate` and
+/// `fle_lab --threads` reject more, and [`default_threads`] never resolves
+/// to more.
+pub const MAX_THREADS: usize = 1024;
+
 /// Sets the process-wide default worker count (0 restores auto-detection).
 ///
 /// `fle_lab --threads N` routes through this so every experiment in the
@@ -17,7 +22,8 @@ pub fn set_default_threads(threads: usize) {
 }
 
 /// The worker count a [`BatchConfig::threads`] of 0 resolves to: the value
-/// of [`set_default_threads`] if set, otherwise the available parallelism.
+/// of [`set_default_threads`] if set, otherwise the available parallelism,
+/// at most [`MAX_THREADS`].
 pub fn default_threads() -> usize {
     match DEFAULT_THREADS.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism()
@@ -25,6 +31,7 @@ pub fn default_threads() -> usize {
             .unwrap_or(1),
         n => n,
     }
+    .min(MAX_THREADS)
 }
 
 /// Shape of one batch: how many trials, from which base seed, on how many

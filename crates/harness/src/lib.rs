@@ -99,7 +99,7 @@ mod tree;
 pub use attack::run_attack_sweep_with_net;
 pub use batch::{
     batched_trials, default_threads, par_seeds, run_batch, run_batch_range,
-    run_batch_range_grouped, set_default_threads, BatchConfig, TrialFault,
+    run_batch_range_grouped, set_default_threads, BatchConfig, TrialFault, MAX_THREADS,
 };
 pub use checkpoint::{
     run_sweep_checkpointed, write_checkpoint, CheckpointedRun, SweepCheckpoint, CHECKPOINT_FORMAT,

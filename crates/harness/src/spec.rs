@@ -8,6 +8,7 @@
 //! reference (ring sizes, coalition layouts, target ranges) and returns
 //! actionable errors *before* any trial runs.
 
+use crate::batch::MAX_THREADS;
 use crate::json::Json;
 use crate::sweep::{HonestSweep, ProtocolKind, MAX_BATCH_WIDTH};
 use crate::BatchConfig;
@@ -1081,7 +1082,7 @@ impl SweepSpec {
 
     /// Cross-checks every reference in the spec without running trials:
     /// ring and graph sizes against the 4096-node size limit and the
-    /// protocol minimums,
+    /// protocol minimums, `threads` against [`MAX_THREADS`],
     /// the lockstep width against [`MAX_BATCH_WIDTH`], coalition layouts
     /// against attack preconditions, targets against their ranges.
     ///
@@ -1098,6 +1099,10 @@ impl SweepSpec {
         require(
             n <= MAX_N,
             &format!("n={n} exceeds the size limit of {MAX_N} nodes"),
+        )?;
+        require(
+            self.batch().threads <= MAX_THREADS,
+            &format!("\"threads\" must be at most {MAX_THREADS}"),
         )?;
         match self {
             SweepSpec::Honest(h) => {

@@ -108,7 +108,7 @@ pub struct HonestSweep {
     /// Trial count, base seed and worker threads.
     pub batch: BatchConfig,
     /// Lockstep batch width `k`: trials run `k` at a time through the
-    /// structure-of-arrays engine (`ring_sim::batch`), and the last
+    /// lockstep engine (`ring_sim::batch`), and the last
     /// trials of each worker's piece as one narrower group (a lone last
     /// trial runs scalar). 0 resolves to [`DEFAULT_BATCH_WIDTH`]; 1
     /// forces the scalar path, which runs each trial through a

@@ -11,7 +11,7 @@ use fle_attacks::AttackKind;
 use fle_harness::{
     AttackSweep, BatchConfig, CoalitionSpec, CrashInstant, FaultSpec, FnKeySpec, GraphSpec,
     HonestSweep, LatencySpec, ProtocolKind, ScheduleSpec, SeedMode, SweepSpec, TargetSpec,
-    TreeSweep,
+    TreeSweep, MAX_THREADS,
 };
 
 /// Asserts `src` fails to parse and the error mentions `needle`.
@@ -260,6 +260,26 @@ fn validate_bounds_the_virtual_clock_and_recovery() {
     spec(latency, crash(u64::MAX - 7, 7))
         .validate()
         .unwrap_or_else(|e| panic!("{e}"));
+}
+
+/// A spec asking for more than `MAX_THREADS` workers, as many as it has
+/// trials, once passed validation and would have asked the OS for every
+/// one. Only validated here: nothing is spawned.
+#[test]
+fn validate_caps_the_thread_count() {
+    let mut spec = attack_spec(AttackKind::Rushing, 16, CoalitionSpec::Cubic);
+    spec.batch.threads = MAX_THREADS;
+    SweepSpec::Attack(spec.clone())
+        .validate()
+        .unwrap_or_else(|e| panic!("{e}"));
+    for threads in [MAX_THREADS + 1, usize::MAX] {
+        spec.batch.trials = threads as u64;
+        spec.batch.threads = threads;
+        assert_invalid(
+            SweepSpec::Attack(spec.clone()),
+            "\"threads\" must be at most 1024",
+        );
+    }
 }
 
 #[test]

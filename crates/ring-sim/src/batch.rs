@@ -45,7 +45,7 @@
 //!
 //! **Ordinary nodes per lane.** [`NodeLanes`] is a [`LockstepNode`] over
 //! `k` ordinary [`Node<u64>`] values, one per lane, so the engine also
-//! runs rings that have no structure-of-arrays node: attacked rings of
+//! runs rings whose nodes have no `k`-lane form: attacked rings of
 //! honest and deviant nodes, for one. Its activation calls each lane's
 //! node in turn and checks that the lanes agree on the number of sends
 //! and on terminating; lane uniformity is still checked, not assumed,
@@ -141,7 +141,10 @@ pub enum LaneClock {
 /// branch — any condition that aborts a scalar honest run — they must
 /// call [`LaneCtx::diverge`] instead of guessing.
 ///
-/// Hand-written structure-of-arrays nodes implement this directly;
+/// A protocol can write one transition for both engines: generic over
+/// its per-lane registers and its effects, run once per activation at one
+/// lane as a [`crate::Node`] and at `k` lanes as a `LockstepNode`, whose
+/// registers are then `k`-lane vectors (fle-core's honest nodes do this).
 /// [`NodeLanes`] implements it for `k` ordinary [`crate::Node`]s.
 pub trait LockstepNode {
     /// Called on the node's spontaneous wake-up.

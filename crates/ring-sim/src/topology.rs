@@ -81,21 +81,6 @@ impl Topology {
         Self::from_edges(n, edges).expect("ring edges are well formed")
     }
 
-    /// A bidirectional ring: both `i -> i+1` and `i+1 -> i` links.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n < 2`.
-    pub fn bidirectional_ring(n: usize) -> Self {
-        assert!(n >= 2, "a ring needs at least 2 nodes, got {n}");
-        let mut edges = Vec::with_capacity(2 * n);
-        for i in 0..n {
-            edges.push((i, (i + 1) % n));
-            edges.push(((i + 1) % n, i));
-        }
-        Self::from_edges(n, edges).expect("ring edges are well formed")
-    }
-
     /// The complete digraph: every ordered pair of distinct nodes is a
     /// link (the fully connected network of the paper's Section 1.1
     /// scenarios).
@@ -220,11 +205,6 @@ impl Topology {
         self.out[node].iter().map(|&e| self.edges[e].1).collect()
     }
 
-    /// Predecessor node ids of `node`, in insertion order.
-    pub fn in_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        self.inc[node].iter().map(|&e| self.edges[e].0).collect()
-    }
-
     /// `true` if every node can reach every other node, treating edges as
     /// undirected (used to validate tree construction).
     pub fn is_connected(&self) -> bool {
@@ -261,13 +241,18 @@ impl Topology {
 mod tests {
     use super::*;
 
+    /// Predecessor node ids of `node`, in insertion order.
+    fn in_neighbors(t: &Topology, node: NodeId) -> Vec<NodeId> {
+        t.in_edges(node).iter().map(|&e| t.edges()[e].0).collect()
+    }
+
     #[test]
     fn ring_structure() {
         let t = Topology::ring(5);
         assert_eq!(t.len(), 5);
         for i in 0..5 {
             assert_eq!(t.out_neighbors(i), vec![(i + 1) % 5]);
-            assert_eq!(t.in_neighbors(i), vec![(i + 4) % 5]);
+            assert_eq!(in_neighbors(&t, i), vec![(i + 4) % 5]);
         }
         assert!(t.is_connected());
     }
@@ -308,15 +293,6 @@ mod tests {
         assert!(t.edge_id(3, 1).is_some());
         assert!(t.edge_id(2, 3).is_none());
         assert!(t.is_connected());
-    }
-
-    #[test]
-    fn bidirectional_ring_has_both_directions() {
-        let t = Topology::bidirectional_ring(3);
-        for i in 0..3 {
-            assert!(t.edge_id(i, (i + 1) % 3).is_some());
-            assert!(t.edge_id((i + 1) % 3, i).is_some());
-        }
     }
 
     #[test]

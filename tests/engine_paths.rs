@@ -362,11 +362,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Lockstep-batch differentials: the structure-of-arrays
-// `run_honest_batch_into` fast path vs the scalar per-trial engine, for
-// every protocol and batch width. Caches are reused across widths and
-// seed groups, so cross-group contamination in the SoA state surfaces as
-// a later-lane mismatch.
+// Lockstep-batch differentials: the `k`-lane `run_honest_batch_into`
+// fast path vs the scalar per-trial engine, for every protocol and batch
+// width. Both run each protocol's one honest transition, so these check
+// the lockstep engine, the lane registers and the group refill; the
+// transitions themselves are checked against closed-form leaders in
+// `crates/core/tests/oracles.rs`. Caches are reused across widths and
+// seed groups, so cross-group contamination in the lane state surfaces
+// as a later-lane mismatch.
 
 use fle_core::protocols::{ALeadBatchCache, BasicBatchCache, PhaseBatchCache};
 use fle_harness::{

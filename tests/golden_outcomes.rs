@@ -205,8 +205,8 @@ fn full_10k_sweep_json_sha256_is_pinned() {
 
 /// The lockstep-batched engine's byte-identity oracle: the canonical
 /// 500-trial sweep at an explicit `--batch 8` and at forced scalar width
-/// 1 both hash to the pre-batching golden digest, so the SoA fast path is
-/// provably byte-invisible in output.
+/// 1 both hash to the pre-batching golden digest, so the lockstep fast
+/// path is provably byte-invisible in output.
 #[test]
 fn batched_sweep_hits_the_scalar_pin() {
     for batch_width in [1, 8] {
