@@ -54,14 +54,6 @@ impl ExactDistribution {
         self.max_probability() - 1.0 / self.counts.len() as f64
     }
 
-    /// Probability that the execution fails.
-    pub fn fail_probability(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.fails as f64 / self.total as f64
-    }
-
     /// The exact expected rational utility `E[u]` of a processor whose
     /// utility vector over leaders is `utility` (with `u(FAIL) = 0`,
     /// Definition 2.1).
@@ -234,7 +226,6 @@ mod tests {
             total: 5,
         };
         assert!(!dist.is_exactly_uniform());
-        assert!((dist.fail_probability() - 0.2).abs() < 1e-12);
     }
 
     #[test]

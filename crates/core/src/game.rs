@@ -1,5 +1,5 @@
-//! Game-theoretic layer: rational utilities, bias, and the
-//! resilience ⇄ unbias translation (paper Definitions 2.1–2.3, Lemma 2.4).
+//! Game-theoretic layer: rational utilities and bias (paper Definitions
+//! 2.1–2.3).
 
 use ring_sim::Outcome;
 
@@ -134,31 +134,6 @@ pub fn estimate_bias(n: usize, outcomes: &[Outcome]) -> BiasEstimate {
     }
 }
 
-/// Probability that a *specific* target `w` was elected in the sample —
-/// the quantity attacks try to push to 1.
-pub fn target_rate(target: u64, outcomes: &[Outcome]) -> f64 {
-    if outcomes.is_empty() {
-        return 0.0;
-    }
-    let hits = outcomes
-        .iter()
-        .filter(|o| o.elected() == Some(target))
-        .count();
-    hits as f64 / outcomes.len() as f64
-}
-
-/// Lemma 2.4, first direction: an `ε`-`k`-resilient FLE protocol is
-/// `ε`-`k`-unbiased. Given a resilience `ε`, this is the implied unbias.
-pub fn unbias_from_resilience(epsilon: f64) -> f64 {
-    epsilon
-}
-
-/// Lemma 2.4, second direction: an `ε`-`k`-unbiased FLE protocol is
-/// `(nε)`-`k`-resilient.
-pub fn resilience_from_unbias(epsilon: f64, n: usize) -> f64 {
-    n as f64 * epsilon
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,24 +195,5 @@ mod tests {
         let b = estimate_bias(4, &outcomes);
         assert_eq!(b.mode, None);
         assert_eq!(b.failures, 5);
-    }
-
-    #[test]
-    fn target_rate_counts_only_target() {
-        let outcomes = vec![
-            Outcome::Elected(2),
-            Outcome::Elected(2),
-            Outcome::Elected(1),
-            Outcome::Fail(FailReason::Abort),
-        ];
-        assert!((target_rate(2, &outcomes) - 0.5).abs() < 1e-12);
-        assert_eq!(target_rate(7, &outcomes), 0.0);
-        assert_eq!(target_rate(7, &[]), 0.0);
-    }
-
-    #[test]
-    fn lemma_2_4_translations() {
-        assert_eq!(unbias_from_resilience(0.01), 0.01);
-        assert_eq!(resilience_from_unbias(0.01, 100), 1.0);
     }
 }

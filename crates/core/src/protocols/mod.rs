@@ -270,9 +270,9 @@ pub fn run_ring<M: Clone + 'static>(
     builder.run()
 }
 
-/// The arena-pooled run every cached ring path shares: resets `arena`,
-/// refills `nodes` through `build`, runs one trial of `schedule` and
-/// reclaims the nodes' buffers into the arena.
+/// The arena-pooled run every cached ring path shares: refills `nodes`
+/// through `build` (drawing from `arena`), runs one trial of `schedule`
+/// and reclaims the nodes' buffers into the arena.
 ///
 /// # Panics
 ///
@@ -293,7 +293,6 @@ fn run_pooled<M: Clone, N: Node<M> + ArenaBacked, S: Scheduler + ?Sized>(
         n,
         "engine topology size must match the protocol's ring size"
     );
-    arena.reset();
     nodes.clear();
     build(nodes, arena);
     engine.run_into(nodes, wakes, schedule, default_step_limit(n), None, out);
@@ -649,7 +648,6 @@ impl<N: Node<u64> + ArenaBacked, D: Node<u64>> TrialCache<u64, N, D> {
             let positions = (0..n).map(|id| NodeLanes::new(id, n)).collect();
             Box::new((LockstepEngine::new(n), positions))
         });
-        arena.reset();
         for position in lanes.iter_mut() {
             position.nodes_mut().clear();
         }

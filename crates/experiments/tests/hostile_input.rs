@@ -249,6 +249,28 @@ fn lane_memory_fits_the_ceiling_with_width_one_bytes() {
     }
 }
 
+/// A sweep once held one result slot per trial until the run ended
+/// (about 46 bytes each), so its memory grew with `--trials`: this
+/// 2,000,000-trial sweep aborted under `ulimit -v 40000` with exit 134,
+/// "memory allocation of 96000000 bytes failed". Workers now record each
+/// trial into their partial as it ends, and the capped run prints the
+/// uncapped run's bytes. One thread keeps the cap meaningful: every
+/// extra thread reserves address space for its stack.
+#[test]
+fn sweep_memory_is_flat_in_the_trial_count() {
+    let args: Vec<&str> = "sweep --protocol alead --n 4 --trials 2000000 --threads 1 --seed 1"
+        .split(' ')
+        .collect();
+    let uncapped = fle_lab(None, &args);
+    assert_eq!(uncapped.status.code(), Some(0));
+    let sha = capped_run_sha(40_000, &args);
+    assert_eq!(sha, fle_harness::sha256_hex(&uncapped.stdout));
+    assert_eq!(
+        sha,
+        "35e68d82b61bcdeb9e4d58758e5591b96f7a602fa1d1900696b034668f252581"
+    );
+}
+
 /// A shard partial whose `wins` wrap around to exactly its 10 covered
 /// trials passed the outcome-count check: `merge-reports` printed
 /// `"elected":10` beside a `wins[0]` of `u64::MAX` and exited 0, and a

@@ -2,11 +2,11 @@
 //! per-worker [`AttackRunner`] caches, in lockstep groups where the
 //! attack kind batches.
 
-use crate::partial::ReportPartial;
+use crate::partial::{ran, ReportPartial};
 use crate::spec::AttackSweep;
 use crate::sweep::{fit_lane_width, DEFAULT_BATCH_WIDTH};
-use crate::{run_batch_range_grouped, trial_seed, TrialOutcome, TrialReport};
-use fle_attacks::{build_runner, AttackRunner, AttackTrialResult};
+use crate::{run_batch_range_grouped, trial_seed, TrialReport};
+use fle_attacks::{build_runner, AttackRunner};
 use ring_sim::TimedNetConfig;
 
 impl AttackSweep {
@@ -35,17 +35,6 @@ impl AttackSweep {
             self.target.resolve(seed, self.n),
         )
     }
-}
-
-/// A trial that ran, as the partial records it: its outcome, its verdict
-/// and whether a planned crash fired (an infeasible trial records
-/// `(None, false, false)`).
-fn recorded(r: AttackTrialResult<'_>) -> (Option<TrialOutcome>, bool, bool) {
-    (
-        Some(TrialOutcome::of(r.exec)),
-        r.success,
-        r.exec.stats.crashes > 0,
-    )
 }
 
 /// Runs an attack sweep on an explicit (possibly asymmetric, per-edge)
@@ -103,7 +92,12 @@ pub(crate) fn attack_partial(
         cfg.resolved_batch_width()
     };
     let base_seed = cfg.batch.base_seed;
-    let results = run_batch_range_grouped(
+    let label = format!("{}:{}", cfg.attack.protocol_name(), cfg.attack.name());
+    let mut empty = ReportPartial::new_attack(&label, cfg.n, base_seed, cfg.batch.trials);
+    if fcfg.is_some() {
+        empty = empty.with_faults();
+    }
+    Ok(ReportPartial::merged(run_batch_range_grouped(
         &cfg.batch,
         start,
         end,
@@ -121,37 +115,18 @@ pub(crate) fn attack_partial(
                 (gstart..gstart + width as u64)
                     .map(|index| cfg.trial_args(index, trial_seed(base_seed, index))),
             );
-            runner.run_group(trials, &mut |r| out.push(Some(recorded(r))));
+            runner.run_group(trials, &mut |r| out.push(Some(ran(r.exec, r.success))));
         },
         |(runner, _), index, derived| {
             let (seed, fn_key, target) = cfg.trial_args(index, derived);
             // Infeasible trials never ran, so they never crashed.
             runner
                 .run_trial(seed, fn_key, target)
-                .map_or((None, false, false), recorded)
+                .map_or((None, false, false), |r| ran(r.exec, r.success))
         },
-    );
-    let label = format!("{}:{}", cfg.attack.protocol_name(), cfg.attack.name());
-    let mut partial =
-        ReportPartial::new_attack(&label, cfg.n, cfg.batch.base_seed, cfg.batch.trials);
-    let faulty = fcfg.is_some();
-    if faulty {
-        partial = partial.with_faults();
-    }
-    for (i, slot) in results.into_iter().enumerate() {
-        match slot {
-            Ok((outcome, success, crashed)) => {
-                let index = start + i as u64;
-                if faulty {
-                    partial.record_attack_faulty(index, outcome, success, crashed);
-                } else {
-                    partial.record_attack(index, outcome, success);
-                }
-            }
-            Err(fault) => partial.record_fault(fault),
-        }
-    }
-    Ok(partial)
+        || empty.clone(),
+        ReportPartial::record_trial,
+    )))
 }
 
 #[cfg(test)]

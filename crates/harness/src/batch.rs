@@ -1,7 +1,7 @@
 //! The generic deterministic batch runner.
 
 use crate::trial_seed;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Process-wide default worker count used when [`BatchConfig::threads`] is
@@ -95,33 +95,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs the contiguous trial range `start..end` of a `cfg.trials`-trial
-/// batch across worker threads, containing per-trial panics, and returns
-/// one entry per trial in trial order.
-///
-/// Indices and seeds are *global*: trial `i` runs with
-/// [`trial_seed`]`(cfg.base_seed, i)` regardless of the range, so a batch
-/// split across shards or checkpoints replays the exact seed schedule of
-/// the monolithic run. A panicking trial becomes an `Err(`[`TrialFault`]`)`
-/// slot instead of aborting the batch; the worker that hit it is discarded
-/// (its cached state may be mid-trial garbage) and rebuilt via
-/// `make_worker` before the next trial. This is the width-1 case of
-/// [`run_batch_range_grouped`].
-///
-/// # Panics
-///
-/// Panics if the range is not within `0..=cfg.trials`.
-pub fn run_batch_range<W, T: Send>(
-    cfg: &BatchConfig,
-    start: u64,
-    end: u64,
-    make_worker: impl Fn() -> W + Sync,
-    trial: impl Fn(&mut W, u64, u64) -> T + Sync,
-) -> Vec<Result<T, TrialFault>> {
-    let no_group = |_: &mut W, _: u64, _: usize, _: &mut Vec<Option<T>>| {};
-    run_batch_range_grouped(cfg, start, end, 1, make_worker, no_group, trial)
-}
-
 /// Process-wide count of trials that completed on a lockstep batch fast
 /// path (a `Some` lane of a [`run_batch_range_grouped`] group).
 /// Instrumentation only — tests assert lower bounds to prove batching
@@ -134,31 +107,47 @@ pub fn batched_trials() -> u64 {
     BATCHED_TRIALS.load(Ordering::Relaxed)
 }
 
-/// [`run_batch_range`] with a group fast path: each worker's contiguous
-/// piece is cut into groups of `width` trials from its start, the last
-/// one narrower when the piece is not a multiple of `width`, and each
-/// group is attempted through `group` first. Only the trials the fast
-/// path cannot serve — a `None` lane, every lane of a group that panics
-/// or does not fill exactly its width (a diverged group fills none), and
-/// a lone last trial, which makes no group — run through the scalar
-/// `trial` closure.
+/// Runs the contiguous trial range `start..end` of a `cfg.trials`-trial
+/// batch across worker threads, containing per-trial panics, and folds
+/// each trial's result into its worker's accumulator as soon as the trial
+/// ends. Returns one accumulator per worker piece, in index order, for
+/// the caller to merge.
+///
+/// Indices and seeds are *global*: trial `i` runs with
+/// [`trial_seed`]`(cfg.base_seed, i)` regardless of the range, so a batch
+/// split across shards or checkpoints replays the exact seed schedule of
+/// the monolithic run. The range is cut into one contiguous piece of
+/// `len.div_ceil(threads)` trials per worker; each piece starts from
+/// `new_acc()` and receives `record(acc, index, result)` for its trials in
+/// index order. A panicking trial is recorded as an `Err(`[`TrialFault`]`)`
+/// instead of aborting the batch; the worker that hit it is discarded
+/// (its cached state may be mid-trial garbage) and rebuilt via
+/// `make_worker` before the next trial. A worker holds at most `width`
+/// unrecorded results at a time, so memory does not grow with the range.
+///
+/// Each piece is cut into groups of `width` trials from its start, the
+/// last one narrower when the piece is not a multiple of `width`, and
+/// each group is attempted through `group` first. Only the trials the
+/// fast path cannot serve — a `None` lane, every lane of a group that
+/// panics or does not fill exactly its width (a diverged group fills
+/// none), and a lone last trial, which makes no group — run through the
+/// scalar `trial` closure. At a `width` of 0 or 1 every trial runs
+/// through `trial` and `group` is never called.
 ///
 /// `group(worker, group_start, group_width, out)` pushes one entry per
 /// lane for global trials `group_start..group_start + group_width`, in
 /// order: `Some(result)` where the fast path served the trial, `None`
-/// where it must rerun scalar. Groups are aligned to each worker piece's
-/// start, and the pieces are the same chunks at every width — so for a
-/// given `(threads, start, end)` the groups are the same whether a
-/// checkpoint resume or shard split lands mid-chunk or not, and results
-/// are bit-identical to the all-scalar runner in every case.
-///
-/// At a `width` of 0 or 1 every trial runs through `trial` and `group`
-/// is never called: that is [`run_batch_range`].
+/// where it must rerun scalar. The pieces are the same chunks at every
+/// width — so for a given `(threads, start, end)` the groups are the same
+/// whether a checkpoint resume or shard split lands mid-chunk or not, and
+/// results are bit-identical to the all-scalar runner in every case.
 ///
 /// # Panics
 ///
-/// Panics if the range is not within `0..=cfg.trials`.
-pub fn run_batch_range_grouped<W, T: Send>(
+/// Panics if the range is not within `0..=cfg.trials`, and re-raises a
+/// panic of `make_worker`, `new_acc` or `record`.
+#[allow(clippy::too_many_arguments)] // the runner's stages, spelled out
+pub fn run_batch_range_grouped<W, T, A: Send>(
     cfg: &BatchConfig,
     start: u64,
     end: u64,
@@ -166,25 +155,21 @@ pub fn run_batch_range_grouped<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     group: impl Fn(&mut W, u64, usize, &mut Vec<Option<T>>) + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
-) -> Vec<Result<T, TrialFault>> {
+    new_acc: impl Fn() -> A + Sync,
+    record: impl Fn(&mut A, u64, Result<T, TrialFault>) + Sync,
+) -> Vec<A> {
     assert!(
         start <= end && end <= cfg.trials,
         "trial range {start}..{end} outside batch of {} trials",
         cfg.trials
     );
     let len = end - start;
-    let threads = {
-        let t = if cfg.threads == 0 {
-            default_threads()
-        } else {
-            cfg.threads
-        };
-        t.clamp(1, len.max(1) as usize)
-    };
-    let base_seed = cfg.base_seed;
+    let threads = cfg.resolved_threads().min(len.max(1) as usize);
+    // Runs trial `index` scalar; a fault rebuilds the worker.
     let run_one = |worker: &mut W, index: u64| -> Result<T, TrialFault> {
-        let seed = trial_seed(base_seed, index);
+        let seed = trial_seed(cfg.base_seed, index);
         catch_unwind(AssertUnwindSafe(|| trial(worker, index, seed))).map_err(|payload| {
+            *worker = make_worker();
             TrialFault {
                 index,
                 seed,
@@ -192,73 +177,66 @@ pub fn run_batch_range_grouped<W, T: Send>(
             }
         })
     };
-    // Serves one worker piece covering global trials
-    // `piece_start..piece_start + piece.len()`.
-    let run_piece = |piece: &mut [Option<Result<T, TrialFault>>], piece_start: u64| {
+    // Serves one worker piece, global trials `lo..hi`.
+    let run_piece = |lo: u64, hi: u64| -> A {
+        let mut acc = new_acc();
         let mut worker = make_worker();
         let mut buf: Vec<Option<T>> = Vec::with_capacity(width);
-        let mut i = 0usize;
-        while i < piece.len() {
-            let index = piece_start + i as u64;
-            let width = width.min(piece.len() - i);
-            if width > 1 {
-                buf.clear();
-                let filled = catch_unwind(AssertUnwindSafe(|| {
-                    group(&mut worker, index, width, &mut buf)
-                }));
-                if filled.is_err() {
-                    // A panicking group may have left the worker's cached
-                    // state mid-trial; rebuild before the scalar re-run
-                    // (which attributes any persistent fault to its exact
-                    // trial).
-                    worker = make_worker();
-                }
-                if filled.is_err() || buf.len() != width {
-                    buf.clear();
-                    buf.resize_with(width, || None);
-                }
-                let served = buf.iter().filter(|lane| lane.is_some()).count();
-                BATCHED_TRIALS.fetch_add(served as u64, Ordering::Relaxed);
-                for (j, lane) in buf.drain(..).enumerate() {
-                    piece[i + j] = Some(match lane {
-                        Some(result) => Ok(result),
-                        None => {
-                            let result = run_one(&mut worker, index + j as u64);
-                            if result.is_err() {
-                                worker = make_worker();
-                            }
-                            result
-                        }
-                    });
-                }
-                i += width;
-            } else {
+        let mut index = lo;
+        while index < hi {
+            let width = (hi - index).min(width as u64) as usize;
+            if width <= 1 {
                 // Scalar width, or a lone last trial.
                 let result = run_one(&mut worker, index);
-                if result.is_err() {
-                    worker = make_worker();
-                }
-                piece[i] = Some(result);
-                i += 1;
+                record(&mut acc, index, result);
+                index += 1;
+                continue;
+            }
+            buf.clear();
+            let filled = catch_unwind(AssertUnwindSafe(|| {
+                group(&mut worker, index, width, &mut buf)
+            }));
+            if filled.is_err() {
+                // A panicking group may have left the worker's cached
+                // state mid-trial; rebuild before the scalar re-run
+                // (which attributes any persistent fault to its exact
+                // trial).
+                worker = make_worker();
+            }
+            if filled.is_err() || buf.len() != width {
+                buf.clear();
+                buf.resize_with(width, || None);
+            }
+            let served = buf.iter().filter(|lane| lane.is_some()).count();
+            BATCHED_TRIALS.fetch_add(served as u64, Ordering::Relaxed);
+            for lane in buf.drain(..) {
+                let result = match lane {
+                    Some(result) => Ok(result),
+                    None => run_one(&mut worker, index),
+                };
+                record(&mut acc, index, result);
+                index += 1;
             }
         }
+        acc
     };
-    let mut slots: Vec<Option<Result<T, TrialFault>>> = (0..len).map(|_| None).collect();
-    if threads <= 1 || len <= 1 {
-        run_piece(&mut slots, start);
-    } else {
-        let chunk = slots.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, piece) in slots.chunks_mut(chunk).enumerate() {
-                let run_piece = &run_piece;
-                scope.spawn(move || run_piece(piece, start + (t * chunk) as u64));
-            }
-        });
+    if threads <= 1 {
+        return vec![run_piece(start, end)];
     }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    let chunk = len.div_ceil(threads as u64);
+    std::thread::scope(|scope| {
+        let pieces: Vec<_> = (start..end)
+            .step_by(chunk as usize)
+            .map(|lo| {
+                let run_piece = &run_piece;
+                scope.spawn(move || run_piece(lo, (lo + chunk).min(end)))
+            })
+            .collect();
+        pieces
+            .into_iter()
+            .map(|piece| piece.join().unwrap_or_else(|p| resume_unwind(p)))
+            .collect()
+    })
 }
 
 /// Runs `trials` independent trials across worker threads, giving each
@@ -271,10 +249,10 @@ pub fn run_batch_range_grouped<W, T: Send>(
 /// leak state between trials. Under that contract the returned vector is
 /// identical for every thread count.
 ///
-/// A panicking trial no longer tears down sibling workers: the whole batch
-/// completes first (via [`run_batch_range`]), then this wrapper re-raises
-/// the first fault with its index and repro seed. Callers that want the
-/// surviving results instead should use [`run_batch_range`] directly.
+/// The collecting form of [`run_batch_range_grouped`] at width 1: a
+/// panicking trial does not tear down sibling workers — the whole batch
+/// completes first, then this wrapper re-raises the first fault with its
+/// index and repro seed.
 ///
 /// # Examples
 ///
@@ -293,8 +271,20 @@ pub fn run_batch<W, T: Send>(
     make_worker: impl Fn() -> W + Sync,
     trial: impl Fn(&mut W, u64, u64) -> T + Sync,
 ) -> Vec<T> {
-    run_batch_range(cfg, 0, cfg.trials, make_worker, trial)
+    let pieces = run_batch_range_grouped(
+        cfg,
+        0,
+        cfg.trials,
+        1,
+        make_worker,
+        |_, _, _, _| {},
+        trial,
+        Vec::new,
+        |out: &mut Vec<_>, _, result| out.push(result),
+    );
+    pieces
         .into_iter()
+        .flatten()
         .map(|slot| {
             slot.unwrap_or_else(|f| {
                 panic!(
@@ -335,6 +325,32 @@ pub fn par_seeds<T: Send>(trials: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The grouped runner with a collecting accumulator: every trial's
+    /// result, in index order.
+    fn collected<T: Send>(
+        cfg: &BatchConfig,
+        (start, end): (u64, u64),
+        width: usize,
+        group: impl Fn(&mut (), u64, usize, &mut Vec<Option<T>>) + Sync,
+        trial: impl Fn(&mut (), u64, u64) -> T + Sync,
+    ) -> Vec<Result<T, TrialFault>> {
+        let pieces = run_batch_range_grouped(
+            cfg,
+            start,
+            end,
+            width,
+            || (),
+            group,
+            trial,
+            Vec::new,
+            |out: &mut Vec<_>, index, result: Result<T, TrialFault>| {
+                assert_eq!(result.as_ref().map_or_else(|f| f.index, |_| index), index);
+                out.push(result);
+            },
+        );
+        pieces.into_iter().flatten().collect()
+    }
 
     #[test]
     fn preserves_seed_order() {
@@ -397,7 +413,7 @@ mod tests {
             threads: 4,
         };
         let full = run_batch(&cfg, || (), |(), i, seed| i ^ seed);
-        let part = run_batch_range(&cfg, 13, 37, || (), |(), i, seed| i ^ seed);
+        let part = collected(&cfg, (13, 37), 1, |_, _, _, _| {}, |(), i, seed| i ^ seed);
         let part: Vec<u64> = part.into_iter().map(|r| r.expect("no faults")).collect();
         assert_eq!(part, full[13..37]);
     }
@@ -412,11 +428,13 @@ mod tests {
             };
             // Workers count trials served so the rebuild is observable: the
             // worker that hit index 7 restarts its count from zero.
-            let out = run_batch_range(
+            let out: Vec<_> = run_batch_range_grouped(
                 &cfg,
                 0,
                 20,
+                1,
                 || 0u64,
+                |_, _, _, _| {},
                 |served, i, seed| {
                     if i == 7 {
                         panic!("injected fault at {i}");
@@ -424,7 +442,12 @@ mod tests {
                     *served += 1;
                     (i, seed, *served)
                 },
-            );
+                Vec::new,
+                |out: &mut Vec<_>, _, result| out.push(result),
+            )
+            .into_iter()
+            .flatten()
+            .collect();
             assert_eq!(out.len(), 20);
             for (i, slot) in out.iter().enumerate() {
                 if i == 7 {
@@ -481,12 +504,10 @@ mod tests {
             base_seed: 11,
             threads,
         };
-        run_batch_range_grouped(
+        collected(
             &cfg,
-            start,
-            end,
+            (start, end),
             width,
-            || (),
             |(), gstart, width, out| {
                 if panic_at.is_some_and(|p| (gstart..gstart + width as u64).contains(&p)) {
                     panic!("group panic");
@@ -542,6 +563,8 @@ mod tests {
                 out.resize(width, Some(()));
             },
             |(), _, _| (),
+            || (),
+            |(), _, _| {},
         );
         let mut shapes = shapes.into_inner().expect("no poison");
         shapes.sort_unstable();
@@ -602,12 +625,10 @@ mod tests {
             threads: 1,
         };
         let before = batched_trials();
-        let out = run_batch_range_grouped(
+        let out = collected(
             &cfg,
-            0,
-            16,
+            (0, 16),
             8,
-            || (),
             |(), gstart, _, out| {
                 out.extend((0..8u64).map(|j| (j != 1 && j != 6).then_some((gstart + j, "batch"))));
             },
@@ -646,12 +667,10 @@ mod tests {
             base_seed: 2,
             threads: 1,
         };
-        let out = run_batch_range_grouped(
+        let out = collected(
             &cfg,
-            0,
-            8,
+            (0, 8),
             4,
-            || (),
             |(), _gstart, _width, _out| {}, // force scalar everywhere
             |(), i, _seed| {
                 assert!(i != 5, "boom at 5");
@@ -683,19 +702,80 @@ mod tests {
             base_seed: 1,
             threads: 2,
         };
-        let grouped = run_batch_range_grouped(
+        let grouped_calls = AtomicUsize::new(0);
+        let grouped = collected(
             &cfg,
-            0,
-            6,
+            (0, 6),
             1,
-            || (),
-            |(), _g, _w, _o| panic!("group path must not run at width 1"),
+            |(), _g, _w, _o: &mut Vec<Option<u64>>| {
+                grouped_calls.fetch_add(1, Ordering::Relaxed);
+            },
             |(), i, seed| i ^ seed,
         );
-        let scalar = run_batch_range(&cfg, 0, 6, || (), |(), i, seed| i ^ seed);
+        assert_eq!(grouped_calls.into_inner(), 0, "no group runs at width 1");
         let grouped: Vec<u64> = grouped.into_iter().map(|r| r.expect("ok")).collect();
-        let scalar: Vec<u64> = scalar.into_iter().map(|r| r.expect("ok")).collect();
-        assert_eq!(grouped, scalar);
+        assert_eq!(grouped, run_batch(&cfg, || (), |(), i, seed| i ^ seed));
+    }
+
+    /// A trial result that counts how many results are alive at once.
+    struct Live<'a> {
+        live: &'a AtomicUsize,
+    }
+
+    impl<'a> Live<'a> {
+        fn new(live: &'a AtomicUsize, peak: &AtomicUsize) -> Self {
+            peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+            Self { live }
+        }
+    }
+
+    impl Drop for Live<'_> {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn live_results_stay_bounded_by_threads_times_width() {
+        const TRIALS: u64 = 10_000;
+        for threads in [1, 2] {
+            for width in [1, 16] {
+                let (live, peak) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                let cfg = BatchConfig {
+                    trials: TRIALS,
+                    base_seed: 6,
+                    threads,
+                };
+                // Every fifth lane reruns scalar, so groups hold results
+                // while their reruns make more.
+                let counts = run_batch_range_grouped(
+                    &cfg,
+                    0,
+                    TRIALS,
+                    width,
+                    || (),
+                    |(), _, width, out| {
+                        out.extend(
+                            (0..width).map(|j| (j % 5 != 1).then(|| Live::new(&live, &peak))),
+                        )
+                    },
+                    |(), _, _| Live::new(&live, &peak),
+                    || 0u64,
+                    |count, _, result| {
+                        assert!(result.is_ok());
+                        *count += 1;
+                    },
+                );
+                assert_eq!(counts.len(), threads);
+                assert_eq!(counts.iter().sum::<u64>(), TRIALS);
+                assert_eq!(live.into_inner(), 0);
+                let peak = peak.into_inner();
+                assert!(
+                    peak <= threads * (width + 1),
+                    "threads={threads} width={width}: {peak} results alive at once"
+                );
+            }
+        }
     }
 
     #[test]

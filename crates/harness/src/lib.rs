@@ -7,10 +7,12 @@
 //! hard guarantees:
 //!
 //! 1. **Bit-determinism.** Each trial's seed is a pure function of
-//!    `(base_seed, trial_index)` ([`trial_seed`]), trial results are
-//!    collected into their index slot, and aggregation walks the slots in
-//!    index order — so a batch produces *byte-identical* output no matter
-//!    how many threads run it or how they interleave.
+//!    `(base_seed, trial_index)` ([`trial_seed`]), each worker records
+//!    the trials of its contiguous piece into its own accumulator in
+//!    index order as they end, and the pieces merge in index order — so a
+//!    batch produces *byte-identical* output no matter how many threads
+//!    run it or how they interleave, and a sweep's memory does not grow
+//!    with its trial count.
 //! 2. **Allocation reuse.** Each worker thread owns one reusable
 //!    [`ring_sim::Engine`] (preallocated link queues and adjacency
 //!    tables), so per-trial setup cost is the node behaviours only, not
@@ -18,11 +20,13 @@
 //!
 //! ## Layers
 //!
-//! * [`run_batch`] — the generic core: per-worker state + per-trial
-//!   closure → results in trial order.
-//! * [`par_seeds`] — the legacy `fle-experiments` surface, now a thin
-//!   wrapper over [`run_batch`] (seeds are the raw trial indices, for
-//!   compatibility with the recorded experiment tables).
+//! * [`run_batch_range_grouped`] — the generic core: per-worker state, a
+//!   lockstep group stage with a per-trial scalar fallback, and one
+//!   accumulator per worker that records each trial as it ends.
+//! * [`run_batch`] — its collecting form: results in trial order.
+//!   [`par_seeds`], the legacy `fle-experiments` surface, is a thin
+//!   wrapper over it (seeds are the raw trial indices, for compatibility
+//!   with the recorded experiment tables).
 //! * [`run_sweep`] — spec-level batches, the one way to run a sweep:
 //!   build a [`SweepSpec`] (an honest [`HonestSweep`], an adversarial
 //!   [`AttackSweep`] or a tree-dictator [`TreeSweep`]), get a
@@ -98,8 +102,8 @@ mod tree;
 
 pub use attack::run_attack_sweep_with_net;
 pub use batch::{
-    batched_trials, default_threads, par_seeds, run_batch, run_batch_range,
-    run_batch_range_grouped, set_default_threads, BatchConfig, TrialFault, MAX_THREADS,
+    batched_trials, default_threads, par_seeds, run_batch, run_batch_range_grouped,
+    set_default_threads, BatchConfig, TrialFault, MAX_THREADS,
 };
 pub use checkpoint::{
     run_sweep_checkpointed, write_checkpoint, CheckpointedRun, SweepCheckpoint, CHECKPOINT_FORMAT,

@@ -19,12 +19,27 @@ use crate::report::{
     AttackSummary, FailCounts, FaultSummary, MetricSummary, TrialOutcome, TrialReport,
 };
 use crate::spec::{check_keys, opt_u64, req, req_str, req_u64, req_usize, require};
-use ring_sim::Outcome;
+use ring_sim::{Execution, Outcome};
 
 /// Format marker every serialized partial carries.
 pub const PARTIAL_FORMAT: &str = "fle-report-partial";
 /// Version of the partial-report JSON schema.
 pub const PARTIAL_VERSION: u64 = 1;
+
+/// One sweep trial as the runners record it: the outcome (`None` for an
+/// attack trial that was infeasible), whether the attack succeeded, and
+/// whether a planned crash fired. An honest trial always has an outcome
+/// and never succeeds.
+pub(crate) type Trial = (Option<TrialOutcome>, bool, bool);
+
+/// The [`Trial`] that ran to `exec`.
+pub(crate) fn ran(exec: &Execution, success: bool) -> Trial {
+    (
+        Some(TrialOutcome::of(exec)),
+        success,
+        exec.stats.crashes > 0,
+    )
+}
 
 /// Mergeable aggregate of a subset of one sweep's trials.
 ///
@@ -192,6 +207,26 @@ impl ReportPartial {
         *self.steps.entry(t.steps).or_insert(0) += 1;
     }
 
+    /// Records one trial as the sweep runners hand it over: a [`Trial`]
+    /// at global `index`, or a contained panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds or double-recorded index.
+    pub(crate) fn record_trial(&mut self, index: u64, result: Result<Trial, TrialFault>) {
+        let (outcome, success, crashed) = match result {
+            Ok(trial) => trial,
+            Err(fault) => return self.record_fault(fault),
+        };
+        self.note_index(index);
+        self.successes += u64::from(success);
+        self.crashed += u64::from(crashed);
+        match outcome {
+            Some(t) => self.record_outcome(&t),
+            None => self.infeasible += 1,
+        }
+    }
+
     /// Records one honest trial at global `index`.
     ///
     /// # Panics
@@ -200,8 +235,7 @@ impl ReportPartial {
     /// double-recorded index.
     pub fn record(&mut self, index: u64, outcome: TrialOutcome) {
         assert!(!self.attack, "honest trial recorded into an attack partial");
-        self.note_index(index);
-        self.record_outcome(&outcome);
+        self.record_trial(index, Ok((Some(outcome), false, false)));
     }
 
     /// Records one attack trial at global `index`: `outcome = None` marks
@@ -214,14 +248,7 @@ impl ReportPartial {
     /// double-recorded index.
     pub fn record_attack(&mut self, index: u64, outcome: Option<TrialOutcome>, success: bool) {
         assert!(self.attack, "attack trial recorded into an honest partial");
-        self.note_index(index);
-        if success {
-            self.successes += 1;
-        }
-        match outcome {
-            Some(t) => self.record_outcome(&t),
-            None => self.infeasible += 1,
-        }
+        self.record_trial(index, Ok((outcome, success, false)));
     }
 
     /// Records one honest trial of a fault-enabled sweep at global
@@ -274,6 +301,19 @@ impl ReportPartial {
         self.note_index(fault.index);
         let at = self.faults.partition_point(|f| f.index <= fault.index);
         self.faults.insert(at, fault);
+    }
+
+    /// Merges the disjoint pieces of one sweep in the order the batch
+    /// runner hands them back (one per worker, at least one).
+    pub(crate) fn merged(pieces: Vec<Self>) -> Self {
+        pieces
+            .into_iter()
+            .reduce(|mut all, piece| {
+                all.merge(&piece)
+                    .expect("worker pieces of one sweep are disjoint");
+                all
+            })
+            .expect("the batch runner returns one piece per worker")
     }
 
     /// Folds `other` (a disjoint piece of the same sweep) into `self`.

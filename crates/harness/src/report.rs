@@ -314,7 +314,8 @@ impl TrialReport {
     /// statistics), and `success` says whether the attack achieved its
     /// goal. The returned report carries an [`AttackSummary`] and thus
     /// serializes with a trailing `attack` arm.
-    pub fn from_attack_trials(
+    #[cfg(test)]
+    pub(crate) fn from_attack_trials(
         protocol: &str,
         n: usize,
         base_seed: u64,
@@ -333,18 +334,6 @@ impl TrialReport {
     /// Total trials that elected a leader in `[0, n)`.
     pub fn elected(&self) -> u64 {
         self.wins.iter().sum()
-    }
-
-    /// Per-node win probabilities (`wins[i] / trials`).
-    pub fn win_rates(&self) -> Vec<f64> {
-        let t = self.trials.max(1) as f64;
-        self.wins.iter().map(|&w| w as f64 / t).collect()
-    }
-
-    /// The largest per-node win probability — the quantity the paper's
-    /// bias bounds are stated about.
-    pub fn max_win_probability(&self) -> f64 {
-        self.win_rates().iter().copied().fold(0.0, f64::max)
     }
 
     /// Serializes to a single-line JSON object with pinned field order.

@@ -1,10 +1,10 @@
 //! Protocol-level batch sweeps with per-worker engine reuse.
 
 use crate::attack::attack_partial;
-use crate::partial::ReportPartial;
+use crate::partial::{ran, ReportPartial, Trial};
 use crate::spec::{FaultSpec, ScheduleSpec, SweepSpec};
 use crate::tree::tree_partial;
-use crate::{run_batch_range_grouped, trial_seed, BatchConfig, TrialOutcome, TrialReport};
+use crate::{run_batch_range_grouped, trial_seed, BatchConfig, TrialReport};
 use fle_core::protocols::{
     ALeadUni, BasicLead, LockstepProtocol, PhaseAsyncLead, PhaseSumLead, TrialCache,
 };
@@ -237,7 +237,7 @@ impl<P: LockstepProtocol> HonestWorker<P> {
         for lane in 0..width {
             out.push((!lanes.lane_hit(lane)).then(|| {
                 lanes.execution_into(lane, &mut self.exec);
-                (TrialOutcome::of(&self.exec), self.exec.stats.crashes > 0)
+                ran(&self.exec, false)
             }));
         }
     }
@@ -249,13 +249,12 @@ impl<P: LockstepProtocol> HonestWorker<P> {
     /// ([`ring_sim::FAULT_STREAM_SALT`]) when faults are configured.
     fn trial(&mut self, seed: u64) -> Trial {
         self.scalar.set_trial_seed(seed);
-        let exec = self.scalar.run(&self.protocol.seeded(seed), Vec::new());
-        (TrialOutcome::of(exec), exec.stats.crashes > 0)
+        ran(
+            self.scalar.run(&self.protocol.seeded(seed), Vec::new()),
+            false,
+        )
     }
 }
-
-/// One honest trial's outcome and whether a planned crash fired.
-type Trial = (TrialOutcome, bool);
 
 /// Trials `start..end` of an honest sweep of `protocol`: lockstep groups
 /// where the sweep's width allows, scalar trials elsewhere, and a partial
@@ -266,7 +265,9 @@ type Trial = (TrialOutcome, bool);
 /// `protocol`, whose seed-independent state (`PhaseParams`, the keyed
 /// `RandomFn`, the ring size) is built *once* per sweep; each trial
 /// derives its seeded copy from it, so steady-state trials allocate
-/// nothing. Panicking trials are contained as recorded faults.
+/// nothing. Each worker records its trials into its own copy of the
+/// empty partial as they end, and the copies merge in index order.
+/// Panicking trials are contained as recorded faults.
 fn honest_partial<P: LockstepProtocol + Clone + Sync>(
     cfg: &HonestSweep,
     start: u64,
@@ -277,7 +278,12 @@ fn honest_partial<P: LockstepProtocol + Clone + Sync>(
     let base_seed = cfg.batch.base_seed;
     let net = cfg.schedule.timed_net();
     let fault = cfg.fault.map(|f| f.config());
-    let outcomes = run_batch_range_grouped(
+    let mut empty =
+        ReportPartial::new_honest(cfg.protocol.name(), cfg.n, base_seed, cfg.batch.trials);
+    if fault.is_some() {
+        empty = empty.with_faults();
+    }
+    ReportPartial::merged(run_batch_range_grouped(
         &cfg.batch,
         start,
         end,
@@ -285,23 +291,9 @@ fn honest_partial<P: LockstepProtocol + Clone + Sync>(
         || HonestWorker::new(protocol.clone(), net.as_ref(), fault),
         |w, gstart, width, out| w.group(base_seed, gstart, width, out),
         |w, _i, seed| w.trial(seed),
-    );
-    let mut partial =
-        ReportPartial::new_honest(cfg.protocol.name(), cfg.n, base_seed, cfg.batch.trials);
-    if fault.is_some() {
-        partial = partial.with_faults();
-    }
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        let index = start + i as u64;
-        match slot {
-            Ok((outcome, crashed)) if fault.is_some() => {
-                partial.record_faulty(index, outcome, crashed)
-            }
-            Ok((outcome, _)) => partial.record(index, outcome),
-            Err(fault) => partial.record_fault(fault),
-        }
-    }
-    partial
+        || empty.clone(),
+        ReportPartial::record_trial,
+    ))
 }
 
 /// Runs any [`SweepSpec`] — honest, attack or tree-dictator — and

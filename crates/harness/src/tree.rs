@@ -1,9 +1,9 @@
 //! Tree-dictator grids: Theorem 7.2's simulated-tree protocol under its
 //! dictator coalition, swept over deterministic seeds.
 
-use crate::partial::ReportPartial;
+use crate::partial::{ran, ReportPartial};
+use crate::run_batch_range_grouped;
 use crate::spec::TreeSweep;
-use crate::{run_batch_range, TrialOutcome};
 use fle_topology::tree_fle::TreeSumFle;
 
 /// Runs trials `start..end` (global indices and seeds) of a
@@ -24,29 +24,24 @@ pub(crate) fn tree_partial(cfg: &TreeSweep, start: u64, end: u64) -> Result<Repo
     let n = cfg.graph.n();
     // Validate the spec once up front so workers can only fail per-trial.
     cfg.graph.resolve()?;
-    let results = run_batch_range(
+    let label = format!("TreeSumFle:{}", cfg.graph.label());
+    let empty = ReportPartial::new_attack(&label, n, cfg.batch.base_seed, cfg.batch.trials);
+    Ok(ReportPartial::merged(run_batch_range_grouped(
         &cfg.batch,
         start,
         end,
+        1,
         || cfg.graph.resolve().expect("graph validated above"),
+        |_, _, _, _| {},
         |(graph, partition), index, derived| {
             let seed = cfg.seed_mode.resolve(index, derived);
             let target = cfg.target.resolve(seed, n) % n as u64;
-            let fle = TreeSumFle::new(graph, partition, seed);
-            let exec = fle.run_with_dictator(target);
-            let success = exec.outcome.elected() == Some(target);
-            (Some(TrialOutcome::of(&exec)), success)
+            let exec = TreeSumFle::new(graph, partition, seed).run_with_dictator(target);
+            ran(&exec, exec.outcome.elected() == Some(target))
         },
-    );
-    let label = format!("TreeSumFle:{}", cfg.graph.label());
-    let mut partial = ReportPartial::new_attack(&label, n, cfg.batch.base_seed, cfg.batch.trials);
-    for (i, slot) in results.into_iter().enumerate() {
-        match slot {
-            Ok((outcome, success)) => partial.record_attack(start + i as u64, outcome, success),
-            Err(fault) => partial.record_fault(fault),
-        }
-    }
-    Ok(partial)
+        || empty.clone(),
+        ReportPartial::record_trial,
+    )))
 }
 
 #[cfg(test)]

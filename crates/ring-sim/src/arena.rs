@@ -12,10 +12,10 @@
 //! the arena is a *bump-style pool*: `u64` buffers are handed out by value
 //! (each one is a `Vec<u64>` whose capacity survives round-trips) and
 //! returned via [`TrialArena::reclaim_u64s`] — typically through
-//! [`ArenaBacked::reclaim`] on the finished node vector. [`TrialArena::reset`]
-//! marks the trial boundary. After the first trial of a batch the pool has
-//! reached its high-water mark and [`TrialArena::fresh_allocs`] stops
-//! moving — the property the regression tests pin.
+//! [`ArenaBacked::reclaim`] on the finished node vector. After the first
+//! trial of a batch the pool has reached its high-water mark and
+//! [`TrialArena::fresh_allocs`] stops moving — the property the
+//! regression tests pin.
 
 /// A per-worker pool of `u64` buffers for trial-lifetime node state.
 ///
@@ -26,7 +26,6 @@
 ///
 /// let mut arena = TrialArena::new();
 /// for _trial in 0..3 {
-///     arena.reset();
 ///     let buf = arena.alloc_u64s(8);
 ///     assert_eq!(buf, vec![0u64; 8]);
 ///     arena.reclaim_u64s(buf);
@@ -76,13 +75,6 @@ impl TrialArena {
         }
     }
 
-    /// Marks a trial boundary. The pool itself is retained — reclaimed
-    /// buffers stay warm — so this is currently a no-op hook; callers
-    /// should still invoke it between trials so the arena can police or
-    /// compact its storage in the future without call-site changes.
-    #[inline]
-    pub fn reset(&mut self) {}
-
     /// Number of buffers currently pooled (available for reuse).
     pub fn pooled(&self) -> usize {
         self.free.len()
@@ -130,7 +122,6 @@ mod tests {
     fn steady_state_stops_allocating() {
         let mut arena = TrialArena::new();
         for _ in 0..10 {
-            arena.reset();
             let a = arena.alloc_u64s(16);
             let b = arena.alloc_u64s(16);
             arena.reclaim_u64s(a);

@@ -137,15 +137,6 @@ impl<M> MessageLogProbe<M> {
     pub fn truncated(&self) -> bool {
         self.truncated
     }
-
-    /// Messages sent by `node`, in order.
-    pub fn sent_by(&self, node: NodeId) -> Vec<&M> {
-        self.entries
-            .iter()
-            .filter(|&&(from, _, _)| from == node)
-            .map(|(_, _, m)| m)
-            .collect()
-    }
 }
 
 impl<M: Clone> Probe<M> for MessageLogProbe<M> {
@@ -232,8 +223,6 @@ mod tests {
         log.on_send(2, 0, &30, &[]);
         assert_eq!(log.entries().len(), 2);
         assert!(log.truncated());
-        assert_eq!(log.sent_by(1), vec![&20]);
-        assert!(log.sent_by(9).is_empty());
     }
 
     #[test]

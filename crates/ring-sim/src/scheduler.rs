@@ -169,15 +169,6 @@ impl RandomScheduler {
             rng: SplitMix64::new(seed),
         }
     }
-
-    /// Discards pending tokens (keeping their storage) and restarts the
-    /// random stream from `seed` — equivalent to `*self = Self::new(seed)`
-    /// without the reallocation, so one scheduler serves a whole batch of
-    /// differently-seeded trials.
-    pub fn reseed(&mut self, seed: u64) {
-        self.tokens.clear();
-        self.rng = SplitMix64::new(seed);
-    }
 }
 
 impl Scheduler for RandomScheduler {
@@ -515,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_and_reseed_restarts_the_stream() {
+    fn clear_empties_fifo_and_lifo_queues() {
         let mut fifo = FifoScheduler::new();
         fifo.push(Token::Wake(0));
         fifo.push(Token::Deliver(1));
@@ -527,26 +518,6 @@ mod tests {
         lifo.push(Token::Wake(0));
         lifo.clear();
         assert!(lifo.is_empty());
-
-        // After reseed, a RandomScheduler behaves exactly like a fresh one
-        // with that seed, token storage notwithstanding.
-        let drain = |s: &mut RandomScheduler| {
-            for i in 0..20 {
-                s.push(Token::Deliver(i));
-            }
-            let mut order = Vec::new();
-            while let Some(t) = s.pop() {
-                order.push(t);
-            }
-            order
-        };
-        let mut reused = RandomScheduler::new(1);
-        let first = drain(&mut reused);
-        reused.push(Token::Wake(9)); // stale token a reseed must discard
-        reused.reseed(5);
-        let reused_order = drain(&mut reused);
-        assert_eq!(reused_order, drain(&mut RandomScheduler::new(5)));
-        assert_ne!(reused_order, first);
     }
 
     #[test]

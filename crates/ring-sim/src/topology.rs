@@ -195,11 +195,6 @@ impl Topology {
         &self.out[node]
     }
 
-    /// Edge ids entering `node`, in insertion order.
-    pub fn in_edges(&self, node: NodeId) -> &[EdgeId] {
-        &self.inc[node]
-    }
-
     /// Successor node ids of `node`, in insertion order.
     pub fn out_neighbors(&self, node: NodeId) -> Vec<NodeId> {
         self.out[node].iter().map(|&e| self.edges[e].1).collect()
@@ -243,7 +238,7 @@ mod tests {
 
     /// Predecessor node ids of `node`, in insertion order.
     fn in_neighbors(t: &Topology, node: NodeId) -> Vec<NodeId> {
-        t.in_edges(node).iter().map(|&e| t.edges()[e].0).collect()
+        t.inc[node].iter().map(|&e| t.edges[e].0).collect()
     }
 
     #[test]

@@ -421,7 +421,9 @@ proptest! {
         // poisoned trial; the scalar rerun panics again at exactly that
         // trial — so the group's *other* trials must still land, and the
         // fault must attribute to `poison` alone.
-        let out = run_batch_range_grouped(
+        // Each worker records its trials into its own partial as they end,
+        // exactly as the sweep runner does; the pieces merge in order.
+        let pieces = run_batch_range_grouped(
             &cfg, 0, trials, width,
             || (),
             |(), gstart, width, buf: &mut Vec<Option<TrialOutcome>>| {
@@ -435,27 +437,28 @@ proptest! {
                 assert!(i != poison, "poisoned scalar trial {i}");
                 value(i, seed)
             },
-        );
-        prop_assert_eq!(out.len() as u64, trials);
-        // Fold into the report layer exactly as the sweep runner does.
-        let mut partial = ReportPartial::new_honest("poisoned", n, base_seed, trials);
-        for (i, slot) in out.into_iter().enumerate() {
-            match slot {
+            || ReportPartial::new_honest("poisoned", n, base_seed, trials),
+            |partial, i, slot| match slot {
                 Ok(outcome) => {
-                    prop_assert_eq!(
+                    assert_eq!(
                         outcome,
-                        value(i as u64, trial_seed(base_seed, i as u64)),
-                        "healthy trial {} must carry the scalar-path value", i
+                        value(i, trial_seed(base_seed, i)),
+                        "healthy trial {i} must carry the scalar-path value"
                     );
-                    partial.record(i as u64, outcome);
+                    partial.record(i, outcome);
                 }
                 Err(fault) => {
-                    prop_assert_eq!(fault.index, poison, "fault on the wrong trial");
-                    prop_assert_eq!(fault.seed, trial_seed(base_seed, poison));
-                    prop_assert!(fault.message.contains("poisoned"));
+                    assert_eq!(fault.index, poison, "fault on the wrong trial");
+                    assert_eq!(fault.seed, trial_seed(base_seed, poison));
+                    assert!(fault.message.contains("poisoned"));
                     partial.record_fault(fault);
                 }
-            }
+            },
+        );
+        let mut pieces = pieces.into_iter();
+        let mut partial = pieces.next().expect("one piece per worker");
+        for piece in pieces {
+            partial.merge(&piece).expect("disjoint worker pieces");
         }
         let report = partial.finish().expect("full coverage");
         prop_assert_eq!(report.trials, trials - 1, "the poisoned trial is excluded");
