@@ -8,7 +8,7 @@
 //! processor would have produced.
 
 use crate::AttackError;
-use fle_core::protocols::{BasicLead, BasicNode, TrialCache};
+use fle_core::protocols::{BasicLead, BasicNode, RingProtocol, TrialCache};
 use fle_core::{Execution, Node, NodeId};
 use ring_sim::Ctx;
 

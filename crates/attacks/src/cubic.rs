@@ -10,7 +10,7 @@
 //! is `k + (k−1)k(k+1)/2 = Θ(k³)`, hence `k = Θ(∛n)` suffices.
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadUni, FleProtocol};
+use fle_core::protocols::{ALeadUni, FleProtocol, RingProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 

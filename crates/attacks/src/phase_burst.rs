@@ -14,7 +14,7 @@
 //! `PhaseAsyncLead` closes the cubic loophole.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, RingProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;

@@ -14,7 +14,7 @@
 //! experiment's sweep).
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg};
+use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, RingProtocol};
 use fle_core::{DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;

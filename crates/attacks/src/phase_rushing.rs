@@ -14,7 +14,9 @@
 //! exponentially unlikely).
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseNode, TrialCache};
+use fle_core::protocols::{
+    FleProtocol, PhaseAsyncLead, PhaseMsg, PhaseNode, RingProtocol, TrialCache,
+};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId, RandomFn};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;

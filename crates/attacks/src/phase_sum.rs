@@ -24,7 +24,7 @@
 //! function are not.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, PhaseMsg, PhaseSumLead};
+use fle_core::protocols::{FleProtocol, PhaseMsg, PhaseSumLead, RingProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::rng::SplitMix64;
 use ring_sim::Ctx;

@@ -12,7 +12,7 @@
 //! controls the outcome.
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadUni, FleProtocol};
+use fle_core::protocols::{ALeadUni, FleProtocol, RingProtocol};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -97,7 +97,8 @@ impl RandomLocatedAttack {
         active.distances().into_iter().all(|l| l < k - self.window)
     }
 
-    /// Builds the deviation nodes (origin behaves honestly if corrupted).
+    /// Builds the deviation nodes. A corrupted origin behaves honestly, so
+    /// it gets no override.
     ///
     /// # Errors
     ///
@@ -126,18 +127,15 @@ impl RandomLocatedAttack {
         Ok(coalition
             .positions()
             .iter()
+            .filter(|&&pos| pos != 0)
             .map(|&pos| {
-                let node: Box<dyn Node<u64>> = if pos == 0 {
-                    protocol.honest_node(0)
-                } else {
-                    Box::new(CircularityAdversary {
-                        n: n as u64,
-                        c: self.window,
-                        w: self.target,
-                        received: Vec::with_capacity(n),
-                        done: false,
-                    })
-                };
+                let node: Box<dyn Node<u64>> = Box::new(CircularityAdversary {
+                    n: n as u64,
+                    c: self.window,
+                    w: self.target,
+                    received: Vec::with_capacity(n),
+                    done: false,
+                });
                 (pos, node)
             })
             .collect())

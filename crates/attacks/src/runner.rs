@@ -389,7 +389,7 @@ impl<A: Deviation> AttackRunner for Runner<A> {
         let protocol = self.protocol(seed, fn_key);
         let deviants = self.attack.deviants(&protocol, target)?;
         self.cache.set_trial_seed(seed);
-        let exec = protocol.run_with_in(deviants, &mut self.cache);
+        let exec = self.cache.run(&protocol, deviants);
         let success = self.attack.success(&protocol, target, exec);
         Ok(AttackTrialResult { exec, success })
     }

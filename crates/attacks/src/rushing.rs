@@ -13,7 +13,7 @@
 //! (the Claim D.1 crossover).
 
 use crate::AttackError;
-use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, TrialCache};
+use fle_core::protocols::{ALeadNode, ALeadUni, FleProtocol, RingProtocol, TrialCache};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 
@@ -111,7 +111,9 @@ impl RushingAttack {
         Ok(active)
     }
 
-    /// Builds the deviation nodes for the coalition.
+    /// Builds the deviation nodes for the coalition. A corrupted origin
+    /// behaves honestly, so it gets no override: every position without
+    /// one runs the honest node.
     ///
     /// # Errors
     ///
@@ -121,21 +123,15 @@ impl RushingAttack {
         protocol: &ALeadUni,
         coalition: &Coalition,
     ) -> Result<DeviationNodes<u64>, AttackError> {
-        let mut nodes: Vec<(NodeId, Box<dyn Node<u64>>)> = Vec::with_capacity(coalition.k());
-        if coalition.contains(0) {
-            nodes.push((0, protocol.honest_node(0)));
-        }
-        for (pos, rusher) in self.adversary_ring_nodes(protocol, coalition)? {
-            nodes.push((pos, Box::new(rusher)));
-        }
-        Ok(nodes)
+        Ok(self
+            .adversary_ring_nodes(protocol, coalition)?
+            .into_iter()
+            .map(|(pos, rusher)| (pos, Box::new(rusher) as Box<dyn Node<u64>>))
+            .collect())
     }
 
     /// [`RushingAttack::adversary_nodes`] as concrete [`Rusher`]s — the
-    /// form a [`RushingCache`] stores unboxed. A corrupted origin behaves honestly, so it is
-    /// simply *omitted* here: the cache's honest builder supplies the
-    /// identical [`ALeadNode`] for position 0 (bit-identical executions
-    /// either way).
+    /// form a [`RushingCache`] stores unboxed.
     ///
     /// # Errors
     ///

@@ -27,7 +27,7 @@
 //! model open; these attacks are the constructive half of Appendix H.
 
 use crate::AttackError;
-use fle_core::protocols::{FleProtocol, WakeLead, WakeMsg};
+use fle_core::protocols::{FleProtocol, RingProtocol, WakeLead, WakeMsg};
 use fle_core::{Coalition, DeviationNodes, Execution, Node, NodeId};
 use ring_sim::Ctx;
 

@@ -53,8 +53,8 @@ pub use coalition::{Coalition, CoalitionError, HonestSegment};
 pub use randfn::{EvalTable, PhaseParams, RandomFn};
 
 /// The node substitutions an adversarial deviation installs: pairs of
-/// ring position and deviating behaviour, consumed by the protocols'
-/// `run_with` methods.
+/// ring position and deviating behaviour, consumed by
+/// [`protocols::RingProtocol::run_with`].
 pub type DeviationNodes<M> = Vec<(NodeId, Box<dyn Node<M>>)>;
 
 // Re-export the simulator types that appear in this crate's public API so

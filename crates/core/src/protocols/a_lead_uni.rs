@@ -18,9 +18,9 @@
 
 use super::lanes::{one_and_k_lanes, Effects, Reg};
 use super::{
-    fold_mod, node_rng, run_ring, wrap_sub, BasicNode, FleProtocol, RingProtocol, TrialCache, Wakes,
+    fold_mod, node_rng, wrap_sub, BasicNode, FleProtocol, RingProtocol, TrialCache, Wakes,
 };
-use ring_sim::{ArenaBacked, Execution, Node, NodeId, Probe, TrialArena};
+use ring_sim::{ArenaBacked, Execution, NodeId, TrialArena};
 
 /// [`TrialCache`] for `A-LEADuni`'s boxed coalition mixes.
 pub type ALeadTrialCache = TrialCache<u64, ALeadNode>;
@@ -95,57 +95,19 @@ impl ALeadUni {
         }
     }
 
-    /// Builds the honest node for position `id` (origin at 0) as a boxed
-    /// trait object (for heterogeneous protocol/attack mixes).
-    pub fn honest_node(&self, id: NodeId) -> Box<dyn Node<u64>> {
-        Box::new(self.honest_ring_node(id))
-    }
-
-    /// Builds the honest node for position `id` as the concrete
-    /// [`ALeadNode`] — the monomorphized form the batch fast path stores
+    /// Builds the honest node for position `id` (origin at 0) as the
+    /// concrete [`ALeadNode`] — the monomorphized form honest sweeps store
     /// in a plain `Vec` (origin/normal dispatch is a branch, not a
-    /// vtable).
-    pub fn honest_ring_node(&self, id: NodeId) -> ALeadNode {
+    /// vtable). `ALeadNode` holds no heap state, so the arena goes unused.
+    pub fn honest_ring_node_in(&self, id: NodeId, _arena: &mut TrialArena) -> ALeadNode {
         let mut node = ALeadNode::default();
         node.fill(self, id, &[self.seed]);
         node
     }
 
-    /// [`ALeadUni::honest_ring_node`] with the uniform arena-aware batch
-    /// surface; `ALeadNode` holds no heap state, so the arena goes unused.
-    pub fn honest_ring_node_in(&self, id: NodeId, _arena: &mut TrialArena) -> ALeadNode {
-        self.honest_ring_node(id)
-    }
-
     /// Only the origin wakes spontaneously.
     pub fn wakes(&self) -> Vec<NodeId> {
-        vec![0]
-    }
-
-    /// Runs with the coalition positions replaced by `overrides`.
-    pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<u64>>)>) -> Execution {
-        run_ring(
-            self.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            None,
-        )
-    }
-
-    /// [`ALeadUni::run_with`] plus an instrumentation probe.
-    pub fn run_with_probe(
-        &self,
-        overrides: Vec<(NodeId, Box<dyn Node<u64>>)>,
-        probe: &mut dyn Probe<u64>,
-    ) -> Execution {
-        run_ring(
-            self.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            Some(probe),
-        )
+        Self::WAKES.ids(self.n)
     }
 }
 
@@ -181,7 +143,7 @@ impl FleProtocol for ALeadUni {
 /// processor.
 ///
 /// `ALeadNode` is the one-lane node the scalar engine runs, built by
-/// [`ALeadUni::honest_ring_node`]; honest sweeps store a `Vec<ALeadNode>`,
+/// [`ALeadUni::honest_ring_node_in`]; honest sweeps store a `Vec<ALeadNode>`,
 /// so the engine's activation dispatch is a two-way branch instead of a
 /// `Box<dyn Node>` vtable call. `ALeadNode<Vec<u64>>` runs the same
 /// transition in `k` lockstep lanes.

@@ -7,8 +7,8 @@
 //! (Claim B.1, reproduced in `fle-attacks::basic_single`).
 
 use super::lanes::{one_and_k_lanes, Effects, Reg};
-use super::{fold_mod, node_rng, run_ring, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
-use ring_sim::{ArenaBacked, Execution, Node, NodeId, TrialArena};
+use super::{fold_mod, node_rng, wrap_sub, FleProtocol, RingProtocol, TrialCache, Wakes};
+use ring_sim::{ArenaBacked, Execution, NodeId, TrialArena};
 
 /// [`TrialCache`] for `Basic-LEAD`'s boxed coalition mixes.
 pub type BasicTrialCache = TrialCache<u64, BasicNode>;
@@ -83,41 +83,19 @@ impl BasicLead {
         }
     }
 
-    /// Builds the honest node for position `id` as a boxed trait object
-    /// (for heterogeneous protocol/attack mixes).
-    pub fn honest_node(&self, id: NodeId) -> Box<dyn Node<u64>> {
-        Box::new(self.honest_ring_node(id))
-    }
-
     /// Builds the honest node for position `id` as its concrete type — the
-    /// monomorphized form the batch fast path stores in a plain `Vec`
-    /// (no `Box`, no vtable per activation).
-    pub fn honest_ring_node(&self, id: NodeId) -> BasicNode {
+    /// monomorphized form honest sweeps store in a plain `Vec` (no `Box`,
+    /// no vtable per activation). `BasicNode` holds no heap state, so the
+    /// arena goes unused.
+    pub fn honest_ring_node_in(&self, id: NodeId, _arena: &mut TrialArena) -> BasicNode {
         let mut node = BasicNode::default();
         node.fill(self.n as u64, &[self.seed], |seed| self.secret(seed, id));
         node
     }
 
-    /// [`BasicLead::honest_ring_node`] with the uniform arena-aware batch
-    /// surface; `BasicNode` holds no heap state, so the arena goes unused.
-    pub fn honest_ring_node_in(&self, id: NodeId, _arena: &mut TrialArena) -> BasicNode {
-        self.honest_ring_node(id)
-    }
-
     /// Every processor wakes spontaneously in `Basic-LEAD`.
     pub fn wakes(&self) -> Vec<NodeId> {
-        (0..self.n).collect()
-    }
-
-    /// Runs with the coalition positions replaced by `overrides`.
-    pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<u64>>)>) -> Execution {
-        run_ring(
-            self.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            None,
-        )
+        Self::WAKES.ids(self.n)
     }
 }
 
@@ -153,7 +131,7 @@ impl FleProtocol for BasicLead {
 /// others, validate that the own value returns last, output the sum.
 ///
 /// `BasicNode` is the one-lane node the scalar engine runs, built by
-/// [`BasicLead::honest_ring_node`] and stored by honest sweeps in a plain
+/// [`BasicLead::honest_ring_node_in`] and stored by honest sweeps in a plain
 /// `Vec<BasicNode>`, so the engine dispatches to it statically.
 /// `BasicNode<Vec<u64>>` runs the same transition in `k` lockstep lanes
 /// (`round` is shared by the lanes: the lockstep invariant).

@@ -35,6 +35,7 @@ pub use sync_lead::{SyncFixedValue, SyncLead, SyncWaitAndCancel};
 pub use sync_ring::{SyncRingCorruptor, SyncRingLead, SyncRingNode, SyncRingWaiter};
 pub use wakeup::{WakeLead, WakeMsg, WakeNode};
 
+use crate::DeviationNodes;
 use ring_sim::batch::{LockstepEngine, NodeLanes};
 use ring_sim::rng::SplitMix64;
 use ring_sim::{
@@ -140,15 +141,17 @@ impl Wakes {
 /// honest-node types, a seeded copy of the instance, the arena-backed
 /// honest node builder and the wake pattern.
 ///
-/// The provided methods are the protocol's cached-engine entries: an
-/// honest run through a reusable [`Engine`] and an attacked run through a
-/// per-worker [`TrialCache`].
+/// The provided methods are written once over those: the boxed honest
+/// node, the one-shot [`run_ring`] runs ([`RingProtocol::run_with`],
+/// [`RingProtocol::run_with_probe`]) and an honest run through a reusable
+/// [`Engine`]. Attacked runs over a per-worker cache go through
+/// [`TrialCache::run`].
 pub trait RingProtocol: FleProtocol + Sized {
     /// The protocol's message type.
-    type Msg: Clone;
+    type Msg: Clone + 'static;
     /// The honest processor as a concrete type, so honest sweeps store a
     /// plain `Vec` and the engine dispatches statically.
-    type Node: Node<Self::Msg> + ArenaBacked;
+    type Node: Node<Self::Msg> + ArenaBacked + 'static;
 
     /// The processors that wake spontaneously.
     const WAKES: Wakes;
@@ -162,6 +165,50 @@ pub trait RingProtocol: FleProtocol + Sized {
     /// trial-lifetime buffers from `arena` (reclaim them with
     /// [`ArenaBacked::reclaim`] after the trial).
     fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> Self::Node;
+
+    /// Builds the honest node for position `id` as a boxed trait object,
+    /// for the one-shot path and heterogeneous mixes. Its buffers come
+    /// from a fresh arena and are dropped with the node.
+    fn honest_node(&self, id: NodeId) -> Box<dyn Node<Self::Msg>> {
+        Box::new(self.honest_ring_node_in(id, &mut TrialArena::new()))
+    }
+
+    /// Runs with the coalition positions replaced by `overrides`, through
+    /// the one-shot [`run_ring`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if an override id is out of range or duplicated.
+    fn run_with(&self, overrides: DeviationNodes<Self::Msg>) -> Execution {
+        let n = self.n();
+        run_ring(
+            n,
+            |id| self.honest_node(id),
+            overrides,
+            &Self::WAKES.ids(n),
+            None,
+        )
+    }
+
+    /// [`RingProtocol::run_with`] plus an instrumentation probe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an override id is out of range or duplicated.
+    fn run_with_probe(
+        &self,
+        overrides: DeviationNodes<Self::Msg>,
+        probe: &mut dyn Probe<Self::Msg>,
+    ) -> Execution {
+        let n = self.n();
+        run_ring(
+            n,
+            |id| self.honest_node(id),
+            overrides,
+            &Self::WAKES.ids(n),
+            Some(probe),
+        )
+    }
 
     /// Runs an honest execution through a reusable engine — the
     /// monomorphized path, bit-identical to [`FleProtocol::run_honest`].
@@ -183,23 +230,6 @@ pub trait RingProtocol: FleProtocol + Sized {
             &mut out,
         );
         out
-    }
-
-    /// [`run_ring`] over `overrides` through a per-worker [`TrialCache`]:
-    /// honest positions run the concrete [`RingProtocol::Node`], only
-    /// coalition positions run `D`. Bit-identical to the protocol's
-    /// `run_with` over equivalent overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache's ring size differs from `n`, or an override id
-    /// is out of range or duplicated.
-    fn run_with_in<'c, D: Node<Self::Msg>>(
-        &self,
-        overrides: Vec<(NodeId, D)>,
-        cache: &'c mut TrialCache<Self::Msg, Self::Node, D>,
-    ) -> &'c Execution {
-        cache.run(self, overrides)
     }
 }
 
@@ -238,9 +268,9 @@ pub trait LockstepProtocol: RingProtocol {
 ///
 /// `honest` builds the protocol's honest node for an id; `overrides` maps
 /// coalition positions to their deviating strategies. `wakes` lists the
-/// spontaneously-waking nodes in wake order (for the protocols here: only
-/// the origin, except `Basic-LEAD` which wakes everyone). `probe`, when
-/// given, observes every send, delivery and termination.
+/// spontaneously-waking nodes in wake order (a ring protocol's
+/// [`RingProtocol::WAKES`]). `probe`, when given, observes every send,
+/// delivery and termination.
 ///
 /// # Panics
 ///
@@ -422,7 +452,7 @@ impl<N: ArenaBacked, D> ArenaBacked for MixNode<N, D> {
 ///
 /// This gives attack experiments the same steady-state allocation profile
 /// honest sweeps get from their per-worker state: hold one `TrialCache`
-/// per worker thread and call [`RingProtocol::run_with_in`] per trial.
+/// per worker thread and call [`TrialCache::run`] per trial.
 /// The attacks crate's cached runner (`fle_attacks::build_runner`) owns
 /// one of these. On `u64` protocols, [`TrialCache::run_group`] runs `k`
 /// such trials at once in lockstep lanes.
@@ -430,12 +460,12 @@ impl<N: ArenaBacked, D> ArenaBacked for MixNode<N, D> {
 /// # Examples
 ///
 /// ```
-/// use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseTrialCache, RingProtocol};
+/// use fle_core::protocols::{FleProtocol, PhaseAsyncLead, PhaseTrialCache};
 ///
 /// let mut cache = PhaseTrialCache::ring(16);
 /// for seed in 0..4 {
 ///     let p = PhaseAsyncLead::new(16).with_seed(seed);
-///     let exec = p.run_with_in(Vec::new(), &mut cache);
+///     let exec = cache.run(&p, Vec::new());
 ///     assert_eq!(exec, &p.run_honest());
 /// }
 /// ```

@@ -29,9 +29,9 @@
 
 use super::batch::PhaseSnapshot;
 use super::lanes::{one_and_k_lanes, Effects, LaneMsg, Reg};
-use super::{fold_mod, node_rng, run_ring, wrap_sub_usize, FleProtocol, RingProtocol, Wakes};
+use super::{fold_mod, node_rng, wrap_sub_usize, FleProtocol, RingProtocol, Wakes};
 use crate::randfn::{PhaseParams, RandomFn};
-use ring_sim::{ArenaBacked, Execution, Node, NodeId, Probe, TrialArena};
+use ring_sim::{ArenaBacked, Execution, NodeId, TrialArena};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of [`PhaseAsyncLead::new`] calls — instrumentation
@@ -147,66 +147,20 @@ impl PhaseAsyncLead {
         self.f
     }
 
-    /// Builds the honest node for position `id` as a boxed trait object
-    /// (for heterogeneous protocol/attack mixes).
-    pub fn honest_node(&self, id: NodeId) -> Box<dyn Node<PhaseMsg>> {
-        Box::new(self.honest_ring_node(id))
-    }
-
     /// Builds the honest node for position `id` as the concrete
-    /// [`PhaseNode`] — the monomorphized form the batch fast path stores
-    /// in a plain `Vec` (origin/normal dispatch is a branch, not a
-    /// vtable).
-    pub fn honest_ring_node(&self, id: NodeId) -> PhaseNode {
-        let rule = OutputRule::Random(self.f);
-        make_honest_node(self.params, self.seed, rule, id, Vec::new())
-    }
-
-    /// [`PhaseAsyncLead::honest_ring_node`] with the node's packed
-    /// `data ‖ vals` store drawn from `arena` instead of the heap — the
-    /// batch path that makes whole trials allocation-free. The built node
-    /// is bit-identical in behaviour; reclaim its store with
+    /// [`PhaseNode`] — the monomorphized form honest sweeps store in a
+    /// plain `Vec` (origin/normal dispatch is a branch, not a vtable) —
+    /// with its packed `data ‖ vals` store drawn from `arena`, so whole
+    /// trials are allocation-free. Reclaim the store with
     /// [`ArenaBacked::reclaim`] after the trial.
     pub fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
-        let store = arena.alloc_u64s(2 * self.params.n);
-        make_honest_node(
-            self.params,
-            self.seed,
-            OutputRule::Random(self.f),
-            id,
-            store,
-        )
+        let rule = OutputRule::Random(self.f);
+        make_honest_node(self.params, self.seed, rule, id, arena)
     }
 
     /// Only the origin wakes spontaneously.
     pub fn wakes(&self) -> Vec<NodeId> {
-        vec![0]
-    }
-
-    /// Runs with the coalition positions replaced by `overrides`.
-    pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<PhaseMsg>>)>) -> Execution {
-        run_ring(
-            self.params.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            None,
-        )
-    }
-
-    /// [`PhaseAsyncLead::run_with`] plus an instrumentation probe.
-    pub fn run_with_probe(
-        &self,
-        overrides: Vec<(NodeId, Box<dyn Node<PhaseMsg>>)>,
-        probe: &mut dyn Probe<PhaseMsg>,
-    ) -> Execution {
-        run_ring(
-            self.params.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            Some(probe),
-        )
+        Self::WAKES.ids(self.params.n)
     }
 }
 
@@ -284,39 +238,16 @@ impl PhaseSumLead {
         self.seed
     }
 
-    /// Builds the honest node for position `id` as a boxed trait object
-    /// (for heterogeneous protocol/attack mixes).
-    pub fn honest_node(&self, id: NodeId) -> Box<dyn Node<PhaseMsg>> {
-        Box::new(self.honest_ring_node(id))
-    }
-
     /// Builds the honest node for position `id` as the concrete
-    /// [`PhaseNode`] (see [`PhaseAsyncLead::honest_ring_node`]).
-    pub fn honest_ring_node(&self, id: NodeId) -> PhaseNode {
-        make_honest_node(self.params, self.seed, OutputRule::Sum, id, Vec::new())
-    }
-
-    /// [`PhaseSumLead::honest_ring_node`] with the node's store drawn from
-    /// `arena` (see [`PhaseAsyncLead::honest_ring_node_in`]).
+    /// [`PhaseNode`], its store drawn from `arena` (see
+    /// [`PhaseAsyncLead::honest_ring_node_in`]).
     pub fn honest_ring_node_in(&self, id: NodeId, arena: &mut TrialArena) -> PhaseNode {
-        let store = arena.alloc_u64s(2 * self.params.n);
-        make_honest_node(self.params, self.seed, OutputRule::Sum, id, store)
+        make_honest_node(self.params, self.seed, OutputRule::Sum, id, arena)
     }
 
     /// Only the origin wakes spontaneously.
     pub fn wakes(&self) -> Vec<NodeId> {
-        vec![0]
-    }
-
-    /// Runs with the coalition positions replaced by `overrides`.
-    pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<PhaseMsg>>)>) -> Execution {
-        run_ring(
-            self.params.n,
-            |id| self.honest_node(id),
-            overrides,
-            &self.wakes(),
-            None,
-        )
+        Self::WAKES.ids(self.params.n)
     }
 }
 
@@ -349,15 +280,15 @@ impl FleProtocol for PhaseSumLead {
 }
 
 /// Builds position `id`'s one-lane node of an instance seeded `seed`
-/// around `store`, which [`PhaseNode::fill`] sizes to `2n` slots.
+/// around a `2n`-slot store drawn from `arena`.
 fn make_honest_node(
     params: PhaseParams,
     seed: u64,
     rule: OutputRule,
     id: NodeId,
-    store: Vec<u64>,
+    arena: &mut TrialArena,
 ) -> PhaseNode {
-    let mut node = PhaseNode::new(params, store, rule);
+    let mut node = PhaseNode::new(params, arena.alloc_u64s(2 * params.n), rule);
     node.fill(id, params, &[seed]);
     node
 }
@@ -411,7 +342,8 @@ impl PhaseOutput for OutputRule {
 /// differ only in the output rule `O`.
 ///
 /// `PhaseNode` is the one-lane node the scalar engine runs, built by
-/// [`PhaseAsyncLead::honest_ring_node`] / [`PhaseSumLead::honest_ring_node`];
+/// [`PhaseAsyncLead::honest_ring_node_in`] /
+/// [`PhaseSumLead::honest_ring_node_in`];
 /// honest sweeps store a `Vec<PhaseNode>`, so the engine's activation
 /// dispatch is static. The lockstep lanes run the same transition as
 /// `PhaseNode<Vec<u64>, _>`, whose output rule is the group's shared

@@ -19,7 +19,7 @@
 //! utility `u₀(x) = 1[x ∉ Ω]`). Both abuses are implemented in
 //! `fle-attacks::wakeup_mask`.
 
-use super::{node_rng, run_ring, FleProtocol, RingProtocol, Wakes};
+use super::{node_rng, FleProtocol, RingProtocol, Wakes};
 use ring_sim::rng::SplitMix64;
 use ring_sim::{ArenaBacked, Ctx, Execution, Node, NodeId, TrialArena};
 
@@ -111,11 +111,6 @@ impl WakeLead {
             .collect()
     }
 
-    /// Builds the honest node for ring position `pos`.
-    pub fn honest_node(&self, pos: NodeId) -> Box<dyn Node<WakeMsg>> {
-        Box::new(WakeNode::new(self.ids[pos], node_rng(self.seed, pos)))
-    }
-
     /// Builds a node that follows the protocol *honestly* except that it
     /// announces `claimed_id` instead of its true id — the Appendix H
     /// lying deviation that breaks the naive unknown-ids problem
@@ -127,23 +122,12 @@ impl WakeLead {
 
     /// Every processor wakes spontaneously (it must announce its id).
     pub fn wakes(&self) -> Vec<NodeId> {
-        (0..self.n).collect()
+        Self::WAKES.ids(self.n)
     }
 
-    /// Runs with coalition positions replaced by `overrides`.
-    pub fn run_with(&self, overrides: Vec<(NodeId, Box<dyn Node<WakeMsg>>)>) -> Execution {
-        run_ring(
-            self.n,
-            |pos| self.honest_node(pos),
-            overrides,
-            &self.wakes(),
-            None,
-        )
-    }
-
-    /// Builds the honest node for position `pos` unboxed, for the cached
-    /// engine fast path. `WakeNode` holds no arena-backed storage (its
-    /// id buffer grows on the heap per trial), so the arena is unused.
+    /// Builds the honest node for ring position `pos` unboxed. `WakeNode`
+    /// holds no arena-backed storage (its id buffer grows on the heap per
+    /// trial), so the arena is unused.
     pub fn honest_ring_node_in(&self, pos: NodeId, _arena: &mut TrialArena) -> WakeNode {
         WakeNode::new(self.ids[pos], node_rng(self.seed, pos))
     }

@@ -2,6 +2,7 @@
 
 use fle_core::protocols::{
     honest_data_values, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead,
+    RingProtocol,
 };
 use fle_core::reductions::elect_from_coins;
 use fle_core::{Coalition, RandomFn};

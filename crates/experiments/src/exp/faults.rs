@@ -28,7 +28,7 @@
 use super::fmt_rate_ci;
 use crate::Table;
 use fle_attacks::RushingAttack;
-use fle_core::protocols::ALeadUni;
+use fle_core::protocols::{ALeadUni, RingProtocol};
 use fle_core::Coalition;
 use fle_harness::{
     run_sweep, trial_seed, wilson_ci95, BatchConfig, CrashInstant, FaultSpec, HonestSweep,

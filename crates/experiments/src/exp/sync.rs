@@ -10,7 +10,7 @@
 
 use crate::Table;
 use fle_attacks::{cubic_distances, CubicAttack, PhaseRushingAttack, RushingAttack};
-use fle_core::protocols::{ALeadUni, PhaseAsyncLead};
+use fle_core::protocols::{ALeadUni, PhaseAsyncLead, RingProtocol};
 use fle_core::Coalition;
 use ring_sim::SyncGapProbe;
 

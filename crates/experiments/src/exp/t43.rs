@@ -10,7 +10,7 @@
 use super::fmt_rate_ci;
 use crate::Table;
 use fle_attacks::{cubic_distances, AttackKind, CubicAttack, RushingAttack};
-use fle_core::protocols::ALeadUni;
+use fle_core::protocols::{ALeadUni, RingProtocol};
 use fle_core::Coalition;
 use fle_harness::{
     run_sweep, AttackSweep, BatchConfig, CoalitionSpec, FnKeySpec, ScheduleSpec, SeedMode,

@@ -1,37 +1,6 @@
-//! Statistics for the experiment harness: summary moments, binomial
-//! confidence intervals, and a χ² uniformity test (the tool used to check
-//! the *fairness* of honest executions).
-
-/// Mean and sample standard deviation.
-pub fn mean_std(xs: &[f64]) -> (f64, f64) {
-    if xs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-    if xs.len() < 2 {
-        return (mean, 0.0);
-    }
-    let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (xs.len() - 1) as f64;
-    (mean, var.sqrt())
-}
-
-/// Wilson score interval for a binomial proportion at confidence `z`
-/// standard deviations (z = 1.96 ≈ 95%).
-pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let n = trials as f64;
-    let p = successes as f64 / n;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = p + z2 / (2.0 * n);
-    let margin = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    (
-        ((centre - margin) / denom).max(0.0),
-        ((centre + margin) / denom).min(1.0),
-    )
-}
+//! Statistics for the experiment harness: a χ² uniformity test (the tool
+//! used to check the *fairness* of honest executions). Binomial confidence
+//! intervals are [`fle_harness::wilson_ci95`].
 
 /// Pearson χ² statistic and p-value for the hypothesis that `counts` are
 /// uniform draws over `counts.len()` categories.
@@ -57,26 +26,12 @@ pub fn chi_square_uniform(counts: &[u64]) -> (f64, f64) {
     (stat, gamma_q(dof / 2.0, stat / 2.0))
 }
 
-/// Total variation distance between the empirical distribution of
-/// `counts` and the uniform distribution.
-pub fn total_variation_uniform(counts: &[u64]) -> f64 {
-    let total: u64 = counts.iter().sum();
-    if total == 0 || counts.is_empty() {
-        return 0.0;
-    }
-    let uniform = 1.0 / counts.len() as f64;
-    0.5 * counts
-        .iter()
-        .map(|&c| (c as f64 / total as f64 - uniform).abs())
-        .sum::<f64>()
-}
-
 /// Upper regularized incomplete gamma `Q(a, x) = Γ(a, x) / Γ(a)` —
 /// the χ² survival function is `Q(k/2, x/2)`.
 ///
 /// Series expansion for `x < a + 1`, Lentz continued fraction otherwise
 /// (Numerical Recipes 6.2). Accurate to ~1e-10 for the ranges used here.
-pub fn gamma_q(a: f64, x: f64) -> f64 {
+fn gamma_q(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_q domain error");
     if x == 0.0 {
         return 1.0;
@@ -162,26 +117,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_std_basics() {
-        let (m, s) = mean_std(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
-        assert!((m - 5.0).abs() < 1e-12);
-        assert!((s - 2.138).abs() < 0.01);
-        assert_eq!(mean_std(&[]), (0.0, 0.0));
-        assert_eq!(mean_std(&[3.0]).1, 0.0);
-    }
-
-    #[test]
-    fn wilson_interval_contains_p() {
-        let (lo, hi) = wilson_interval(50, 100, 1.96);
-        assert!(lo < 0.5 && 0.5 < hi);
-        assert!(hi - lo < 0.25);
-        let (lo, hi) = wilson_interval(0, 100, 1.96);
-        assert_eq!(lo, 0.0);
-        assert!(hi < 0.06);
-        assert_eq!(wilson_interval(0, 0, 1.96), (0.0, 1.0));
-    }
-
-    #[test]
     fn ln_gamma_matches_known_values() {
         // Γ(1) = 1, Γ(2) = 1, Γ(5) = 24, Γ(0.5) = √π.
         assert!(ln_gamma(1.0).abs() < 1e-10);
@@ -207,12 +142,5 @@ mod tests {
         let skewed = vec![500, 100, 100, 100, 100, 100, 100, 100, 100, 100];
         let (_, p) = chi_square_uniform(&skewed);
         assert!(p < 1e-6);
-    }
-
-    #[test]
-    fn tv_distance_bounds() {
-        assert_eq!(total_variation_uniform(&[5, 5, 5, 5]), 0.0);
-        let tv = total_variation_uniform(&[100, 0, 0, 0]);
-        assert!((tv - 0.75).abs() < 1e-12);
     }
 }

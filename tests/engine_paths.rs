@@ -5,7 +5,7 @@
 //! `SimBuilder` (fresh working set per run), boxed `Box<dyn Node>` mixes
 //! and monomorphized honest node vectors over a reused engine, the
 //! arena-pooled `run_ring_honest_pooled_into` batch loop, and the
-//! `run_with_in`/`TrialCache` attack fast path. Each protocol also runs
+//! `TrialCache::run` attack fast path. Each protocol also runs
 //! through the split token/link loop under a FIFO that the engine does
 //! not recognize as one, against the fused global-FIFO stream, and the
 //! engine's one event loop is compared across its three queues (fused,
@@ -20,13 +20,13 @@ use fle_attacks::{
 };
 use fle_core::protocols::{
     run_ring_honest_pooled_into, ALeadTrialCache, ALeadUni, BasicLead, BasicTrialCache,
-    FleProtocol, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache, RingProtocol,
+    FleProtocol, PhaseAsyncLead, PhaseSumLead, PhaseTrialCache, RingProtocol, WakeLead,
 };
 use fle_core::Coalition;
 use proptest::prelude::*;
 use ring_sim::{
-    default_step_limit, ArenaBacked, Engine, Execution, FifoScheduler, LifoScheduler, Node,
-    RandomScheduler, Schedule, Scheduler, Token, Topology, TrialArena,
+    default_step_limit, Engine, Execution, FifoScheduler, LifoScheduler, Node, RandomScheduler,
+    Schedule, Scheduler, Token, Topology, TrialArena,
 };
 use std::collections::VecDeque;
 
@@ -82,32 +82,33 @@ fn run<M: Clone, N: Node<M>, S: Scheduler + ?Sized>(
     out
 }
 
-/// Drives one protocol instance through every node storage and buffer
-/// form against the `SimBuilder` reference execution. The engine and the
+/// Drives one honest instance through every node storage and buffer form
+/// against its `SimBuilder` reference (`run_honest`): boxed nodes
+/// (`honest_node`), arena-free nodes (`honest_ring_node_in` on a fresh
+/// arena), the arena-pooled batch loop, the fused stream against the
+/// split token/link path, and `run_honest_in`. The engine and the
 /// `run_into` out-parameter are reused across paths, so buffer-reuse bugs
 /// surface as cross-run contamination.
-fn assert_paths_agree<M: Clone + 'static, N: Node<M> + ArenaBacked>(
-    n: usize,
-    wakes: &[usize],
-    reference: &Execution,
-    engine: &mut Engine<M>,
-    boxed: impl FnOnce() -> Vec<Box<dyn Node<M>>>,
-    mut mono: impl FnMut(usize) -> N,
-    mut pooled: impl FnMut(usize, &mut TrialArena) -> N,
-) {
-    let via_boxed = run(engine, &mut boxed(), wakes, &mut FifoScheduler::new());
-    assert_eq!(&via_boxed, reference, "boxed nodes vs SimBuilder");
+fn assert_honest_paths_agree<P: RingProtocol>(p: &P) {
+    let n = p.n();
+    let wakes = P::WAKES.ids(n);
+    let reference = p.run_honest();
+    let fresh = |id| p.honest_ring_node_in(id, &mut TrialArena::new());
+    let mut engine = Engine::new(Topology::ring(n));
+    let mut boxed: Vec<_> = (0..n).map(|id| p.honest_node(id)).collect();
+    let via_boxed = run(&mut engine, &mut boxed, &wakes, &mut FifoScheduler::new());
+    assert_eq!(via_boxed, reference, "boxed nodes vs SimBuilder");
 
     // The out-parameter starts dirty (filled by the previous path) and is
     // reused below — run_into must overwrite it completely each time.
     let mut out = via_boxed;
     let mut scheduler = FifoScheduler::new();
     for pass in 0..2 {
-        let mut mono_nodes: Vec<N> = (0..n).map(&mut mono).collect();
-        run_into(engine, &mut mono_nodes, wakes, &mut scheduler, &mut out);
+        let mut nodes: Vec<P::Node> = (0..n).map(fresh).collect();
+        run_into(&mut engine, &mut nodes, &wakes, &mut scheduler, &mut out);
         assert_eq!(
-            &out, reference,
-            "monomorphized nodes (pass {pass}) vs SimBuilder"
+            out, reference,
+            "arena-free nodes (pass {pass}) vs SimBuilder"
         );
     }
 
@@ -115,23 +116,26 @@ fn assert_paths_agree<M: Clone + 'static, N: Node<M> + ArenaBacked>(
     // buffer: the second pass runs entirely on reclaimed stores, so a
     // stale or mis-reset buffer surfaces as a mismatch.
     let mut arena = TrialArena::new();
-    let mut nodes_buf: Vec<N> = Vec::new();
+    let mut nodes_buf: Vec<P::Node> = Vec::new();
     for pass in 0..2 {
         run_ring_honest_pooled_into(
-            engine,
+            &mut engine,
             n,
-            &mut pooled,
-            wakes,
+            |id, arena| p.honest_ring_node_in(id, arena),
+            &wakes,
             &mut nodes_buf,
             &mut scheduler,
             &mut arena,
             &mut out,
         );
         assert_eq!(
-            &out, reference,
+            out, reference,
             "run_ring_honest_pooled_into (pass {pass}) vs SimBuilder"
         );
     }
+
+    assert_fused_and_split_agree(n, &wakes, &reference, fresh);
+    assert_eq!(p.run_honest_in(&mut engine), reference, "run_honest_in");
 }
 
 /// Runs the same honest instance on the fused global-FIFO stream (what
@@ -161,80 +165,33 @@ proptest! {
 
     #[test]
     fn basic_lead_paths_agree(seed in any::<u64>(), n in 2usize..24) {
-        let p = BasicLead::new(n).with_seed(seed);
-        let reference = p.run_honest();
-        let mut engine = Engine::new(Topology::ring(n));
-        assert_paths_agree(
-            n,
-            &p.wakes(),
-            &reference,
-            &mut engine,
-            || (0..n).map(|id| p.honest_node(id)).collect(),
-            |id| p.honest_ring_node(id),
-            |id, arena| p.honest_ring_node_in(id, arena),
-        );
-        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
-        prop_assert_eq!(p.run_honest_in(&mut engine), reference);
+        assert_honest_paths_agree(&BasicLead::new(n).with_seed(seed));
     }
 
     #[test]
     fn a_lead_uni_paths_agree(seed in any::<u64>(), n in 2usize..24) {
-        let p = ALeadUni::new(n).with_seed(seed);
-        let reference = p.run_honest();
-        let mut engine = Engine::new(Topology::ring(n));
-        assert_paths_agree(
-            n,
-            &p.wakes(),
-            &reference,
-            &mut engine,
-            || (0..n).map(|id| p.honest_node(id)).collect(),
-            |id| p.honest_ring_node(id),
-            |id, arena| p.honest_ring_node_in(id, arena),
-        );
-        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
-        prop_assert_eq!(p.run_honest_in(&mut engine), reference);
+        assert_honest_paths_agree(&ALeadUni::new(n).with_seed(seed));
     }
 
     #[test]
     fn phase_async_paths_agree(seed in any::<u64>(), key in any::<u64>(), n in 4usize..24) {
-        let p = PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(key);
-        let reference = p.run_honest();
-        let mut engine = Engine::new(Topology::ring(n));
-        assert_paths_agree(
-            n,
-            &p.wakes(),
-            &reference,
-            &mut engine,
-            || (0..n).map(|id| p.honest_node(id)).collect(),
-            |id| p.honest_ring_node(id),
-            |id, arena| p.honest_ring_node_in(id, arena),
-        );
-        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
-        prop_assert_eq!(p.run_honest_in(&mut engine), reference);
+        assert_honest_paths_agree(&PhaseAsyncLead::new(n).with_seed(seed).with_fn_key(key));
     }
 
     #[test]
     fn phase_sum_paths_agree(seed in any::<u64>(), n in 4usize..24) {
-        let p = PhaseSumLead::new(n).with_seed(seed);
-        let reference = p.run_honest();
-        let mut engine = Engine::new(Topology::ring(n));
-        assert_paths_agree(
-            n,
-            &p.wakes(),
-            &reference,
-            &mut engine,
-            || (0..n).map(|id| p.honest_node(id)).collect(),
-            |id| p.honest_ring_node(id),
-            |id, arena| p.honest_ring_node_in(id, arena),
-        );
-        assert_fused_and_split_agree(n, &p.wakes(), &reference, |id| p.honest_ring_node(id));
-        prop_assert_eq!(p.run_honest_in(&mut engine), reference);
+        assert_honest_paths_agree(&PhaseSumLead::new(n).with_seed(seed));
+    }
+
+    #[test]
+    fn wake_lead_paths_agree(seed in any::<u64>(), n in 2usize..24) {
+        assert_honest_paths_agree(&WakeLead::new(n).with_seed(seed));
     }
 }
 
 // ---------------------------------------------------------------------------
-// Attack-path differentials: `run_with_in` (cached engine + MixNode) vs
-// `SimBuilder::run_with`, for every protocol. The cache is reused across
+// Attack-path differentials: `TrialCache::run` (cached engine + MixNode)
+// vs the one-shot `RingProtocol::run_with`, for every protocol. The cache is reused across
 // two runs per case so cross-trial contamination in the attack fast path
 // would surface as a second-run mismatch.
 
@@ -257,14 +214,14 @@ proptest! {
         let mut cache = BasicTrialCache::ring(n);
         for pass in 0..2 {
             let nodes = vec![attack.adversary_node(&p).expect("feasible")];
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "boxed pass {}", pass);
         }
         // …and the fully monomorphized single-deviator fast path.
         let mut cache = BasicSingleCache::ring(n);
         for pass in 0..2 {
             let node = attack.adversary_ring_node(&p).expect("feasible");
-            let exec = p.run_with_in(vec![node], &mut cache);
+            let exec = cache.run(&p, vec![node]);
             prop_assert_eq!(exec, &reference, "concrete pass {}", pass);
         }
     }
@@ -280,14 +237,14 @@ proptest! {
         let mut cache = ALeadTrialCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_nodes(&p, &coalition).expect("planned");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "boxed pass {}", pass);
         }
         // …and the homogeneous coalition fully unboxed (concrete Rusher).
         let mut cache = RushingCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_ring_nodes(&p, &coalition).expect("planned");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "unboxed pass {}", pass);
         }
     }
@@ -308,7 +265,7 @@ proptest! {
         let mut cache = PhaseTrialCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_nodes(&p, &coalition).expect("planned");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "boxed pass {}", pass);
         }
         // …and the homogeneous coalition fully unboxed (concrete
@@ -316,7 +273,7 @@ proptest! {
         let mut cache = PhaseRushingCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_ring_nodes(&p, &coalition).expect("planned");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "unboxed pass {}", pass);
         }
     }
@@ -335,7 +292,7 @@ proptest! {
         let mut cache = PhaseTrialCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_nodes(&p).expect("valid position");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "pass {}", pass);
         }
     }
@@ -355,7 +312,7 @@ proptest! {
         let mut cache = PhaseTrialCache::ring(n);
         for pass in 0..2 {
             let nodes = attack.adversary_nodes(&p, &coalition).expect("planned");
-            let exec = p.run_with_in(nodes, &mut cache);
+            let exec = cache.run(&p, nodes);
             prop_assert_eq!(exec, &reference, "pass {}", pass);
         }
     }
@@ -1037,6 +994,18 @@ fn log_split_orders<M: Clone, N: Node<M>>(
     log.push_str(&passes.concat());
 }
 
+/// [`log_split_orders`] over `p`'s honest nodes on a fresh ring engine.
+fn log_ring_split_orders<P: RingProtocol>(log: &mut String, p: &P) {
+    let n = p.n();
+    let mut engine = Engine::new(Topology::ring(n));
+    let limit = default_step_limit(n);
+    log_split_orders(log, &mut engine, &P::WAKES.ids(n), limit, || {
+        (0..n)
+            .map(|id| p.honest_ring_node_in(id, &mut TrialArena::new()))
+            .collect()
+    });
+}
+
 /// Every ring protocol at n ∈ {5, 12}, and A-LEADfc's honest run on the
 /// complete digraph (built as the secret-sharing property tests build
 /// it), through the split path on one reused engine per case.
@@ -1046,39 +1015,13 @@ fn split_path_executions_are_pinned() {
 
     let mut log = String::new();
     for n in [5, 12] {
-        let limit = default_step_limit(n);
-        let p = BasicLead::new(n).with_seed(11);
-        log_split_orders(
+        log_ring_split_orders(&mut log, &BasicLead::new(n).with_seed(11));
+        log_ring_split_orders(&mut log, &ALeadUni::new(n).with_seed(11));
+        log_ring_split_orders(
             &mut log,
-            &mut Engine::new(Topology::ring(n)),
-            &p.wakes(),
-            limit,
-            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
+            &PhaseAsyncLead::new(n).with_seed(11).with_fn_key(5),
         );
-        let p = ALeadUni::new(n).with_seed(11);
-        log_split_orders(
-            &mut log,
-            &mut Engine::new(Topology::ring(n)),
-            &p.wakes(),
-            limit,
-            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
-        );
-        let p = PhaseAsyncLead::new(n).with_seed(11).with_fn_key(5);
-        log_split_orders(
-            &mut log,
-            &mut Engine::new(Topology::ring(n)),
-            &p.wakes(),
-            limit,
-            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
-        );
-        let p = PhaseSumLead::new(n).with_seed(11);
-        log_split_orders(
-            &mut log,
-            &mut Engine::new(Topology::ring(n)),
-            &p.wakes(),
-            limit,
-            || (0..n).map(|id| p.honest_ring_node(id)).collect(),
-        );
+        log_ring_split_orders(&mut log, &PhaseSumLead::new(n).with_seed(11));
         let p = ALeadFc::new(n).with_seed(11);
         let wakes: Vec<usize> = (0..n).collect();
         let limit = (n as u64).pow(3) * 8 + 10_000;

@@ -3,7 +3,7 @@
 //! that every such deviation yields `FAIL` (or the honest outcome) —
 //! never a biased valid election.
 
-use fle_core::protocols::{ALeadUni, FleProtocol, PhaseAsyncLead, PhaseMsg};
+use fle_core::protocols::{ALeadUni, FleProtocol, PhaseAsyncLead, PhaseMsg, RingProtocol};
 use fle_core::{Coalition, NodeId};
 use ring_sim::{Ctx, Node, Outcome};
 

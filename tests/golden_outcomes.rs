@@ -289,7 +289,7 @@ fn full_10k_sharded_merge_sha256_is_pinned() {
 /// Builds the canonical attack sweep: 500 trials of the `√n + 3` rushing
 /// coalition (`k = 7` equally spaced) against `PhaseAsyncLead n=16`, one
 /// derived seed per trial, run through the cached-engine attack fast path
-/// (`run_with_in` over a per-worker [`PhaseRushingCache`] — since the
+/// (`TrialCache::run` over a per-worker [`PhaseRushingCache`] — since the
 /// coalition-mix enum widening, the homogeneous coalition runs fully
 /// unboxed; the sha256 pin below proving the switch is byte-invisible).
 fn rushing_n16_report(trials: u64) -> TrialReport {
@@ -309,7 +309,7 @@ fn rushing_n16_report(trials: u64) -> TrialReport {
             let nodes = attack
                 .adversary_ring_nodes(&p, &coalition)
                 .expect("feasible");
-            let exec = p.run_with_in(nodes, cache);
+            let exec = cache.run(&p, nodes);
             TrialOutcome::of(exec)
         },
     );
@@ -317,9 +317,9 @@ fn rushing_n16_report(trials: u64) -> TrialReport {
 }
 
 /// SHA-256 pin of the attack fast path's aggregate output — the
-/// byte-identical regression oracle for `run_with_in`/`TrialCache`, mirroring
-/// the honest sweep pins above. The digest was first derived through
-/// `SimBuilder::run_with` (`PhaseRushingAttack::run`), so it also proves
+/// byte-identical regression oracle for `TrialCache::run`, mirroring the
+/// honest sweep pins above. The digest was first derived through the
+/// one-shot `RingProtocol::run_with` (`PhaseRushingAttack::run`), so it also proves
 /// the cached-engine path reproduces the one-shot path exactly.
 #[test]
 fn rushing_attack_sweep_json_sha256_is_pinned() {

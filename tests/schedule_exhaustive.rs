@@ -12,7 +12,7 @@
 //! interleaving. This backs the [`ring_sim::Scheduler`] trait's
 //! eventual-delivery contract with an enumeration instead of sampling.
 
-use fle_core::protocols::{ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead};
+use fle_core::protocols::{ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, RingProtocol};
 use ring_sim::{for_each_schedule, FailReason, Node, Outcome, SimBuilder, Topology};
 
 /// Tally of one exhaustive sweep.

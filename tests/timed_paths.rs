@@ -18,7 +18,6 @@
 use fle_attacks::{RushingAttack, RushingCache};
 use fle_core::protocols::{
     run_ring_honest_timed_into, ALeadUni, BasicLead, FleProtocol, PhaseAsyncLead, PhaseSumLead,
-    RingProtocol,
 };
 use fle_core::Coalition;
 use proptest::prelude::*;
@@ -195,7 +194,7 @@ proptest! {
         });
     }
 
-    /// The cached attack path (`run_with_in` over a `TrialCache`) with the
+    /// The cached attack path (`TrialCache::run`) with the
     /// zero-profile net installed must equal the untimed one-shot
     /// reference, and a noisy net must replay deterministically.
     #[test]
@@ -211,7 +210,7 @@ proptest! {
         cache.set_timed_net(Some(&TimedNetConfig::default()));
         cache.set_trial_seed(seed);
         for pass in 0..2 {
-            let exec = p.run_with_in(rushers(&p), &mut cache);
+            let exec = cache.run(&p, rushers(&p));
             prop_assert_eq!(exec, &reference, "zero-profile timed attack pass {}", pass);
         }
 
@@ -220,18 +219,18 @@ proptest! {
         let net = noisy_net();
         cache.set_timed_net(Some(&net));
         cache.set_trial_seed(seed);
-        let first = p.run_with_in(rushers(&p), &mut cache).clone();
-        let again = p.run_with_in(rushers(&p), &mut cache).clone();
+        let first = cache.run(&p, rushers(&p)).clone();
+        let again = cache.run(&p, rushers(&p)).clone();
         prop_assert_eq!(&first, &again, "reused-cache noisy replay");
         let mut fresh = RushingCache::ring(n);
         fresh.set_timed_net(Some(&net));
         fresh.set_trial_seed(seed);
-        let fresh_exec = p.run_with_in(rushers(&p), &mut fresh).clone();
+        let fresh_exec = fresh.run(&p, rushers(&p)).clone();
         prop_assert_eq!(&first, &fresh_exec, "fresh-cache noisy replay");
 
         // Dropping back to the untimed path restores the reference.
         cache.set_timed_net(None);
-        let exec = p.run_with_in(rushers(&p), &mut cache);
+        let exec = cache.run(&p, rushers(&p));
         prop_assert_eq!(exec, &reference, "untimed path restored");
     }
 }
