@@ -321,7 +321,8 @@ lockstep_protocol!(PhaseSumLead, PhaseBatchCache, 16, 120, |_| 2);
 mod tests {
     use super::*;
     use crate::protocols::RingProtocol;
-    use ring_sim::{Engine, Topology};
+    use ring_sim::batch::LaneClock;
+    use ring_sim::{Engine, FaultPlan, Topology};
 
     fn seeds(base: u64, k: usize) -> Vec<u64> {
         (0..k as u64).map(|i| base.wrapping_add(i * 977)).collect()
@@ -428,8 +429,9 @@ mod tests {
     /// What one honest group of `k` lanes retains after its run at
     /// n = 256, the engine's buffers and every node with its lane vectors
     /// included, fits `k` × `lane_bytes`: for the narrowest group and for
-    /// the sweeps' default width. (The phase caches' `EvalTable` belongs to
-    /// the configuration, not to a lane.)
+    /// the sweeps' default width, and for a faulty phase group whose lanes
+    /// settle. (The phase caches' `EvalTable` belongs to the configuration,
+    /// not to a lane.)
     #[test]
     fn a_group_retains_at_most_its_lanes_bytes() {
         let n = 256;
@@ -454,18 +456,33 @@ mod tests {
             let group = heap(&c.nodes) + heap(&c.wakes) + lanes;
             check("A-LEADuni", &c.engine, group, ALeadUni::lane_bytes(n));
 
+            let phase_group = |c: &PhaseBatchCache| {
+                let lanes: u64 = (c.nodes.iter())
+                    .map(|v| heap(&v.d) + heap(&v.v_own) + heap(&v.buffer) + heap(&v.store))
+                    .sum();
+                let sh = c.shared.borrow();
+                let snapshot = std::mem::size_of::<PhaseShared>() as u64
+                    + heap(&sh.outs)
+                    + heap(&sh.data_snap)
+                    + heap(&sh.vals_snap);
+                heap(&c.nodes) + heap(&c.wakes) + lanes + snapshot
+            };
+            let bound = PhaseAsyncLead::lane_bytes(n);
             let mut c = PhaseBatchCache::ring(n);
             assert!(PhaseAsyncLead::new(n).run_honest_batch_into(&seeds, &mut c));
-            let lanes: u64 = (c.nodes.iter())
-                .map(|v| heap(&v.d) + heap(&v.v_own) + heap(&v.buffer) + heap(&v.store))
-                .sum();
-            let sh = c.shared.borrow();
-            let snapshot = std::mem::size_of::<PhaseShared>() as u64
-                + heap(&sh.outs)
-                + heap(&sh.data_snap)
-                + heap(&sh.vals_snap);
-            let group = heap(&c.nodes) + heap(&c.wakes) + lanes + snapshot;
-            check("phase", &c.engine, group, PhaseAsyncLead::lane_bytes(n));
+            check("phase", &c.engine, phase_group(&c), bound);
+
+            // The same cache under one crash-stop plan per lane: each lane
+            // settles where its crashed node drops the round in flight, so
+            // the lanes' settled executions and the plans' index come on
+            // top of the buffers the fault-free group grew.
+            let plans: Vec<FaultPlan> = (0..k)
+                .map(|l| FaultPlan::none().with_crash(1 + l % (n - 1), 1000 * l as u64, None))
+                .collect();
+            c.engine.set_fault_plans(&plans, LaneClock::Deliveries);
+            assert!(PhaseAsyncLead::new(n).run_honest_batch_into(&seeds, &mut c));
+            assert!((0..k).all(|l| !c.engine.lane_hit(l)), "every lane settles");
+            check("faulty phase", &c.engine, phase_group(&c), bound);
         }
     }
 

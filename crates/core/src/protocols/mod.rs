@@ -251,14 +251,15 @@ pub trait LockstepProtocol: RingProtocol {
 
     /// The cache's lockstep engine: install per-lane crash-fault plans
     /// on it before a group ([`LockstepEngine::set_fault_plans`]), and
-    /// read after it which lanes a crash hit and the other lanes'
-    /// executions.
+    /// read after it which lanes must rerun scalar
+    /// ([`LockstepEngine::lane_hit`]) and the other lanes' executions.
     fn lockstep_engine(cache: &mut Self::BatchCache) -> &mut LockstepEngine;
 
     /// Runs `seeds.len()` honest trials in lockstep, lane `l` simulating
     /// `self.seeded(seeds[l])`. Returns `false` if the group diverged (the
-    /// caller re-runs its trials scalar); otherwise each unhit lane's
-    /// [`Execution`] is read from [`LockstepProtocol::lockstep_engine`].
+    /// caller re-runs its trials scalar); otherwise the [`Execution`] of
+    /// each lane that need not rerun is read from
+    /// [`LockstepProtocol::lockstep_engine`].
     fn run_honest_batch_into(&self, seeds: &[u64], cache: &mut Self::BatchCache) -> bool;
 }
 

@@ -224,7 +224,7 @@ fn capped_run_sha(cap_kib: u64, args: &[&str]) -> String {
 /// lanes, so a lockstep group could pass every check and then fail to
 /// allocate: 256 lanes at n = 256 (537 MB) aborted under `ulimit -v
 /// 400000` with exit 134, "memory allocation … failed". The width now
-/// drops until the lanes fit the lane-memory ceiling (246 lanes of about
+/// drops until the lanes fit the lane-memory ceiling (244 lanes of about
 /// 16·n² bytes each, the payload ring holding only the groups in flight),
 /// and the report is the `--batch 1` report byte for byte (each hash is
 /// of that stdout). The timed variant, one constant latency with

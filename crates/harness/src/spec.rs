@@ -363,10 +363,10 @@ impl ScheduleSpec {
 /// only when present, so fault-free specs (and their sha pins and
 /// checkpoint spec hashes) are byte-unchanged.
 ///
-/// Crash-stop faults run every trial scalar: a lockstep lane whose
-/// crash-stop fires is always hit. Recovering faults keep the lockstep
-/// width on FIFO links and on a timed net of one constant latency, with
-/// one plan per lane; only the lanes a crash hits rerun scalar (see
+/// Crash-stop faults run every trial scalar. Recovering faults keep the
+/// lockstep width on FIFO links and on a timed net of one constant
+/// latency, with one plan per lane; only the lanes a crash hits and does
+/// not end on the spot rerun scalar (see
 /// [`HonestSweep::resolved_batch_width`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {

@@ -91,7 +91,7 @@ pub const MAX_BATCH_WIDTH: usize = 1024;
 /// worker thread: [`HonestSweep::resolved_batch_width`] lowers the width
 /// until threads × width × a lane's bytes fits, down to 1 (the scalar
 /// path, which holds no lanes). The default width of 16 fits phase rings
-/// of n = 64 on up to 219 threads.
+/// of n = 64 on up to 214 threads.
 pub const LANE_MEMORY_CEILING: u64 = 256 << 20;
 
 /// One honest protocol sweep: which protocol, at what size, over which
@@ -122,9 +122,11 @@ pub struct HonestSweep {
     pub schedule: ScheduleSpec,
     /// Optional crash-fault injection: per trial, a deterministic
     /// [`FaultPlan`] is drawn from the trial seed's fault stream. With
-    /// recovery, lockstep groups carry one plan per lane and rerun scalar
-    /// only the trials a crash actually hits; crash-stop faults run
-    /// every trial scalar.
+    /// recovery, lockstep groups carry one plan per lane. A lane whose
+    /// crash drops none of its activations keeps its lockstep result, and
+    /// so does a lane whose run the crash ends on the spot (every message
+    /// then in flight is dropped too); only the other trials a crash hits
+    /// rerun scalar. Crash-stop faults run every trial scalar.
     pub fault: Option<FaultSpec>,
 }
 
@@ -136,9 +138,13 @@ impl HonestSweep {
     /// It is 1 (scalar) on a timed net whose links are not all one
     /// constant latency ([`TimedNetConfig::constant_latency`]: latency
     /// draws, loss and duplication are per-trial noise), and under
-    /// crash-stop faults: a lane whose crash-stop fires is always hit, so
-    /// lanes would only add work there. Recovering faults keep the
-    /// width.
+    /// crash-stop faults, which hit nearly every lane: a hit settles in
+    /// place only if every message then queued drops too, which
+    /// Basic-LEAD's token per node in flight all but rules out, so its
+    /// crash-stop lanes would mostly add a lockstep run to each scalar
+    /// rerun (5,000 trials at n = 64 under `--crash 1@2000` took 12%
+    /// longer on 16 lanes than scalar, on a 2-vCPU Xeon VM). Recovering
+    /// faults keep the width.
     pub fn resolved_batch_width(&self) -> usize {
         let lanes_follow_net = self
             .schedule
@@ -213,8 +219,11 @@ impl<P: LockstepProtocol> HonestWorker<P> {
     /// Runs trials `gstart..gstart + width` as one lockstep group, with
     /// exactly the seeds the scalar path would derive for those indices
     /// and, under faults, one plan per lane drawn from each lane's seed.
-    /// Pushes one entry per lane, `None` for a lane a crash hit; pushes
-    /// nothing if the group diverged or every lane was hit.
+    /// Pushes one entry per lane, `None` for a lane a crash sent back to
+    /// scalar ([`LockstepEngine::lane_hit`]: hit and not settled at the
+    /// hit); pushes nothing if the group diverged.
+    ///
+    /// [`LockstepEngine::lane_hit`]: ring_sim::batch::LockstepEngine::lane_hit
     fn group(&mut self, base_seed: u64, gstart: u64, width: usize, out: &mut Vec<Option<Trial>>) {
         self.seeds.clear();
         self.seeds

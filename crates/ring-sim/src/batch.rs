@@ -35,13 +35,20 @@
 //! has one constant latency, whose timed run is the FIFO run plus a clock.
 //! The lanes still run the fault-free schedule. An event that the scalar
 //! faulty run would drop — a wake or delivery to a live node that the
-//! lane's plan has down — marks that lane *hit*
-//! ([`LockstepEngine::lane_hit`]), and the run stops once every lane is
-//! hit. An unhit lane's scalar run takes exactly the fault-free schedule,
-//! so its result is the lockstep one plus the plan's fired-crash count;
-//! the caller re-runs the hit lanes scalar. As in the scalar engine, the
-//! run dispatches once on whether plans are installed: the fault-free
-//! instantiation keeps no clock and checks nothing per event.
+//! lane's plan has down — *hits* that lane, and the run stops once every
+//! lane is hit. An unhit lane's scalar run takes exactly the fault-free
+//! schedule, so its result is the lockstep one plus the plan's
+//! fired-crash count. At a lane's hit the engine walks the events still
+//! queued on the lane's clock, as the scalar run would pop them: if every
+//! one reaches a terminated node or one the plan has down, that run sends
+//! nothing more and ends quiescent once they drain, so the lane *settles*
+//! on the spot, its execution written then. A lane's one token dropped,
+//! or a phase round's data and validation messages both dropped by the
+//! processor they were headed for, settle so. Any other hit — a queued
+//! event to a live node, or a walk past the step limit — leaves the lane
+//! to rerun scalar ([`LockstepEngine::lane_hit`]). As in the scalar
+//! engine, the run dispatches once on whether plans are installed: the
+//! fault-free instantiation keeps no clock and checks nothing per event.
 //!
 //! **Ordinary nodes per lane.** [`NodeLanes`] is a [`LockstepNode`] over
 //! `k` ordinary [`Node<u64>`] values, one per lane, so the engine also
@@ -94,19 +101,28 @@ const COMPACT_GROUPS: usize = 16;
 /// `in_flight` payload groups in flight; a protocol's lane adds its own
 /// node state to it. Each lane has its payload ring (which compacts once
 /// 16 groups are delivered, so it stays below 16 + 2 × `in_flight` groups
-/// of one `u64` per lane), its outputs (one `u64` per node) and its
-/// incoming slot. The group shares two counters, an output flag and a
-/// crash index per node and the event queue (up to `n` wake-ups and
-/// `in_flight` deliveries, with their arrival times), so half of those
-/// count per lane. Buffers that grow count at twice their longest length.
-/// The lanes' fault plans and their per-lane index, which grow with the
-/// crashes a trial draws rather than with `n`, are not counted.
+/// of one `u64` per lane), its outputs (one `u64` per node), its incoming
+/// slot and, while fault plans are installed, its state and the execution
+/// it keeps in case a crash settles it (an output and two counters per
+/// node, 32 bytes, and the execution itself). The group shares two
+/// counters, an output flag and a crash index per node and the event
+/// queue (up to `n` wake-ups and `in_flight` deliveries, with their
+/// arrival times), so half of those count per lane. Buffers that grow
+/// count at twice their longest length. The lanes' fault plans and their
+/// per-lane index, which grow with the crashes a trial draws rather than
+/// with `n`, are not counted.
 pub const fn engine_lane_bytes(n: u64, in_flight: u64) -> u64 {
     let ring = in_flight
         .saturating_mul(2)
         .saturating_add(COMPACT_GROUPS as u64)
         .saturating_mul(16);
-    let lane = ring.saturating_add(n.saturating_mul(16)).saturating_add(32);
+    let settled = n
+        .saturating_mul(32)
+        .saturating_add(2 * (std::mem::size_of::<Execution>() as u64 + 1));
+    let lane = ring
+        .saturating_add(n.saturating_mul(16))
+        .saturating_add(32)
+        .saturating_add(settled);
     let group = n
         .saturating_mul(40)
         .saturating_add(in_flight.saturating_mul(32))
@@ -126,6 +142,19 @@ pub enum LaneClock {
     ///
     /// [`TimedNetConfig::constant_latency`]: crate::TimedNetConfig::constant_latency
     Latency(u64),
+}
+
+/// Where a faulty run left one lane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LaneState {
+    /// No activation of the lane's schedule dropped: the lockstep state
+    /// is the lane's.
+    Unhit,
+    /// Hit, and the lane's scalar run ended quiescent at the hit: its
+    /// execution is the lane's slot of `LockstepEngine::settled`.
+    Settled,
+    /// Hit, and the lane's scalar run went on another way: rerun it.
+    Rerun,
 }
 
 /// Behaviour of one processor over `k` lockstep trials.
@@ -361,11 +390,14 @@ pub struct LockstepEngine {
     /// plan crashes costs two loads.
     by_node: Vec<(u32, u32)>,
     first: Vec<u32>,
-    /// Per lane: the last run dropped, on the lane's plan, an activation
-    /// of the fault-free schedule.
-    hit: Vec<bool>,
+    /// Per lane: whether the last run dropped, on the lane's plan, an
+    /// activation of the fault-free schedule, and what became of the lane.
+    state: Vec<LaneState>,
     /// Lanes of the current run not hit yet.
     unhit: usize,
+    /// Per lane, while plans are installed: the execution of a lane the
+    /// last run settled (see [`LaneState::Settled`]); buffers are reused.
+    settled: Vec<Execution>,
     /// Arrival times of the queued deliveries, in queue order: kept only by
     /// faulty runs on the latency clock.
     times: VecDeque<u64>,
@@ -402,8 +434,9 @@ impl LockstepEngine {
             clock: LaneClock::Deliveries,
             by_node: Vec::new(),
             first: Vec::new(),
-            hit: Vec::new(),
+            state: Vec::new(),
             unhit: 0,
+            settled: Vec::new(),
             times: VecDeque::new(),
             now: 0,
         }
@@ -423,11 +456,14 @@ impl LockstepEngine {
     /// later [`LockstepEngine::run`] applies `plans[l]` to lane `l` until
     /// they are replaced, and an empty slice returns to the fault-free
     /// loop. The plans are copied into engine-owned buffers whose
-    /// allocations are reused, as [`Engine::set_fault_plan`] does.
+    /// allocations are reused, as [`Engine::set_fault_plan`] does, and so
+    /// are the lanes' settled executions, which exist only while plans
+    /// are installed.
     ///
     /// [`Engine::set_fault_plan`]: crate::Engine::set_fault_plan
     pub fn set_fault_plans(&mut self, plans: &[FaultPlan], clock: LaneClock) {
         self.plans.resize_with(plans.len(), FaultPlan::none);
+        self.settled.resize_with(plans.len(), Execution::default);
         for (mine, plan) in self.plans.iter_mut().zip(plans) {
             mine.clone_from(plan);
         }
@@ -453,9 +489,11 @@ impl LockstepEngine {
     /// Returns `true` if the run completed in lockstep; `false` if any
     /// activation diverged (or the step limit was hit), in which case the
     /// engine's results are meaningless and the caller must re-run the
-    /// trials through the scalar path. Under installed fault plans it
-    /// also returns `false` once every lane is hit; after a `true` run,
-    /// only the lanes not [`LockstepEngine::lane_hit`] hold results.
+    /// trials through the scalar path. Under installed fault plans the run
+    /// also stops, returning `true`, once every lane is hit; after a
+    /// `true` run, the lanes [`LockstepEngine::lane_hit`] reports must
+    /// rerun scalar and every other lane holds its result, unhit or
+    /// settled at its hit.
     ///
     /// # Panics
     ///
@@ -498,7 +536,7 @@ impl LockstepEngine {
 
     /// The event loop of [`LockstepEngine::run`]; see there for the result.
     /// With `FAULTS` it also reads the lanes' clock per event and, before
-    /// each activation, marks the lanes whose plan has the node down.
+    /// each activation, hits the lanes whose plan has the node down.
     fn drive<N: LockstepNode, const FAULTS: bool>(
         &mut self,
         nodes: &mut [N],
@@ -517,8 +555,8 @@ impl LockstepEngine {
             if event.tag == WAKE_TAG {
                 let me = event.to as usize;
                 if !self.has_output[me] {
-                    if FAULTS && self.hit_lanes(me, clock) {
-                        return false;
+                    if FAULTS && self.hit_lanes(me, clock, step_limit) {
+                        return true;
                     }
                     let queued = self.queue.len();
                     self.activate(nodes, me, None);
@@ -533,8 +571,8 @@ impl LockstepEngine {
                 if self.has_output[to] {
                     self.pop_payload(false);
                 } else {
-                    if FAULTS && self.hit_lanes(to, clock) {
-                        return false;
+                    if FAULTS && self.hit_lanes(to, clock, step_limit) {
+                        return true;
                     }
                     self.pop_payload(true);
                     let queued = self.queue.len();
@@ -600,28 +638,87 @@ impl LockstepEngine {
         }
     }
 
-    /// Marks hit every lane whose plan has node `to` down at `clock`: the
-    /// lanes whose scalar run drops this activation. Returns `true` once
+    /// Hits every unhit lane whose plan has node `to` down at `clock`: the
+    /// lanes whose scalar run drops this activation. Each settles or is
+    /// left to rerun ([`LockstepEngine::settle`]). Returns `true` once
     /// every lane is hit.
-    fn hit_lanes(&mut self, to: usize, clock: u64) -> bool {
-        let lanes = &self.by_node[self.first[to] as usize..self.first[to + 1] as usize];
-        for &(_, lane) in lanes {
-            let lane = lane as usize;
-            if !self.hit[lane] && self.plans[lane].is_down(to, clock) {
-                self.hit[lane] = true;
+    fn hit_lanes(&mut self, to: usize, clock: u64, step_limit: u64) -> bool {
+        for i in self.first[to] as usize..self.first[to + 1] as usize {
+            let lane = self.by_node[i].1 as usize;
+            if self.state[lane] == LaneState::Unhit && self.plans[lane].is_down(to, clock) {
+                self.state[lane] = if self.settle(lane, clock, step_limit) {
+                    LaneState::Settled
+                } else {
+                    LaneState::Rerun
+                };
                 self.unhit -= 1;
             }
         }
         self.unhit == 0
     }
 
+    /// Settles lane `lane` at its hit, the event just popped at `clock`,
+    /// if its scalar run ends there. That run pops the events still queued
+    /// in queue order, each a step (after the `step_limit` check) and a
+    /// delivery also a receipt, on the lane's clock. If each reaches a node
+    /// that has terminated or that the lane's plan has down, the run drops
+    /// them all, sends nothing more and ends quiescent: the lane's
+    /// execution is then written into its `settled` slot and `true`
+    /// returned. Otherwise the lane must rerun: `false`.
+    fn settle(&mut self, lane: usize, clock: u64, step_limit: u64) -> bool {
+        let plan = &self.plans[lane];
+        let (mut steps, mut delivered, mut last) = (self.steps, self.delivered, clock);
+        let mut times = self.times.iter();
+        for event in &self.queue {
+            if steps >= step_limit {
+                return false;
+            }
+            steps += 1;
+            let wake = event.tag == WAKE_TAG;
+            // As `tick` reads it: wakes, all queued ahead of every
+            // delivery, keep the latency clock at 0.
+            last = match self.clock {
+                LaneClock::Deliveries => delivered,
+                LaneClock::Latency(_) if !wake => {
+                    *times.next().expect("one arrival time per queued delivery")
+                }
+                LaneClock::Latency(_) => last,
+            };
+            delivered += u64::from(!wake);
+            let to = event.to as usize;
+            if !self.has_output[to] && !plan.is_down(to, last) {
+                return false;
+            }
+        }
+        // The lane as of its hit, plus the drops.
+        let mut out = std::mem::take(&mut self.settled[lane]);
+        self.lockstep_into(lane, &mut out);
+        out.stats.steps = steps;
+        out.stats.delivered = delivered;
+        for event in self.queue.iter().filter(|event| event.tag != WAKE_TAG) {
+            out.stats.received[event.to as usize] += 1;
+        }
+        out.outcome = outcome_of(&out.outputs, true);
+        self.plans[lane].settle_into(Some(last), &mut out);
+        self.settled[lane] = out;
+        true
+    }
+
     /// Bytes the engine's buffers hold at their current capacities: the
-    /// event queue, the payload ring, outputs, per-node counters and the
-    /// per-lane crash bookkeeping (not the fault plans themselves). Tests
-    /// check it against [`engine_lane_bytes`]; it is not part of the API.
+    /// event queue, the payload ring, outputs, per-node counters, the
+    /// per-lane crash bookkeeping and settled executions (not the fault
+    /// plans themselves). Tests check it against [`engine_lane_bytes`]; it
+    /// is not part of the API.
     #[doc(hidden)]
     pub fn retained_bytes(&self) -> usize {
         use std::mem::size_of;
+        let settled: usize = (self.settled.iter())
+            .map(|exec| {
+                exec.outputs.capacity() * size_of::<Option<Option<u64>>>()
+                    + (exec.stats.sent.capacity() + exec.stats.received.capacity())
+                        * size_of::<u64>()
+            })
+            .sum();
         let words = self.payloads.capacity()
             + self.incoming.capacity()
             + self.outputs.capacity()
@@ -633,19 +730,23 @@ impl LockstepEngine {
             + self.by_node.capacity() * size_of::<(u32, u32)>()
             + self.first.capacity() * size_of::<u32>()
             + self.has_output.capacity()
-            + self.hit.capacity()
+            + self.state.capacity() * size_of::<LaneState>()
+            + self.settled.capacity() * size_of::<Execution>()
+            + settled
     }
 
-    /// `true` when the last run dropped, on lane `lane`'s fault plan, an
-    /// activation of the fault-free schedule. The lane's trial then took
-    /// another schedule: re-run it through the scalar engine.
+    /// `true` when lane `lane` must rerun through the scalar engine: the
+    /// last run dropped, on the lane's fault plan, an activation of the
+    /// fault-free schedule, and the lane's scalar run did not end
+    /// quiescent right there (see the module docs). A lane settled at its
+    /// hit reports `false` and holds its result like an unhit lane.
     ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range.
     pub fn lane_hit(&self, lane: usize) -> bool {
         assert!(lane < self.lanes, "lane {lane} out of range");
-        self.hit[lane]
+        self.state[lane] == LaneState::Rerun
     }
 
     /// Dispatches one activation to `nodes[me]` with field-split borrows,
@@ -685,16 +786,45 @@ impl LockstepEngine {
 
     /// Extracts trial `lane`'s [`Execution`] from the last completed run,
     /// bit-identical to the scalar engine's output for the same trial
-    /// under the lane's fault plan, if any.
+    /// under the lane's fault plan, if any: the lockstep result for an
+    /// unhit lane, the execution written at the hit for a settled one.
     ///
     /// Only meaningful after [`LockstepEngine::run`] returned `true`.
     ///
     /// # Panics
     ///
-    /// Panics if `lane` is out of range or was hit
+    /// Panics if `lane` is out of range or must rerun
     /// ([`LockstepEngine::lane_hit`]).
     pub fn execution_into(&self, lane: usize, out: &mut Execution) {
         assert!(!self.lane_hit(lane), "lane {lane} was hit by a crash");
+        if self.state[lane] == LaneState::Settled {
+            let settled = &self.settled[lane];
+            out.outcome = settled.outcome;
+            out.outputs.clone_from(&settled.outputs);
+            out.stats.steps = settled.stats.steps;
+            out.stats.delivered = settled.stats.delivered;
+            out.stats.sent.clone_from(&settled.stats.sent);
+            out.stats.received.clone_from(&settled.stats.received);
+            out.stats.crashes = settled.stats.crashes;
+            return;
+        }
+        self.lockstep_into(lane, out);
+        // Lockstep runs never hit the step limit (that diverges), so the
+        // stream always drained: `all_delivered` is unconditionally true,
+        // exactly as in the scalar fused path on a completed run.
+        out.outcome = outcome_of(&out.outputs, true);
+        // An unhit lane's scalar run took this very schedule, so its last
+        // event read the same clock; a completed run counted every event
+        // it popped.
+        match self.plans.get(lane) {
+            Some(plan) => plan.settle_into((self.steps > 0).then_some(self.now), out),
+            None => out.stats.crashes = 0,
+        }
+    }
+
+    /// Writes lane `lane`'s outputs and the run's counters as they stand
+    /// into `out`.
+    fn lockstep_into(&self, lane: usize, out: &mut Execution) {
         out.outputs.clear();
         for i in 0..self.n {
             out.outputs.push(if self.has_output[i] {
@@ -709,17 +839,6 @@ impl LockstepEngine {
         out.stats.sent.extend_from_slice(&self.sent);
         out.stats.received.clear();
         out.stats.received.extend_from_slice(&self.received);
-        // Lockstep runs never hit the step limit (that diverges), so the
-        // stream always drained: `all_delivered` is unconditionally true,
-        // exactly as in the scalar fused path on a completed run.
-        out.outcome = outcome_of(&out.outputs, true);
-        // An unhit lane's scalar run took this very schedule, so its last
-        // event read the same clock; a completed run counted every event
-        // it popped.
-        match self.plans.get(lane) {
-            Some(plan) => plan.settle_into((self.steps > 0).then_some(self.now), out),
-            None => out.stats.crashes = 0,
-        }
     }
 
     /// Resets per-run state for a `lanes`-wide group, retaining capacity.
@@ -741,8 +860,8 @@ impl LockstepEngine {
         self.steps = 0;
         self.delivered = 0;
         self.diverged = false;
-        self.hit.clear();
-        self.hit.resize(lanes, false);
+        self.state.clear();
+        self.state.resize(lanes, LaneState::Unhit);
         self.unhit = lanes;
         self.times.clear();
         self.now = 0;
@@ -768,7 +887,7 @@ impl LockstepEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FnNode, Outcome};
+    use crate::{FailReason, FnNode, Outcome};
 
     /// A k-lane ping-pong: the origin sends per-lane counters around a
     /// 2-ring until they reach a bound, then both nodes elect the bound.
@@ -854,9 +973,10 @@ mod tests {
             ]
         };
         let mut engine = LockstepEngine::new(2);
-        // Lane 0 drops the origin's wake; lane 1's crash of node 1 at the
-        // second delivery recovers before the third; lane 2's fires after
-        // node 1 terminated (on the sixth and last delivery's clock).
+        // Lane 0 drops the origin's wake, which leaves nothing queued, so
+        // it settles there; lane 1's crash of node 1 at the second
+        // delivery recovers before the third; lane 2's fires after node 1
+        // terminated (on the sixth and last delivery's clock).
         let plans = [
             FaultPlan::none().with_crash(0, 0, Some(1)),
             FaultPlan::none().with_crash(1, 1, Some(2)),
@@ -865,21 +985,164 @@ mod tests {
         engine.set_fault_plans(&plans, LaneClock::Deliveries);
         assert!(engine.run(3, &mut pongs(), &[0], 1000));
         let hits: Vec<bool> = (0..3).map(|lane| engine.lane_hit(lane)).collect();
-        assert_eq!(hits, [true, false, false]);
+        assert_eq!(hits, [false; 3]);
+        let partition = Outcome::Fail(FailReason::CrashPartition);
         let mut exec = Execution::default();
+        engine.execution_into(0, &mut exec);
+        let seen = (exec.outcome, exec.stats.steps, exec.stats.crashes);
+        assert_eq!(seen, (partition, 1, 1));
         engine.execution_into(1, &mut exec);
         assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 1));
         engine.execution_into(2, &mut exec);
         assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 1));
 
-        // Every lane hit stops the run; an empty slice restores the
-        // fault-free loop, which settles no crashes.
+        // Every lane hit stops the run, which serves the settled lanes; an
+        // empty slice restores the fault-free loop, which settles no
+        // crashes and keeps no settled executions.
         engine.set_fault_plans(&plans[..1], LaneClock::Latency(5));
-        assert!(!engine.run(1, &mut pongs(), &[0], 1000));
+        assert!(engine.run(1, &mut pongs(), &[0], 1000));
+        assert!(!engine.lane_hit(0));
+        engine.execution_into(0, &mut exec);
+        assert_eq!((exec.outcome, exec.stats.steps), (partition, 1));
         engine.set_fault_plans(&[], LaneClock::Deliveries);
         assert!(engine.run(3, &mut pongs(), &[0], 1000));
         engine.execution_into(0, &mut exec);
         assert_eq!((exec.outcome, exec.stats.crashes), (Outcome::Elected(3), 0));
+        assert!(engine.settled.is_empty());
+    }
+
+    /// Runs one lane per plan, lane `l` of every position `node(l)` on a
+    /// ring of `n`, under `plans` on `clock`, and the scalar engine on each
+    /// lane's nodes under its plan: on FIFO links, or on a net whose links
+    /// all take the clock's latency. Every lane that need not rerun must
+    /// equal its scalar run. Returns, per lane, whether it must rerun and
+    /// its scalar execution.
+    fn faulty_lanes_vs_scalar<N: Node<u64>>(
+        n: usize,
+        node: impl Fn(u64) -> N,
+        wakes: &[usize],
+        plans: &[FaultPlan],
+        clock: LaneClock,
+        step_limit: u64,
+    ) -> Vec<(bool, Execution)> {
+        use crate::{
+            Engine, FifoScheduler, LatencySpec, LinkProfile, Schedule, TimedNetConfig,
+            TimedScheduler, Topology,
+        };
+        let mut rows: Vec<_> = (0..n).map(|me| NodeLanes::new(me, n)).collect();
+        for lane in 0..plans.len() {
+            for row in &mut rows {
+                row.nodes_mut().push(node(lane as u64));
+            }
+        }
+        let mut lockstep = LockstepEngine::new(n);
+        lockstep.set_fault_plans(plans, clock);
+        assert!(lockstep.run(plans.len(), &mut rows, wakes, step_limit));
+        let mut engine = Engine::new(Topology::ring(n));
+        let (mut fifo, mut heap) = (FifoScheduler::new(), TimedScheduler::new());
+        let mut lane_exec = Execution::default();
+        let mut lanes = Vec::new();
+        for (lane, plan) in plans.iter().enumerate() {
+            let mut nodes: Vec<_> = (0..n).map(|_| node(lane as u64)).collect();
+            let net = match clock {
+                LaneClock::Deliveries => None,
+                LaneClock::Latency(ns) => Some(TimedNetConfig::uniform(LinkProfile {
+                    latency: LatencySpec::Constant { ns },
+                    ..LinkProfile::default()
+                })),
+            };
+            let schedule = match &net {
+                None => Schedule::Oblivious(&mut fifo),
+                Some(net) => Schedule::Timed {
+                    heap: &mut heap,
+                    net,
+                    seed: 0,
+                },
+            };
+            let mut scalar = Execution::default();
+            engine.set_fault_plan(plan);
+            engine.run_into(&mut nodes, wakes, schedule, step_limit, None, &mut scalar);
+            let rerun = lockstep.lane_hit(lane);
+            if !rerun {
+                lockstep.execution_into(lane, &mut lane_exec);
+                assert_eq!(lane_exec, scalar, "lane {lane} of {clock:?}");
+            }
+            lanes.push((rerun, scalar));
+        }
+        lanes
+    }
+
+    #[test]
+    fn a_hit_lane_settles_only_if_every_queued_event_drops() {
+        let partition = Outcome::Fail(FailReason::CrashPartition);
+        // The origin's wake sends two messages to node 1, delivered at
+        // delivery clocks 0 and 1. Down over [0, 2), node 1 drops both, so
+        // lane 0 settles at the first; down over [0, 1), it takes the
+        // second, so lane 1 reruns; lane 2 is never hit.
+        let plans = [
+            FaultPlan::none().with_crash(1, 0, Some(2)),
+            FaultPlan::none().with_crash(1, 0, Some(1)),
+            FaultPlan::none(),
+        ];
+        let burst = |lane| burst_node(lane, 2, 3);
+        let lanes = faulty_lanes_vs_scalar(3, burst, &[0], &plans, LaneClock::Deliveries, 1000);
+        let reruns: Vec<bool> = lanes.iter().map(|(rerun, _)| *rerun).collect();
+        assert_eq!(reruns, [false, true, false]);
+        let settled = &lanes[0].1;
+        assert_eq!(settled.outcome, partition);
+        assert_eq!((settled.stats.steps, settled.stats.received[1]), (3, 2));
+        assert!(lanes[1].1.stats.delivered > 2, "node 1 took the second");
+
+        // On the latency clock both messages arrive at 5: a crash over
+        // [5, 6) drops both.
+        let plans = [FaultPlan::none().with_crash(1, 5, Some(6))];
+        let lanes = faulty_lanes_vs_scalar(3, burst, &[0], &plans, LaneClock::Latency(5), 1000);
+        assert!(!lanes[0].0);
+        assert_eq!(lanes[0].1.outcome, partition);
+
+        // Every node wakes: dropping node 0's wake leaves the other wakes
+        // queued for live nodes, so the lane reruns.
+        let plans = [
+            FaultPlan::none().with_crash(0, 0, Some(1)),
+            FaultPlan::none(),
+        ];
+        let all = [0, 1, 2];
+        let lanes = faulty_lanes_vs_scalar(3, burst, &all, &plans, LaneClock::Deliveries, 1000);
+        assert!(lanes[0].0 && !lanes[1].0);
+    }
+
+    #[test]
+    fn a_walk_past_the_step_limit_reruns_as_a_step_limit() {
+        // Five messages to node 1, down for good from the start: the
+        // scalar run ends after the wake and the five drops, at step 6.
+        let plans = [FaultPlan::none().with_crash(1, 0, None)];
+        let burst = |lane| burst_node(lane, 5, 9);
+        let clock = LaneClock::Deliveries;
+        let lanes = faulty_lanes_vs_scalar(3, burst, &[0], &plans, clock, 6);
+        assert!(!lanes[0].0);
+        let settled = &lanes[0].1;
+        assert_eq!((settled.stats.steps, settled.stats.delivered), (6, 5));
+        // One step short, the walk would pass the limit: the lane reruns,
+        // and its scalar run stops at the limit.
+        let lanes = faulty_lanes_vs_scalar(3, burst, &[0], &plans, clock, 5);
+        assert!(lanes[0].0);
+        assert_eq!(lanes[0].1.outcome, Outcome::Fail(FailReason::StepLimit));
+    }
+
+    #[test]
+    fn a_run_whose_lanes_all_settle_returns_true() {
+        // Lane 0 settles at node 1's first delivery; lane 1 runs on until
+        // node 2, down for good, drops the forwarded pair, and settles at
+        // the first of it, which stops the run.
+        let plans = [
+            FaultPlan::none().with_crash(1, 0, None),
+            FaultPlan::none().with_crash(2, 0, None),
+        ];
+        let burst = |lane| burst_node(lane, 2, 3);
+        let lanes = faulty_lanes_vs_scalar(3, burst, &[0], &plans, LaneClock::Deliveries, 1000);
+        assert!(lanes.iter().all(|(rerun, _)| !rerun));
+        let steps: Vec<u64> = lanes.iter().map(|(_, exec)| exec.stats.steps).collect();
+        assert_eq!(steps, [3, 5]);
     }
 
     #[test]

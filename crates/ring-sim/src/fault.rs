@@ -34,10 +34,12 @@
 //! Plans also ride the lockstep engine, one per lane
 //! ([`LockstepEngine::set_fault_plans`](crate::batch::LockstepEngine::set_fault_plans)),
 //! on the delivery clock or on the virtual clock of a net with one
-//! constant latency. The lanes keep the fault-free schedule; a lane whose
-//! plan would drop one of its activations is reported hit and reruns on
+//! constant latency. The lanes keep the fault-free schedule until a
+//! lane's plan drops one of its activations. If every event still queued
+//! then drops too, the lane's run ends there, quiescent, and the lockstep
+//! engine writes its execution on the spot; otherwise the lane reruns on
 //! the scalar engine. Both engines settle a run's fired crashes the same
-//! way.
+//! way (`FaultPlan::settle_into`).
 
 use crate::engine::Execution;
 use crate::outcome::{FailReason, Outcome};

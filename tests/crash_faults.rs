@@ -231,9 +231,9 @@ fn timed_fault_sweep_sha256_is_pinned_and_thread_invariant() {
 /// benchmark's `timed_crash_phase_n64` spec at 500 trials (what `fle_lab
 /// sweep --protocol phase --n 64 --trials 500 --seed 1 --latency
 /// const:500 --crash 1@4000000ns --recover 10000` runs). Lanes whose
-/// crash hits an activation rerun scalar, so every width gives the bytes
-/// of the all-scalar run — `fault.crashed_trials` included — which this
-/// hash was taken from.
+/// crash hits an activation settle at the hit or rerun scalar, so every
+/// width gives the bytes of the all-scalar run — `fault.crashed_trials`
+/// included — which this hash was taken from.
 #[test]
 fn recovering_timed_fault_sweep_sha256_is_pinned_across_threads_and_widths() {
     for threads in [1, 2, 8] {

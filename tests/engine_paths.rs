@@ -455,7 +455,8 @@ proptest! {
     /// exercises the group realignment and the narrower tail group. The
     /// timed cases (what `--latency const:500 --crash 1@80000ns --recover
     /// 500` runs) crash about half the trials, so groups, tail groups
-    /// included, hold hit lanes beside crashed unhit ones.
+    /// included, hold hit lanes, settled or rerun, beside crashed unhit
+    /// ones.
     #[test]
     fn batched_partial_matches_scalar_over_arbitrary_ranges(
         start in 0u64..40,
@@ -505,11 +506,11 @@ proptest! {
 // scalar faulty run of each lane, on the deliveries clock and on
 // constant-latency timed nets.
 
-use fle_core::protocols::{run_ring_honest_timed_into, LockstepProtocol};
+use fle_core::protocols::{run_ring_honest_timed_into, LockstepProtocol, Wakes};
 use ring_sim::batch::LaneClock;
 use ring_sim::{
-    CrashInstant, FaultConfig, FaultPlan, LatencySpec, LinkProfile, NodeId, Probe, TimedNetConfig,
-    TimedScheduler,
+    CrashInstant, FailReason, FaultConfig, FaultPlan, LatencySpec, LinkProfile, NodeId, Outcome,
+    Probe, TimedNetConfig, TimedScheduler,
 };
 
 /// The scalar reference: `p`'s honest trial seeded `seed` under `plan`,
@@ -555,10 +556,13 @@ fn scalar_faulty<P: RingProtocol>(
 }
 
 /// The first node to terminate in `p`'s fault-free FIFO run seeded
-/// `seed`, and the run's delivery count.
-fn first_terminator<P: RingProtocol>(p: &P, seed: u64) -> (NodeId, u64) {
-    struct First(Option<NodeId>);
-    impl<M> Probe<M> for First {
+/// `seed`, and the receiver of each of the run's deliveries in order.
+fn fault_free_trace<P: RingProtocol>(p: &P, seed: u64) -> (NodeId, Vec<NodeId>) {
+    struct Trace(Option<NodeId>, Vec<NodeId>);
+    impl<M> Probe<M> for Trace {
+        fn on_deliver(&mut self, _: NodeId, to: NodeId, _: &M, _: &[u64]) {
+            self.1.push(to);
+        }
         fn on_terminate(&mut self, node: NodeId, _: Option<u64>) {
             self.0.get_or_insert(node);
         }
@@ -569,31 +573,42 @@ fn first_terminator<P: RingProtocol>(p: &P, seed: u64) -> (NodeId, u64) {
     let mut nodes: Vec<P::Node> = (0..n)
         .map(|id| q.honest_ring_node_in(id, &mut arena))
         .collect();
-    let (mut first, mut out) = (First(None), Execution::default());
+    let (mut trace, mut out) = (Trace(None, Vec::new()), Execution::default());
     Engine::new(Topology::ring(n)).run_into(
         &mut nodes,
         &P::WAKES.ids(n),
         Schedule::Oblivious(&mut FifoScheduler::new()),
         default_step_limit(n),
-        Some(&mut first),
+        Some(&mut trace),
         &mut out,
     );
-    (first.0.expect("an honest run elects"), out.stats.delivered)
+    (trace.0.expect("an honest run elects"), trace.1)
 }
 
 /// Lockstep groups of `p` under one crash plan per lane, at widths
 /// {1, 2, 7, 8}, on the deliveries clock with recovery and on constant
 /// latencies L ∈ {0, 1, 500} with `window_ns` and recovery. Lanes draw
 /// their plans from their seeds, except in groups of two or more: lane
-/// 0 crashes the origin at instant 0, which drops its wake, so the lane
-/// must be hit; on the deliveries clock the last lane crashes the first
-/// node to terminate at the run's last delivery, which fires and must
-/// hit nothing. Every unhit lane must equal its scalar faulty run.
+/// 0 crashes the origin at instant 0, which drops its wake; on the
+/// deliveries clock the last lane crashes the first node to terminate at
+/// the run's last delivery, which fires and must not send the lane back
+/// to scalar, and in groups of three or more lane 1 crashes the receiver
+/// of the first two consecutive deliveries to one node over exactly
+/// those two, which must settle a phase lane (the pair is its round's
+/// data and validation). Every lane that does not rerun, unhit or settled at its
+/// hit, must equal its scalar faulty run. A dropped origin wake leaves a
+/// `Wakes::Origin` protocol nothing in flight, so lane 0 settles as a
+/// crash partition after its one step, while Basic-LEAD's other wakes
+/// rerun it. On the latency clock, A-LEADuni's one token and the phase
+/// rounds' data and validation messages, which a crash drops together,
+/// leave no lane to rerun.
 fn assert_lane_faults_match<P: LockstepProtocol>(label: &str, p: &P, base: u64) {
     let n = p.n();
     // Every protocol here delivers at most 2n² messages.
     let deliveries = 2 * (n * n) as u64;
     let mut cache = P::batch_cache(n);
+    let origin = P::WAKES == Wakes::Origin;
+    let partition = Outcome::Fail(FailReason::CrashPartition);
     let mut next = 0u64;
     for latency in [None, Some(0), Some(1), Some(500)] {
         let (clock, net, window, recover) = match latency {
@@ -636,32 +651,53 @@ fn assert_lane_faults_match<P: LockstepProtocol>(label: &str, p: &P, base: u64) 
                 plans[0] = FaultPlan::none().with_crash(0, 0, Some(recover));
             }
             if after_end {
-                let (node, delivered) = first_terminator(p, seeds[width - 1]);
-                plans[width - 1] = FaultPlan::none().with_crash(node, delivered - 1, Some(recover));
+                let (node, receivers) = fault_free_trace(p, seeds[width - 1]);
+                let last = receivers.len() as u64 - 1;
+                plans[width - 1] = FaultPlan::none().with_crash(node, last, Some(recover));
+            }
+            let mut paired = false;
+            if width > 2 && latency.is_none() {
+                let (_, receivers) = fault_free_trace(p, seeds[1]);
+                if let Some(k) = receivers.windows(2).position(|two| two[0] == two[1]) {
+                    let k = k as u64;
+                    plans[1] = FaultPlan::none().with_crash(receivers[k as usize], k, Some(k + 2));
+                    paired = true;
+                }
             }
             P::lockstep_engine(&mut cache).set_fault_plans(&plans, clock);
             let ran = p.run_honest_batch_into(&seeds, &mut cache);
             let engine = P::lockstep_engine(&mut cache);
             let case = format!("{label} {clock:?} width {width}");
-            let hits: Vec<bool> = (0..width).map(|lane| engine.lane_hit(lane)).collect();
-            assert!(ran || hits.iter().all(|&hit| hit), "{case}: diverged");
-            if width > 1 {
-                assert!(hits[0], "{case}: the origin's dropped wake must hit lane 0");
+            assert!(ran, "{case}: diverged");
+            let reruns: Vec<bool> = (0..width).map(|lane| engine.lane_hit(lane)).collect();
+            if origin && latency.is_some() {
+                assert!(!reruns.contains(&true), "{case}: lanes {reruns:?} rerun");
             }
-            if !ran {
-                continue;
+            if origin && paired {
+                assert!(!reruns[1], "{case}: lane 1's dropped pair must settle");
             }
             let mut exec = Execution::default();
             for (lane, (&seed, plan)) in seeds.iter().zip(&plans).enumerate() {
-                if hits[lane] {
+                if reruns[lane] {
                     continue;
                 }
                 engine.execution_into(lane, &mut exec);
                 let reference = scalar_faulty(p, seed, plan, net.as_ref());
                 assert_eq!(exec, reference, "{case} lane {lane} vs scalar");
             }
+            if width > 1 {
+                assert_eq!(reruns[0], !origin, "{case}: lane 0 after the dropped wake");
+            }
+            if width > 1 && origin {
+                engine.execution_into(0, &mut exec);
+                let seen = (exec.outcome, exec.stats.steps);
+                assert_eq!(seen, (partition, 1), "{case}: lane 0's dropped wake");
+            }
             if after_end {
-                assert!(!hits[width - 1], "{case}: a crash after termination hit");
+                assert!(
+                    !reruns[width - 1],
+                    "{case}: a crash after termination reruns"
+                );
                 engine.execution_into(width - 1, &mut exec);
                 assert_eq!(exec.stats.crashes, 1, "{case}: the late crash must fire");
             }
